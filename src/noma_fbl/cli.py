@@ -16,7 +16,13 @@ from pathlib import Path
 
 from . import __version__
 from .fbl import UserSpec
-from .montecarlo import ExperimentConfig, dbm_to_watts, run_trials
+from .montecarlo import (
+    ENERGY_COLUMNS,
+    FEASIBILITY_COLUMNS,
+    ExperimentConfig,
+    dbm_to_watts,
+    run_trials,
+)
 from .noma import order_by_deadline, solve_noma
 from .tdma import solve_tdma
 from .types import Allocation, ChannelPair, PowerBudget, SolveOutcome
@@ -242,47 +248,13 @@ def _write_text(path: Path, content: str) -> None:
         fh.write(content)
 
 
-def _mc_energy_csv(batch) -> str:
-    cols = (
-        "d1",
-        "pmax_dbm",
-        "n_trials",
-        "n_both_feasible",
-        "n_common",
-        "mean_energy_noma",
-        "mean_energy_tdma",
-        "mean_energy_noma_scheme",
-        "mean_energy_tdma_scheme",
-        "mean_energy_noma_common",
-        "mean_energy_tdma_common",
-    )
-    lines = [f"# schema={MC_ENERGY_SCHEMA}", ",".join(cols)]
-    for row in batch.energy_rows():
+def _mc_csv(schema: str, columns: tuple[str, ...], rows: list[dict]) -> str:
+    """One Monte-Carlo table: integers as str, floats in _fmt form."""
+    lines = [f"# schema={schema}", ",".join(columns)]
+    for row in rows:
         lines.append(
             ",".join(
-                str(row[c]) if c in ("d1", "n_trials", "n_both_feasible", "n_common")
-                else _fmt(row[c])
-                for c in cols
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _mc_feasibility_csv(batch) -> str:
-    cols = (
-        "d1",
-        "pmax_dbm",
-        "n_trials",
-        "frac_noma_feasible",
-        "frac_tdma_feasible",
-        "frac_any_feasible",
-    )
-    lines = [f"# schema={MC_FEASIBILITY_SCHEMA}", ",".join(cols)]
-    for row in batch.feasibility_rows():
-        lines.append(
-            ",".join(
-                str(row[c]) if c in ("d1", "n_trials") else _fmt(row[c])
-                for c in cols
+                str(v) if isinstance(v, int) else _fmt(v) for v in row.values()
             )
         )
     return "\n".join(lines) + "\n"
@@ -308,8 +280,12 @@ def cmd_montecarlo(parser: argparse.ArgumentParser, args) -> int:
 
     batch = run_trials(cfg)
     files = {
-        "energy_vs_d1.csv": _mc_energy_csv(batch),
-        "feasibility_vs_d1_pmax.csv": _mc_feasibility_csv(batch),
+        "energy_vs_d1.csv": _mc_csv(
+            MC_ENERGY_SCHEMA, ENERGY_COLUMNS, batch.energy_rows()
+        ),
+        "feasibility_vs_d1_pmax.csv": _mc_csv(
+            MC_FEASIBILITY_SCHEMA, FEASIBILITY_COLUMNS, batch.feasibility_rows()
+        ),
     }
     outputs = []
     try:

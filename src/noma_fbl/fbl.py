@@ -30,10 +30,8 @@ LN2 = math.log(2.0)
 #: 2*sqrt(ln 2)/(4 - sqrt 2) = 0.64394...
 ENERGY_MONOTONE_THRESHOLD = 2.0 * math.sqrt(LN2) / (4.0 - math.sqrt(2.0))
 
-#: Default bisection tolerance on the SINR bracket width.
+#: Bisection tolerance on the SINR bracket width.
 DEFAULT_SINR_TOL = 1e-9
-
-_MAX_BISECTION_ITERS = 200
 
 
 class BracketError(Exception):
@@ -122,17 +120,14 @@ def blocklength_for_sinr(gamma: float, spec: UserSpec) -> float:
     return root * root
 
 
-def sinr_for_blocklength(
-    m_star: float,
-    spec: UserSpec,
-    gamma_hi: float,
-    tol: float = DEFAULT_SINR_TOL,
-) -> float:
+def sinr_for_blocklength(m_star: float, spec: UserSpec, gamma_hi: float) -> float:
     """SINR at which the payload exactly fits in m_star channel uses.
 
     Bisection on [0, gamma_hi] driven by the closed-form inverse: a midpoint
     whose exact-fit blocklength is below m_star over-delivers, so it becomes
-    the new upper bound.  Terminates when the bracket is narrower than tol.
+    the new upper bound.  Terminates when the bracket is narrower than
+    DEFAULT_SINR_TOL, or when its midpoint no longer splits it (for large
+    SINRs the float spacing exceeds the tolerance).
 
     Raises BracketError when even gamma_hi cannot deliver the payload in
     m_star uses (blocklength_for_sinr(gamma_hi) > m_star); callers typically
@@ -145,32 +140,25 @@ def sinr_for_blocklength(
         )
     if gamma_hi <= 0.0:
         raise ValueError(f"gamma_hi must be positive, got {gamma_hi}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if blocklength_for_sinr(gamma_hi, spec) > m_star:
         raise BracketError(
             f"payload {spec.payload_bits} bits does not fit in {m_star} uses "
             f"even at SINR {gamma_hi}"
         )
     lo, hi = 0.0, gamma_hi
-    for _ in range(_MAX_BISECTION_ITERS):
-        if hi - lo <= tol:
-            break
+    while hi - lo > DEFAULT_SINR_TOL:
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
         if blocklength_for_sinr(mid, spec) < m_star:
             hi = mid
         else:
             lo = mid
-    else:
-        raise RuntimeError(
-            f"SINR bisection did not reach tol={tol} within "
-            f"{_MAX_BISECTION_ITERS} iterations (bracket [0, {gamma_hi}])"
-        )
     return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=None)
-def required_sinr(spec: UserSpec, m: float, tol: float = DEFAULT_SINR_TOL) -> float:
+def required_sinr(spec: UserSpec, m: float) -> float:
     """Channel-independent SINR required to fit the payload in m uses.
 
     Same root as sinr_for_blocklength but with an adaptive bracket (doubling
@@ -188,19 +176,17 @@ def required_sinr(spec: UserSpec, m: float, tol: float = DEFAULT_SINR_TOL) -> fl
                 f"required SINR for {spec.payload_bits} bits in {m} uses "
                 "exceeds representable range"
             )
-    return sinr_for_blocklength(m, spec, hi, tol)
+    return sinr_for_blocklength(m, spec, hi)
 
 
 @lru_cache(maxsize=None)
-def required_sinr_table(
-    spec: UserSpec, m_lo: int, m_hi: int, tol: float = DEFAULT_SINR_TOL
-) -> np.ndarray:
+def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
     """required_sinr evaluated on the integer blocklengths m_lo..m_hi.
 
     Read-only array (cached); index i holds the SINR for m = m_lo + i.
     """
     table = np.array(
-        [required_sinr(spec, m, tol) for m in range(m_lo, m_hi + 1)], dtype=float
+        [required_sinr(spec, m) for m in range(m_lo, m_hi + 1)], dtype=float
     )
     table.flags.writeable = False
     return table
@@ -218,21 +204,10 @@ def energy_monotone(spec: UserSpec) -> bool:
     return ratio <= ENERGY_MONOTONE_THRESHOLD
 
 
-def energy_curve(
-    m: float,
-    spec: UserSpec,
-    gamma_hi: float | None = None,
-    tol: float = DEFAULT_SINR_TOL,
-) -> float:
+def energy_curve(m: float, spec: UserSpec) -> float:
     """Blocklength-energy product m * required_sinr(m) at unit channel gain.
 
     Dividing by a channel power gain turns this into the actual codeword
-    energy m * p.  With gamma_hi given, the SINR is found by
-    sinr_for_blocklength on [0, gamma_hi] (raising BracketError as usual);
-    otherwise the adaptive bracket is used.
+    energy m * p.
     """
-    if gamma_hi is None:
-        gamma = required_sinr(spec, m, tol)
-    else:
-        gamma = sinr_for_blocklength(m, spec, gamma_hi, tol)
-    return m * gamma
+    return m * required_sinr(spec, m)

@@ -133,10 +133,14 @@ def _mean(values: list[float]) -> float:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Aggregates for one (d1, p_max_dbm) grid cell."""
+    """Aggregates for one (d1, p_max_dbm) grid cell.
+
+    Field names double as the CSV column names (ENERGY_COLUMNS,
+    FEASIBILITY_COLUMNS).
+    """
 
     d1: int
-    p_max_dbm: float
+    pmax_dbm: float
     n_trials: int
     n_noma_feasible: int
     n_tdma_feasible: int
@@ -163,6 +167,32 @@ class CellStats:
         return self.n_any_feasible / self.n_trials
 
 
+#: CellStats attributes in column order of the energy table.
+ENERGY_COLUMNS = (
+    "d1",
+    "pmax_dbm",
+    "n_trials",
+    "n_both_feasible",
+    "n_common",
+    "mean_energy_noma",
+    "mean_energy_tdma",
+    "mean_energy_noma_scheme",
+    "mean_energy_tdma_scheme",
+    "mean_energy_noma_common",
+    "mean_energy_tdma_common",
+)
+
+#: CellStats attributes in column order of the feasibility table.
+FEASIBILITY_COLUMNS = (
+    "d1",
+    "pmax_dbm",
+    "n_trials",
+    "frac_noma_feasible",
+    "frac_tdma_feasible",
+    "frac_any_feasible",
+)
+
+
 @dataclass
 class TrialBatch:
     """Complete result of a Monte-Carlo run: records plus aggregates.
@@ -183,44 +213,18 @@ class TrialBatch:
 
     def energy_rows(self) -> list[dict]:
         """Flat table of the energy aggregates, one row per cell."""
-        rows = []
-        for pmax in self.config.p_max_dbm_grid:
-            for d1 in self.config.d1_grid:
-                c = self.cell(d1, pmax)
-                rows.append(
-                    {
-                        "d1": c.d1,
-                        "pmax_dbm": c.p_max_dbm,
-                        "n_trials": c.n_trials,
-                        "n_both_feasible": c.n_both_feasible,
-                        "n_common": c.n_common,
-                        "mean_energy_noma": c.mean_energy_noma,
-                        "mean_energy_tdma": c.mean_energy_tdma,
-                        "mean_energy_noma_scheme": c.mean_energy_noma_scheme,
-                        "mean_energy_tdma_scheme": c.mean_energy_tdma_scheme,
-                        "mean_energy_noma_common": c.mean_energy_noma_common,
-                        "mean_energy_tdma_common": c.mean_energy_tdma_common,
-                    }
-                )
-        return rows
+        return self._rows(ENERGY_COLUMNS)
 
     def feasibility_rows(self) -> list[dict]:
         """Flat table of the feasibility fractions, one row per cell."""
-        rows = []
-        for pmax in self.config.p_max_dbm_grid:
-            for d1 in self.config.d1_grid:
-                c = self.cell(d1, pmax)
-                rows.append(
-                    {
-                        "d1": c.d1,
-                        "pmax_dbm": c.p_max_dbm,
-                        "n_trials": c.n_trials,
-                        "frac_noma_feasible": c.frac_noma_feasible,
-                        "frac_tdma_feasible": c.frac_tdma_feasible,
-                        "frac_any_feasible": c.frac_any_feasible,
-                    }
-                )
-        return rows
+        return self._rows(FEASIBILITY_COLUMNS)
+
+    def _rows(self, columns: tuple[str, ...]) -> list[dict]:
+        return [
+            {col: getattr(self.cell(d1, pmax), col) for col in columns}
+            for pmax in self.config.p_max_dbm_grid
+            for d1 in self.config.d1_grid
+        ]
 
 
 def run_trials(
@@ -281,7 +285,7 @@ def _aggregate(batch: TrialBatch) -> None:
             both = [r for r in rs if r.noma.feasible and r.tdma.feasible]
             batch.cells[(d1, p_max_dbm)] = CellStats(
                 d1=d1,
-                p_max_dbm=p_max_dbm,
+                pmax_dbm=p_max_dbm,
                 n_trials=cfg.n_trials,
                 n_noma_feasible=len(noma_f),
                 n_tdma_feasible=len(tdma_f),

@@ -4,26 +4,33 @@ A transmitter sends both users' codewords simultaneously as a power-domain
 superposition.  User 1 always has the shorter deadline (D1 <= D2).  Which
 receiver, if any, can run successive interference cancellation (SIC) depends
 on the channel ordering and on whether both codewords fit inside the shorter
-deadline, giving three formulations:
+deadline.  Spending more channel uses on a codeword lowers both its required
+SINR and its blocklength-energy product (see fbl.energy_monotone), so every
+formulation pins each blocklength at its binding deadline, looks up the
+required SINRs gamma_k = required_sinr(s_k, m_k), inverts its SINR maps for
+the powers in closed form and checks the budget.  The formulations differ
+only in these table rows (_SIC_RX2, _TIN, _SIC_RX1):
 
-  solve_sic_rx2  (g1 <= g2): receiver 2 hears everything receiver 1 must
-      decode, so it cancels codeword 1 first and decodes its own signal
-      interference-free.  SINR maps: gamma1 = p1*g1/(p2*g1 + 1),
-      gamma2 = p2*g2.
-  solve_tin      (g1 >  g2): codeword 2 may outlast D1, so neither receiver
-      can cancel; both treat the other signal as noise.  SINR maps:
-      gamma1 = p1*g1/(p2*g1 + 1), gamma2 = p2*g2/(p1*g2 + 1).
-  solve_sic_rx1  (g1 >  g2): both codewords are confined to D1, so receiver
-      1 (the stronger channel) cancels codeword 2 first.  SINR maps:
-      gamma1 = p1*g1, gamma2 = p2*g2/(p1*g2 + 1).
+  scheme   channels  m2  SINR maps                    SIC composition
+  sic-rx2  g1 <= g2  D2  gamma1 = p1*g1/(p2*g1 + 1)   eps1 then eps2
+                         gamma2 = p2*g2
+  tin      g1 >  g2  D2  gamma1 = p1*g1/(p2*g1 + 1)   none; needs
+                         gamma2 = p2*g2/(p1*g2 + 1)   gamma1*gamma2 < 1
+  sic-rx1  g1 >  g2  D1  gamma1 = p1*g1               eps2 then eps1
+                         gamma2 = p2*g2/(p1*g2 + 1)
 
-Spending more channel uses on a codeword lowers both its required SINR and
-its blocklength-energy product (see fbl.energy_monotone), so every
-formulation pins the optimal blocklengths at the largest values its
-constraints allow and solves the SINR maps for the powers in closed form.
+m1 is always D1.  sic-rx2: receiver 2 hears everything receiver 1 must
+decode, so it cancels codeword 1 first.  tin: codeword 2 may outlast D1, so
+neither receiver can cancel.  sic-rx1: both codewords are confined to D1, so
+receiver 1 (the stronger channel) cancels codeword 2 first.
+
+One kernel, _solve, runs every formulation from its row; solve_sic_rx2,
+solve_tin and solve_sic_rx1 add their channel-order precondition.
 solve_noma dispatches on the channel ordering and, in the g1 > g2 regime,
 keeps the cheaper of the two candidate formulations.
 """
+
+from typing import Callable, NamedTuple
 
 from .fbl import BracketError, UserSpec, required_sinr
 from .types import (
@@ -33,8 +40,6 @@ from .types import (
     PowerBudget,
     Scheme,
     SolveOutcome,
-    feasible_outcome,
-    infeasible_outcome,
 )
 
 __all__ = [
@@ -93,6 +98,7 @@ def order_by_deadline(
 
 
 def _require_deadline_order(s1: UserSpec, s2: UserSpec) -> None:
+    """Raise ValueError unless user 1 has the shorter (or equal) deadline."""
     if s1.deadline > s2.deadline:
         raise ValueError(
             f"user 1 must have the shorter deadline ({s1.deadline} > {s2.deadline}); "
@@ -128,6 +134,76 @@ def _powers_sic_rx1(
     return p1, p2
 
 
+class _Formulation(NamedTuple):
+    """One row of the formulation table (see the module docstring)."""
+
+    scheme: Scheme
+    #: m2 sits at D1 (both codewords inside the shorter deadline), else at D2.
+    m2_at_d1: bool
+    #: (gamma1, gamma2, g1, g2) -> (p1, p2).
+    powers: Callable[[float, float, float, float], tuple[float, float]]
+    #: Indices into (s1, s2) of the cancelled and the own decode, or None.
+    sic_stages: tuple[int, int] | None
+    #: The maps only invert when gamma1 * gamma2 < 1.
+    product_wall: bool
+
+
+_SIC_RX2 = _Formulation(Scheme.SIC_RX2, False, _powers_sic_rx2, (0, 1), False)
+_TIN = _Formulation(Scheme.TIN, False, _powers_tin, None, True)
+_SIC_RX1 = _Formulation(Scheme.SIC_RX1, True, _powers_sic_rx1, (1, 0), False)
+
+
+def _solve(
+    row: _Formulation,
+    ch: ChannelPair,
+    s1: UserSpec,
+    s2: UserSpec,
+    budget: PowerBudget,
+) -> SolveOutcome:
+    """Minimum-energy allocation of one formulation, from its table row.
+
+    Checks, in order: user 2's blocklength window (empty only when m2 = D1
+    falls below its minimum blocklength), rate reachability of both required
+    SINRs within p_max * g_k, the SINR-product wall, and the power budget.
+    """
+    _require_deadline_order(s1, s2)
+    deadline2 = s1.deadline if row.m2_at_d1 else s2.deadline
+    if s2.min_blocklength > deadline2:
+        return SolveOutcome(verdict=InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY)
+    try:
+        gamma1 = required_sinr(s1, s1.deadline)
+        gamma2 = required_sinr(s2, deadline2)
+    except BracketError:
+        return SolveOutcome(verdict=InfeasibleReason.RATE_UNREACHABLE)
+    if gamma1 > budget.p_max * ch.g1 or gamma2 > budget.p_max * ch.g2:
+        return SolveOutcome(verdict=InfeasibleReason.RATE_UNREACHABLE)
+    if row.product_wall and gamma1 * gamma2 >= 1.0:
+        return SolveOutcome(verdict=InfeasibleReason.SIC_PRODUCT_GE_ONE)
+    p1, p2 = row.powers(gamma1, gamma2, ch.g1, ch.g2)
+    if p1 + p2 > budget.p_max:
+        return SolveOutcome(verdict=InfeasibleReason.POWER_BUDGET_EXCEEDED)
+    sic_overall_error = None
+    if row.sic_stages is not None:
+        eps = (s1.error_target, s2.error_target)
+        first, second = row.sic_stages
+        sic_overall_error = overall_sic_error(eps[first], eps[second])
+    m1 = float(s1.deadline)
+    m2 = m1 if row.m2_at_d1 else float(s2.deadline)
+    return SolveOutcome(
+        allocation=Allocation(
+            m1=m1,
+            m2=m2,
+            p1=p1,
+            p2=p2,
+            gamma1=gamma1,
+            gamma2=gamma2,
+            energy=m1 * p1 + m2 * p2,
+            scheme=row.scheme,
+            sic_overall_error=sic_overall_error,
+        )
+    )
+
+
 def solve_sic_rx2(
     ch: ChannelPair, s1: UserSpec, s2: UserSpec, budget: PowerBudget
 ) -> SolveOutcome:
@@ -142,35 +218,11 @@ def solve_sic_rx2(
     Infeasible when a required SINR exceeds what the full budget could ever
     produce on that link (rate unreachable) or when p1 + p2 > p_max.
     """
-    _require_deadline_order(s1, s2)
     if ch.g1 > ch.g2:
         raise ValueError(
             f"SIC at receiver 2 needs g1 <= g2, got g1={ch.g1} > g2={ch.g2}"
         )
-    try:
-        gamma1 = required_sinr(s1, s1.deadline)
-        gamma2 = required_sinr(s2, s2.deadline)
-    except BracketError:
-        return infeasible_outcome(InfeasibleReason.RATE_UNREACHABLE)
-    if gamma1 > budget.p_max * ch.g1 or gamma2 > budget.p_max * ch.g2:
-        return infeasible_outcome(InfeasibleReason.RATE_UNREACHABLE)
-    p1, p2 = _powers_sic_rx2(gamma1, gamma2, ch.g1, ch.g2)
-    if p1 + p2 > budget.p_max:
-        return infeasible_outcome(InfeasibleReason.POWER_BUDGET_EXCEEDED)
-    m1, m2 = float(s1.deadline), float(s2.deadline)
-    return feasible_outcome(
-        Allocation(
-            m1=m1,
-            m2=m2,
-            p1=p1,
-            p2=p2,
-            gamma1=gamma1,
-            gamma2=gamma2,
-            energy=m1 * p1 + m2 * p2,
-            scheme=Scheme.SIC_RX2,
-            sic_overall_error=overall_sic_error(s1.error_target, s2.error_target),
-        )
-    )
+    return _solve(_SIC_RX2, ch, s1, s2, budget)
 
 
 def solve_tin(
@@ -187,32 +239,7 @@ def solve_tin(
     which only exists when gamma1*gamma2 < 1 (otherwise each user's power
     feeds the other's interference faster than it can be outrun).
     """
-    _require_deadline_order(s1, s2)
-    try:
-        gamma1 = required_sinr(s1, s1.deadline)
-        gamma2 = required_sinr(s2, s2.deadline)
-    except BracketError:
-        return infeasible_outcome(InfeasibleReason.RATE_UNREACHABLE)
-    if gamma1 > budget.p_max * ch.g1 or gamma2 > budget.p_max * ch.g2:
-        return infeasible_outcome(InfeasibleReason.RATE_UNREACHABLE)
-    if gamma1 * gamma2 >= 1.0:
-        return infeasible_outcome(InfeasibleReason.SIC_PRODUCT_GE_ONE)
-    p1, p2 = _powers_tin(gamma1, gamma2, ch.g1, ch.g2)
-    if p1 + p2 > budget.p_max:
-        return infeasible_outcome(InfeasibleReason.POWER_BUDGET_EXCEEDED)
-    m1, m2 = float(s1.deadline), float(s2.deadline)
-    return feasible_outcome(
-        Allocation(
-            m1=m1,
-            m2=m2,
-            p1=p1,
-            p2=p2,
-            gamma1=gamma1,
-            gamma2=gamma2,
-            energy=m1 * p1 + m2 * p2,
-            scheme=Scheme.TIN,
-        )
-    )
+    return _solve(_TIN, ch, s1, s2, budget)
 
 
 def solve_sic_rx1(
@@ -229,38 +256,11 @@ def solve_sic_rx1(
 
     The result does not depend on D2.
     """
-    _require_deadline_order(s1, s2)
     if ch.g1 < ch.g2:
         raise ValueError(
             f"SIC at receiver 1 needs g1 >= g2, got g1={ch.g1} < g2={ch.g2}"
         )
-    d1 = s1.deadline
-    if s2.min_blocklength > d1:
-        return infeasible_outcome(InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY)
-    try:
-        gamma1 = required_sinr(s1, d1)
-        gamma2 = required_sinr(s2, d1)
-    except BracketError:
-        return infeasible_outcome(InfeasibleReason.RATE_UNREACHABLE)
-    if gamma1 > budget.p_max * ch.g1 or gamma2 > budget.p_max * ch.g2:
-        return infeasible_outcome(InfeasibleReason.RATE_UNREACHABLE)
-    p1, p2 = _powers_sic_rx1(gamma1, gamma2, ch.g1, ch.g2)
-    if p1 + p2 > budget.p_max:
-        return infeasible_outcome(InfeasibleReason.POWER_BUDGET_EXCEEDED)
-    m = float(d1)
-    return feasible_outcome(
-        Allocation(
-            m1=m,
-            m2=m,
-            p1=p1,
-            p2=p2,
-            gamma1=gamma1,
-            gamma2=gamma2,
-            energy=m * p1 + m * p2,
-            scheme=Scheme.SIC_RX1,
-            sic_overall_error=overall_sic_error(s2.error_target, s1.error_target),
-        )
-    )
+    return _solve(_SIC_RX1, ch, s1, s2, budget)
 
 
 _VERDICT_PRECEDENCE = (
@@ -285,21 +285,19 @@ def solve_noma(
     """
     ch, s1, s2, relabeled = order_by_deadline(ch, s1, s2)
     if ch.g1 <= ch.g2:
-        outcome = solve_sic_rx2(ch, s1, s2, budget)
-        if outcome.feasible:
-            return feasible_outcome(outcome.allocation, relabeled=relabeled)
-        return infeasible_outcome(
-            outcome.verdict,
-            sub_verdicts=((Scheme.SIC_RX2, outcome.verdict),),
-            relabeled=relabeled,
-        )
-    tin = solve_tin(ch, s1, s2, budget)
-    sic = solve_sic_rx1(ch, s1, s2, budget)
-    candidates = [o for o in (tin, sic) if o.feasible]
-    if candidates:
-        best = min(candidates, key=lambda o: o.energy)
-        return feasible_outcome(best.allocation, relabeled=relabeled)
-    subs = ((Scheme.TIN, tin.verdict), (Scheme.SIC_RX1, sic.verdict))
-    reasons = {tin.verdict, sic.verdict}
-    verdict = next(v for v in _VERDICT_PRECEDENCE if v in reasons)
-    return infeasible_outcome(verdict, sub_verdicts=subs, relabeled=relabeled)
+        candidates = ((Scheme.SIC_RX2, solve_sic_rx2),)
+    else:
+        candidates = ((Scheme.TIN, solve_tin), (Scheme.SIC_RX1, solve_sic_rx1))
+    best = None
+    subs = []
+    for scheme, solve in candidates:
+        outcome = solve(ch, s1, s2, budget)
+        a = outcome.allocation
+        if a is None:
+            subs.append((scheme, outcome.verdict))
+        elif best is None or a.energy < best.energy:
+            best = a
+    if best is not None:
+        return SolveOutcome(allocation=best, relabeled=relabeled)
+    verdict = min((v for _, v in subs), key=_VERDICT_PRECEDENCE.index)
+    return SolveOutcome(verdict=verdict, sub_verdicts=tuple(subs), relabeled=relabeled)

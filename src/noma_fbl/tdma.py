@@ -17,14 +17,13 @@ single integer decision variable, which is minimized exhaustively:
 import numpy as np
 
 from .fbl import BracketError, UserSpec, required_sinr_table
+from .noma import _require_deadline_order
 from .types import (
     Allocation,
     ChannelPair,
     InfeasibleReason,
     PowerBudget,
     Scheme,
-    feasible_outcome,
-    infeasible_outcome,
     SolveOutcome,
 )
 
@@ -41,20 +40,17 @@ def solve_tdma(
     powers respect the budget (ties go to the smallest m1).  Requires
     s1.deadline <= s2.deadline; callers order users first.
     """
-    if s1.deadline > s2.deadline:
-        raise ValueError(
-            f"user 1 must have the shorter deadline ({s1.deadline} > {s2.deadline})"
-        )
+    _require_deadline_order(s1, s2)
     d1, d2 = s1.deadline, s2.deadline
     m1_lo = s1.min_blocklength
     m1_hi = min(d1, d2 - s2.min_blocklength)
     if m1_lo > m1_hi:
-        return infeasible_outcome(InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY)
+        return SolveOutcome(verdict=InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY)
     try:
         gamma1 = required_sinr_table(s1, m1_lo, m1_hi)
         gamma2 = required_sinr_table(s2, d2 - m1_hi, d2 - m1_lo)
     except BracketError:
-        return infeasible_outcome(InfeasibleReason.RATE_UNREACHABLE)
+        return SolveOutcome(verdict=InfeasibleReason.RATE_UNREACHABLE)
 
     m1 = np.arange(m1_lo, m1_hi + 1)
     m2 = d2 - m1
@@ -62,14 +58,14 @@ def solve_tdma(
     # One user per slot: the budget caps each power separately.
     ok = (gamma1 <= budget.p_max * ch.g1) & (gamma2 <= budget.p_max * ch.g2)
     if not ok.any():
-        return infeasible_outcome(InfeasibleReason.POWER_BUDGET_EXCEEDED)
+        return SolveOutcome(verdict=InfeasibleReason.POWER_BUDGET_EXCEEDED)
     energy = m1 * gamma1 / ch.g1 + m2 * gamma2 / ch.g2
     idx = np.flatnonzero(ok)
     best = idx[np.argmin(energy[idx])]
     p1 = gamma1[best] / ch.g1
     p2 = gamma2[best] / ch.g2
-    return feasible_outcome(
-        Allocation(
+    return SolveOutcome(
+        allocation=Allocation(
             m1=float(m1[best]),
             m2=float(m2[best]),
             p1=float(p1),

@@ -111,16 +111,3 @@ class SolveOutcome:
             raise ValueError(f"no allocation (verdict: {self.verdict})")
         return self.allocation.energy
 
-
-def feasible_outcome(allocation: Allocation, relabeled: bool = False) -> SolveOutcome:
-    return SolveOutcome(allocation=allocation, relabeled=relabeled)
-
-
-def infeasible_outcome(
-    verdict: InfeasibleReason,
-    sub_verdicts: tuple[tuple[Scheme, InfeasibleReason], ...] | None = None,
-    relabeled: bool = False,
-) -> SolveOutcome:
-    return SolveOutcome(
-        verdict=verdict, sub_verdicts=sub_verdicts, relabeled=relabeled
-    )

@@ -87,6 +87,14 @@ class TestSolve:
         assert doc["relabeled"] is True
         assert doc["results"]["noma"]["allocation"]["scheme"] == "sic-rx2"
 
+    def test_huge_gain_ends_in_exit_code_not_traceback(self, capsys):
+        code, _, err = run_cli(
+            capsys, "solve", "--g1", "1e12", "--g2", "1e12", "--d1", "100",
+            "--d2", "300", "--n1-bits", "3000",
+        )
+        assert code in (0, 2)
+        assert "Traceback" not in err
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, *BASE, "--format", "text")
         assert code == 0

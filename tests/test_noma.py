@@ -265,6 +265,16 @@ class TestDispatcher:
         assert out.sub_verdicts is not None
         assert dict(out.sub_verdicts).keys() == {Scheme.TIN, Scheme.SIC_RX1}
 
+    def test_huge_gain_needs_sinr_beyond_float_bisection_tolerance(self):
+        # the required SINR of user 1 is ~1.8e9, where adjacent doubles are
+        # further apart than the bisection tolerance
+        s1 = UserSpec(3000, 1e-7, 100)
+        out = solve_noma(
+            ChannelPair(1e12, 1e12), s1, UserSpec(160, 1e-7, 300), PowerBudget(1e3)
+        )
+        assert out.feasible
+        assert rate_deficit(out.allocation.m1, out.allocation.gamma1, s1) <= 1e-9
+
     def test_switch_happens_at_most_once_along_d2(self):
         ch = ChannelPair(4.0, 1.0)
         budget = PowerBudget(2.5)
