@@ -104,12 +104,17 @@ def _channel_from_args(parser: argparse.ArgumentParser, args) -> ChannelPair:
     if by_gain:
         if args.g1 is None or args.g2 is None:
             parser.error("both --g1 and --g2 are required")
-        return ChannelPair(g1=args.g1, g2=args.g2)
-    if by_mag:
+    elif by_mag:
         if args.h1 is None or args.h2 is None:
             parser.error("both --h1 and --h2 are required")
+    else:
+        parser.error("channel gains required: --g1/--g2 or --h1/--h2")
+    try:
+        if by_gain:
+            return ChannelPair(g1=args.g1, g2=args.g2)
         return ChannelPair(g1=args.h1**2, g2=args.h2**2)
-    parser.error("channel gains required: --g1/--g2 or --h1/--h2")
+    except (ValueError, OverflowError) as exc:
+        parser.error(f"invalid channel: {exc}")
 
 
 def _specs_from_args(args, d1: int) -> tuple[UserSpec, UserSpec]:

@@ -157,34 +157,71 @@ def sinr_for_blocklength(m_star: float, spec: UserSpec, gamma_hi: float) -> floa
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=None)
 def required_sinr(spec: UserSpec, m: float) -> float:
     """Channel-independent SINR required to fit the payload in m uses.
 
     Same root as sinr_for_blocklength but with an adaptive bracket (doubling
     from 1 until it encloses the root), so the result depends only on
-    (spec, m) and is memoized.  Solvers compare it against their own power
-    limit p_max * gain, which is equivalent to bracketing at that limit.
+    (payload_bits, error_target, m) and is memoized on that key, whatever
+    the deadline.  Solvers compare it against their own power limit
+    p_max * gain, which is equivalent to bracketing at that limit.
 
-    Raises BracketError if the required SINR overflows any realistic range.
+    Raises ValueError for m below the spec's minimum blocklength, and
+    BracketError if the required SINR overflows any realistic range.
     """
+    _require_trusted(spec, m)
+    return _required_sinr(spec.payload_bits, spec.error_target, m)
+
+
+def _require_trusted(spec: UserSpec, m: float) -> None:
+    if m < spec.min_blocklength:
+        raise ValueError(
+            f"blocklength {m} below the model's minimum blocklength "
+            f"({spec.min_blocklength})"
+        )
+
+
+@lru_cache(maxsize=256)
+def _rate_spec(payload_bits: int, error_target: float) -> UserSpec:
+    """A spec carrying only what the rate relation reads (N and eps);
+    memoized, as building a frozen dataclass costs ~2 us per cache miss."""
+    return UserSpec(payload_bits, error_target, deadline=1, min_blocklength=1)
+
+
+@lru_cache(maxsize=8192)
+def _required_sinr(payload_bits: int, error_target: float, m: float) -> float:
+    spec = _rate_spec(payload_bits, error_target)
     hi = 1.0
     while blocklength_for_sinr(hi, spec) > m:
         hi *= 2.0
         if hi > 1e150:
             raise BracketError(
-                f"required SINR for {spec.payload_bits} bits in {m} uses "
+                f"required SINR for {payload_bits} bits in {m} uses "
                 "exceeds representable range"
             )
     return sinr_for_blocklength(m, spec, hi)
 
 
-@lru_cache(maxsize=None)
+# Hit and miss counts of the memo, as on any lru_cache-wrapped function.
+required_sinr.cache_info = _required_sinr.cache_info
+
+
 def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
     """required_sinr evaluated on the integer blocklengths m_lo..m_hi.
 
-    Read-only array (cached); index i holds the SINR for m = m_lo + i.
+    Read-only array, memoized on (payload_bits, error_target, m_lo, m_hi);
+    index i holds the SINR for m = m_lo + i.
     """
+    _require_trusted(spec, m_lo)
+    return _required_sinr_table(spec.payload_bits, spec.error_target, m_lo, m_hi)
+
+
+@lru_cache(maxsize=256)
+def _required_sinr_table(
+    payload_bits: int, error_target: float, m_lo: int, m_hi: int
+) -> np.ndarray:
+    spec = _rate_spec(payload_bits, error_target)
+    # Each entry comes from, and fills, the per-m memo of required_sinr.
     table = np.array(
         [required_sinr(spec, m) for m in range(m_lo, m_hi + 1)], dtype=float
     )

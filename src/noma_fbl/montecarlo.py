@@ -20,23 +20,32 @@ in that cell, unconditional per-scheme means, and means over the "common"
 trials, those feasible for both schemes at every d1 sharing the same power
 budget.  The common-set means are the ones to read for curve shapes along
 d1: the averaging set is fixed, so per-trial monotonicity survives the
-average.  Per-trial records are retained, so every aggregate can be
-recomputed.
+average.
+
+Each cell is solved as array expressions over all the draws (the column
+forms in noma and tdma), with the scalar solvers' checks and arithmetic.
+A cell keeps compact per-trial columns (energies, winner and verdict
+codes, the chosen TDMA split), from which TrialBatch.records rebuilds any
+trial's outcomes on access, equal to solve_noma's and solve_tdma's; so
+every aggregate can be recomputed.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .fbl import UserSpec
-from .noma import solve_noma
-from .tdma import solve_tdma
+from .noma import _noma_columns, _noma_outcome
+from .tdma import _best_splits, _outcome, _splits
 from .types import ChannelPair, PowerBudget, SolveOutcome
 
 __all__ = [
     "ExperimentConfig",
     "TrialRecord",
+    "CellRecords",
     "CellStats",
     "TrialBatch",
     "dbm_to_watts",
@@ -49,8 +58,14 @@ DEFAULT_D1_GRID = tuple(range(100, 291, 10))
 
 
 def dbm_to_watts(dbm: float) -> float:
-    """Linear power for a dBm value; 30 dBm -> 1.0 in unit-noise units."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """Linear power for a dBm value; 30 dBm -> 1.0 in unit-noise units.
+
+    Raises ValueError when the power overflows a float.
+    """
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{dbm} dBm overflows a float power") from None
 
 
 @dataclass(frozen=True)
@@ -70,12 +85,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.rayleigh_scale <= 0.0:
             raise ValueError(f"rayleigh_scale must be positive, got {self.rayleigh_scale}")
         if not self.d1_grid:
             raise ValueError("d1_grid must be non-empty")
         if not self.p_max_dbm_grid:
             raise ValueError("p_max_dbm_grid must be non-empty")
+        for p_max_dbm in self.p_max_dbm_grid:
+            PowerBudget(dbm_to_watts(p_max_dbm))  # finite and positive
         if any(d1 > self.d2 for d1 in self.d1_grid):
             raise ValueError(f"every d1 must be <= d2={self.d2}, got {self.d1_grid}")
         if min(self.d1_grid) < self.min_blocklength:
@@ -119,16 +138,69 @@ def draw_channels(rng: np.random.Generator, scale: float) -> ChannelPair:
     return ChannelPair(g1=float(g[0]), g2=float(g[1]))
 
 
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """Solver outcomes for one channel realization in one grid cell."""
 
     noma: SolveOutcome
     tdma: SolveOutcome
 
 
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else math.nan
+class CellRecords(Sequence):
+    """The trial outcomes of one grid cell, held as per-trial columns.
+
+    Item i is the TrialRecord of trial i, rebuilt on access: equal to what
+    solve_noma and solve_tdma return for channels[i] and the cell's specs
+    and budget.  Nothing rebuilt is kept.  The columns come from
+    noma._noma_columns (noma_winner: index of the winning formulation, -1
+    for none; noma_codes: each formulation's verdict code; noma_energy)
+    and tdma._best_splits (tdma_best: index into splits, -1 for none;
+    tdma_energy); energies are NaN where infeasible.
+    """
+
+    def __init__(
+        self,
+        channels: tuple[ChannelPair, ...],
+        s1: UserSpec,
+        s2: UserSpec,
+        splits,
+        noma: tuple[np.ndarray, np.ndarray, np.ndarray],
+        tdma: tuple[np.ndarray, np.ndarray],
+    ):
+        self.channels, self.s1, self.s2, self.splits = channels, s1, s2, splits
+        self.noma_winner, self.noma_codes, self.noma_energy = noma
+        self.tdma_best, self.tdma_energy = tdma
+
+    @property
+    def noma_feasible(self) -> np.ndarray:
+        return self.noma_winner >= 0
+
+    @property
+    def tdma_feasible(self) -> np.ndarray:
+        return self.tdma_best >= 0
+
+    def __len__(self) -> int:
+        return len(self.channels)
+
+    def __getitem__(self, i: int) -> TrialRecord:
+        ch = self.channels[i]
+        # A deadline tie relabels as order_by_deadline does; the specs are
+        # equal then, so only the gains swap.
+        relabeled = self.s1.deadline == self.s2.deadline and ch.g1 > ch.g2
+        noma = _noma_outcome(
+            int(self.noma_winner[i]),
+            self.noma_codes[:, i].tolist(),
+            ChannelPair(ch.g2, ch.g1) if relabeled else ch,
+            self.s1,
+            self.s2,
+            relabeled,
+        )
+        return TrialRecord(noma, _outcome(self.splits, int(self.tdma_best[i]), ch))
+
+
+def _mean(values: np.ndarray) -> float:
+    # sum() over a list adds left to right; np.sum adds pairwise, which
+    # moves the last bits of the output.
+    return sum(values.tolist()) / len(values) if len(values) else math.nan
 
 
 @dataclass(frozen=True)
@@ -197,14 +269,16 @@ FEASIBILITY_COLUMNS = (
 class TrialBatch:
     """Complete result of a Monte-Carlo run: records plus aggregates.
 
-    records is keyed by (d1, p_max_dbm); channels holds the single set of
-    draws shared by every cell.  common_trials maps each power budget to the
-    trial indices feasible for both schemes at every d1.
+    records is keyed by (d1, p_max_dbm); each cell's CellRecords rebuilds
+    its trial outcomes on access from per-trial columns.  channels holds
+    the single set of draws shared by every cell.  common_trials maps each
+    power budget to the trial indices feasible for both schemes at every
+    d1.
     """
 
     config: ExperimentConfig
     channels: tuple[ChannelPair, ...]
-    records: dict[tuple[int, float], tuple[TrialRecord, ...]]
+    records: dict[tuple[int, float], CellRecords]
     cells: dict[tuple[int, float], CellStats] = field(default_factory=dict)
     common_trials: dict[float, tuple[int, ...]] = field(default_factory=dict)
 
@@ -232,11 +306,13 @@ def run_trials(
 ) -> TrialBatch:
     """Run the full (d1 x p_max) grid over seeded channel draws.
 
-    Channels are drawn once and reused in every cell.  Infeasible trials are
-    recorded with their verdicts, never raised.  Passing explicit channels
-    (mainly for tests) skips the drawing but keeps everything else
-    identical.  Aggregation is a plain reduction in trial order, so results
-    are bit-reproducible for a given config.
+    Channels are drawn once and reused in every cell.  Each cell is solved
+    as array expressions over all the draws, with the scalar solvers'
+    checks and arithmetic, so every record equals the scalar outcome.
+    Infeasible trials are recorded with their verdicts, never raised.
+    Passing explicit channels (mainly for tests) skips the drawing but
+    keeps everything else identical.  Aggregation is a plain reduction in
+    trial order, so results are bit-reproducible for a given config.
     """
     if channels is None:
         rng = np.random.Generator(np.random.Philox(cfg.seed))
@@ -248,21 +324,24 @@ def run_trials(
         raise ValueError(
             f"{len(channels)} channel overrides for {cfg.n_trials} trials"
         )
+    g1 = np.array([ch.g1 for ch in channels], dtype=float)
+    g2 = np.array([ch.g2 for ch in channels], dtype=float)
 
     s2 = cfg.user2_spec()
-    records: dict[tuple[int, float], tuple[TrialRecord, ...]] = {}
+    records: dict[tuple[int, float], CellRecords] = {}
     for p_max_dbm in cfg.p_max_dbm_grid:
-        budget = PowerBudget(dbm_to_watts(p_max_dbm))
+        p_max = dbm_to_watts(p_max_dbm)
         for d1 in cfg.d1_grid:
             s1 = cfg.user1_spec(d1)
-            cell_records = tuple(
-                TrialRecord(
-                    noma=solve_noma(ch, s1, s2, budget),
-                    tdma=solve_tdma(ch, s1, s2, budget),
-                )
-                for ch in channels
+            # A deadline tie relabels the weaker channel as user 1, as
+            # order_by_deadline does (and CellRecords.__getitem__ again).
+            swap = (g1 > g2) if d1 == cfg.d2 else np.zeros(len(g1), bool)
+            noma = _noma_columns(
+                np.where(swap, g2, g1), np.where(swap, g1, g2), s1, s2, p_max
             )
-            records[(d1, p_max_dbm)] = cell_records
+            splits = _splits(s1, s2)
+            tdma = _best_splits(splits, g1, g2, p_max)
+            records[(d1, p_max_dbm)] = CellRecords(channels, s1, s2, splits, noma, tdma)
 
     batch = TrialBatch(config=cfg, channels=channels, records=records)
     _aggregate(batch)
@@ -273,31 +352,24 @@ def _aggregate(batch: TrialBatch) -> None:
     cfg = batch.config
     for p_max_dbm in cfg.p_max_dbm_grid:
         cell_list = [batch.records[(d1, p_max_dbm)] for d1 in cfg.d1_grid]
-        common = tuple(
-            i
-            for i in range(cfg.n_trials)
-            if all(rs[i].noma.feasible and rs[i].tdma.feasible for rs in cell_list)
-        )
-        batch.common_trials[p_max_dbm] = common
-        for d1, rs in zip(cfg.d1_grid, cell_list):
-            noma_f = [r.noma.energy for r in rs if r.noma.feasible]
-            tdma_f = [r.tdma.energy for r in rs if r.tdma.feasible]
-            both = [r for r in rs if r.noma.feasible and r.tdma.feasible]
+        both = [rs.noma_feasible & rs.tdma_feasible for rs in cell_list]
+        common = np.flatnonzero(np.logical_and.reduce(both))
+        batch.common_trials[p_max_dbm] = tuple(common.tolist())
+        for d1, rs, both_here in zip(cfg.d1_grid, cell_list, both):
+            noma_ok, tdma_ok = rs.noma_feasible, rs.tdma_feasible
             batch.cells[(d1, p_max_dbm)] = CellStats(
                 d1=d1,
                 pmax_dbm=p_max_dbm,
                 n_trials=cfg.n_trials,
-                n_noma_feasible=len(noma_f),
-                n_tdma_feasible=len(tdma_f),
-                n_any_feasible=sum(
-                    1 for r in rs if r.noma.feasible or r.tdma.feasible
-                ),
-                n_both_feasible=len(both),
+                n_noma_feasible=int(np.count_nonzero(noma_ok)),
+                n_tdma_feasible=int(np.count_nonzero(tdma_ok)),
+                n_any_feasible=int(np.count_nonzero(noma_ok | tdma_ok)),
+                n_both_feasible=int(np.count_nonzero(both_here)),
                 n_common=len(common),
-                mean_energy_noma=_mean([r.noma.energy for r in both]),
-                mean_energy_tdma=_mean([r.tdma.energy for r in both]),
-                mean_energy_noma_scheme=_mean(noma_f),
-                mean_energy_tdma_scheme=_mean(tdma_f),
-                mean_energy_noma_common=_mean([rs[i].noma.energy for i in common]),
-                mean_energy_tdma_common=_mean([rs[i].tdma.energy for i in common]),
+                mean_energy_noma=_mean(rs.noma_energy[both_here]),
+                mean_energy_tdma=_mean(rs.tdma_energy[both_here]),
+                mean_energy_noma_scheme=_mean(rs.noma_energy[noma_ok]),
+                mean_energy_tdma_scheme=_mean(rs.tdma_energy[tdma_ok]),
+                mean_energy_noma_common=_mean(rs.noma_energy[common]),
+                mean_energy_tdma_common=_mean(rs.tdma_energy[common]),
             )

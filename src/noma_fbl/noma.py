@@ -27,10 +27,14 @@ receiver 1 (the stronger channel) cancels codeword 2 first.
 One kernel, _solve, runs every formulation from its row; solve_sic_rx2,
 solve_tin and solve_sic_rx1 add their channel-order precondition.
 solve_noma dispatches on the channel ordering and, in the g1 > g2 regime,
-keeps the cheaper of the two candidate formulations.
+keeps the cheaper of the two candidate formulations.  _noma_columns does
+the same for arrays of gains sharing one (s1, s2, budget), which is what a
+Monte-Carlo cell is.
 """
 
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .fbl import BracketError, UserSpec, required_sinr
 from .types import (
@@ -153,6 +157,50 @@ _TIN = _Formulation(Scheme.TIN, False, _powers_tin, None, True)
 _SIC_RX1 = _Formulation(Scheme.SIC_RX1, True, _powers_sic_rx1, (1, 0), False)
 
 
+def _row_sinrs(
+    row: _Formulation, s1: UserSpec, s2: UserSpec
+) -> tuple[float, float] | InfeasibleReason:
+    """The (gamma1, gamma2) a formulation needs, or the verdict that rules it
+    out whatever the channel: user 2's blocklength window is empty (m2 = D1
+    below its minimum), or a required SINR leaves any realistic range."""
+    deadline2 = s1.deadline if row.m2_at_d1 else s2.deadline
+    if s2.min_blocklength > deadline2:
+        return InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY
+    try:
+        return required_sinr(s1, s1.deadline), required_sinr(s2, deadline2)
+    except BracketError:
+        return InfeasibleReason.RATE_UNREACHABLE
+
+
+def _allocation(
+    row: _Formulation,
+    s1: UserSpec,
+    s2: UserSpec,
+    gamma1: float,
+    gamma2: float,
+    p1: float,
+    p2: float,
+) -> Allocation:
+    sic_overall_error = None
+    if row.sic_stages is not None:
+        eps = (s1.error_target, s2.error_target)
+        first, second = row.sic_stages
+        sic_overall_error = overall_sic_error(eps[first], eps[second])
+    m1 = float(s1.deadline)
+    m2 = m1 if row.m2_at_d1 else float(s2.deadline)
+    return Allocation(
+        m1=m1,
+        m2=m2,
+        p1=p1,
+        p2=p2,
+        gamma1=gamma1,
+        gamma2=gamma2,
+        energy=m1 * p1 + m2 * p2,
+        scheme=row.scheme,
+        sic_overall_error=sic_overall_error,
+    )
+
+
 def _solve(
     row: _Formulation,
     ch: ChannelPair,
@@ -167,14 +215,10 @@ def _solve(
     SINRs within p_max * g_k, the SINR-product wall, and the power budget.
     """
     _require_deadline_order(s1, s2)
-    deadline2 = s1.deadline if row.m2_at_d1 else s2.deadline
-    if s2.min_blocklength > deadline2:
-        return SolveOutcome(verdict=InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY)
-    try:
-        gamma1 = required_sinr(s1, s1.deadline)
-        gamma2 = required_sinr(s2, deadline2)
-    except BracketError:
-        return SolveOutcome(verdict=InfeasibleReason.RATE_UNREACHABLE)
+    gammas = _row_sinrs(row, s1, s2)
+    if isinstance(gammas, InfeasibleReason):
+        return SolveOutcome(verdict=gammas)
+    gamma1, gamma2 = gammas
     if gamma1 > budget.p_max * ch.g1 or gamma2 > budget.p_max * ch.g2:
         return SolveOutcome(verdict=InfeasibleReason.RATE_UNREACHABLE)
     if row.product_wall and gamma1 * gamma2 >= 1.0:
@@ -182,26 +226,7 @@ def _solve(
     p1, p2 = row.powers(gamma1, gamma2, ch.g1, ch.g2)
     if p1 + p2 > budget.p_max:
         return SolveOutcome(verdict=InfeasibleReason.POWER_BUDGET_EXCEEDED)
-    sic_overall_error = None
-    if row.sic_stages is not None:
-        eps = (s1.error_target, s2.error_target)
-        first, second = row.sic_stages
-        sic_overall_error = overall_sic_error(eps[first], eps[second])
-    m1 = float(s1.deadline)
-    m2 = m1 if row.m2_at_d1 else float(s2.deadline)
-    return SolveOutcome(
-        allocation=Allocation(
-            m1=m1,
-            m2=m2,
-            p1=p1,
-            p2=p2,
-            gamma1=gamma1,
-            gamma2=gamma2,
-            energy=m1 * p1 + m2 * p2,
-            scheme=row.scheme,
-            sic_overall_error=sic_overall_error,
-        )
-    )
+    return SolveOutcome(allocation=_allocation(row, s1, s2, gamma1, gamma2, p1, p2))
 
 
 def solve_sic_rx2(
@@ -271,6 +296,16 @@ _VERDICT_PRECEDENCE = (
 )
 
 
+def _infeasible(
+    subs: tuple[tuple[Scheme, InfeasibleReason], ...], relabeled: bool
+) -> SolveOutcome:
+    """solve_noma's outcome when every candidate failed: the verdicts in
+    candidate order, headlined by the first in budget/product/rate/window
+    order."""
+    verdict = min((v for _, v in subs), key=_VERDICT_PRECEDENCE.index)
+    return SolveOutcome(verdict=verdict, sub_verdicts=subs, relabeled=relabeled)
+
+
 def solve_noma(
     ch: ChannelPair, s1: UserSpec, s2: UserSpec, budget: PowerBudget
 ) -> SolveOutcome:
@@ -299,5 +334,99 @@ def solve_noma(
             best = a
     if best is not None:
         return SolveOutcome(allocation=best, relabeled=relabeled)
-    verdict = min((v for _, v in subs), key=_VERDICT_PRECEDENCE.index)
-    return SolveOutcome(verdict=verdict, sub_verdicts=tuple(subs), relabeled=relabeled)
+    return _infeasible(tuple(subs), relabeled)
+
+
+# Column form of solve_noma, for many channel draws of one (s1, s2, budget)
+# cell.  A trial's verdict code under a formulation is its index in
+# _VERDICT_PRECEDENCE, or _FEASIBLE.  The gains arrive deadline-ordered, so
+# relabeling is the caller's (see order_by_deadline).
+
+_ROWS = (_SIC_RX2, _TIN, _SIC_RX1)
+_FEASIBLE = -1
+_CODE = {v: i for i, v in enumerate(_VERDICT_PRECEDENCE)}
+
+
+def _row_columns(
+    row: _Formulation,
+    g1: np.ndarray,
+    g2: np.ndarray,
+    s1: UserSpec,
+    s2: UserSpec,
+    p_max: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_solve over arrays of gains: per trial, a verdict code and the energy
+    (NaN unless feasible).
+
+    The checks and the arithmetic are _solve's, element-wise, so a feasible
+    trial's energy equals the scalar one bit for bit.
+    """
+    n = len(g1)
+    gammas = _row_sinrs(row, s1, s2)
+    if isinstance(gammas, InfeasibleReason):
+        return np.full(n, _CODE[gammas], np.int8), np.full(n, np.nan)
+    gamma1, gamma2 = gammas
+    code = np.full(n, _FEASIBLE, np.int8)
+    if row.product_wall and gamma1 * gamma2 >= 1.0:
+        code[:] = _CODE[InfeasibleReason.SIC_PRODUCT_GE_ONE]
+        energy = np.full(n, np.nan)
+    else:
+        p1, p2 = row.powers(gamma1, gamma2, g1, g2)
+        code[p1 + p2 > p_max] = _CODE[InfeasibleReason.POWER_BUDGET_EXCEEDED]
+        m1 = float(s1.deadline)
+        m2 = m1 if row.m2_at_d1 else float(s2.deadline)
+        energy = m1 * p1 + m2 * p2
+    # Reachability is checked before the wall and the budget, so it overrides.
+    unreachable = (gamma1 > p_max * g1) | (gamma2 > p_max * g2)
+    code[unreachable] = _CODE[InfeasibleReason.RATE_UNREACHABLE]
+    energy[code != _FEASIBLE] = np.nan
+    return code, energy
+
+
+def _noma_columns(
+    g1: np.ndarray, g2: np.ndarray, s1: UserSpec, s2: UserSpec, p_max: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """solve_noma over arrays of deadline-ordered gains.
+
+    Returns, per trial, the index in _ROWS of the winning formulation (-1
+    when none is feasible), every formulation's verdict code (shape
+    (3, n)) and the winner's energy (NaN when none).  Dispatch as in
+    solve_noma: sic-rx2 when g1 <= g2, else the cheaper feasible of tin and
+    sic-rx1 with ties to tin.
+    """
+    _require_deadline_order(s1, s2)
+    columns = [_row_columns(row, g1, g2, s1, s2, p_max) for row in _ROWS]
+    codes = np.stack([code for code, _ in columns])
+    energies = np.stack([energy for _, energy in columns])
+    ok = codes == _FEASIBLE
+    rx1_wins = ok[2] & (~ok[1] | (energies[2] < energies[1]))
+    winner = np.where(
+        g1 <= g2,
+        np.where(ok[0], 0, -1),
+        np.where(rx1_wins, 2, np.where(ok[1], 1, -1)),
+    ).astype(np.int8)
+    energy = np.where(winner >= 0, energies[winner, np.arange(len(g1))], np.nan)
+    return winner, codes, energy
+
+
+def _noma_outcome(
+    winner: int,
+    codes: list[int],
+    ch: ChannelPair,
+    s1: UserSpec,
+    s2: UserSpec,
+    relabeled: bool,
+) -> SolveOutcome:
+    """The outcome solve_noma gives for one trial of _noma_columns, rebuilt
+    from its winner and codes on its deadline-ordered channel pair."""
+    if winner >= 0:
+        row = _ROWS[winner]
+        gamma1, gamma2 = _row_sinrs(row, s1, s2)
+        p1, p2 = row.powers(gamma1, gamma2, ch.g1, ch.g2)
+        allocation = _allocation(row, s1, s2, gamma1, gamma2, p1, p2)
+        return SolveOutcome(allocation=allocation, relabeled=relabeled)
+    candidates = (0,) if ch.g1 <= ch.g2 else (1, 2)
+    subs = tuple(
+        (_ROWS[k].scheme, _VERDICT_PRECEDENCE[codes[k]]) for k in candidates
+    )
+    return _infeasible(subs, relabeled)

@@ -1,6 +1,7 @@
 """Shared value types for the allocation solvers."""
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -45,10 +46,10 @@ class ChannelPair:
     g2: float
 
     def __post_init__(self):
-        if not self.g1 > 0.0:
-            raise ValueError(f"g1 must be positive, got {self.g1}")
-        if not self.g2 > 0.0:
-            raise ValueError(f"g2 must be positive, got {self.g2}")
+        if not 0.0 < self.g1 < math.inf:
+            raise ValueError(f"g1 must be finite and positive, got {self.g1}")
+        if not 0.0 < self.g2 < math.inf:
+            raise ValueError(f"g2 must be finite and positive, got {self.g2}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class PowerBudget:
     p_max: float
 
     def __post_init__(self):
-        if not self.p_max > 0.0:
-            raise ValueError(f"p_max must be positive, got {self.p_max}")
+        if not 0.0 < self.p_max < math.inf:
+            raise ValueError(f"p_max must be finite and positive, got {self.p_max}")
 
 
 @dataclass(frozen=True)

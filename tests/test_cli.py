@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from noma_fbl import (
     ChannelPair,
     PowerBudget,
@@ -220,6 +222,37 @@ class TestMonteCarlo:
         for entry in manifest["outputs"]:
             fresh = (tmp_path / "second" / entry["path"]).read_bytes()
             assert hashlib.sha256(fresh).hexdigest() == entry["sha256"]
+
+
+INSTANCE = ["--d1", "200", "--d2", "300"]
+
+
+class TestBadNumbersExitOne:
+    """Out-of-range numbers are usage errors (exit 1), not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["montecarlo", "--pmax-dbm-grid", "nan"],
+            ["montecarlo", "--pmax-dbm-grid=-1e10"],
+            ["montecarlo", "--pmax-dbm-grid", "1e10"],
+            ["montecarlo", "--seed", "-1"],
+            ["solve", "--pmax-dbm", "1e10", "--g1", "1", "--g2", "4", *INSTANCE],
+            ["solve", "--g1", "nan", "--g2", "1", *INSTANCE],
+            ["solve", "--g1", "inf", "--g2", "1", *INSTANCE],
+            ["solve", "--h1", "1e200", "--h2", "1", *INSTANCE],
+            ["sweep", "--g1", "nan", "--g2", "1", "--d2", "300", "--d1-grid", "100:200:50"],
+        ],
+        ids=lambda argv: " ".join(argv[:3]),
+    )
+    def test_exits_one(self, argv, tmp_path, capsys):
+        out = ["--out-dir", str(tmp_path)] if argv[0] == "montecarlo" else []
+        if argv[0] == "sweep":
+            out = ["--out", str(tmp_path / "sweep.csv")]
+        code, _, err = run_cli(capsys, *argv, *out)
+        assert code == 1
+        assert "error:" in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestTopLevel:

@@ -8,6 +8,7 @@ import pytest
 from noma_fbl import (
     ChannelPair,
     ExperimentConfig,
+    InfeasibleReason,
     PowerBudget,
     UserSpec,
     dbm_to_watts,
@@ -16,7 +17,9 @@ from noma_fbl import (
     solve_noma,
     solve_tdma,
 )
-from noma_fbl.montecarlo import draw_channel_batch
+from noma_fbl import tdma
+from noma_fbl.montecarlo import CellStats, draw_channel_batch
+from noma_fbl.types import Scheme
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -68,6 +71,15 @@ class TestConfigValidation:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(d1_grid=())
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(seed=-1)
+
+    @pytest.mark.parametrize("dbm", [math.nan, -1e10, 1e10, math.inf])
+    def test_budget_must_be_finite_positive_power(self, dbm):
+        with pytest.raises(ValueError):
+            ExperimentConfig(p_max_dbm_grid=(30.0, dbm))
 
     def test_tie_d1_equal_d2_allowed(self):
         cfg = ExperimentConfig(d1_grid=(200, 300), d2=300, n_trials=2)
@@ -200,3 +212,132 @@ class TestShapeSmoke:
                 batch.cell(d1, 20.0).frac_tdma_feasible
                 <= batch.cell(d1, 30.0).frac_tdma_feasible
             )
+
+
+def _mean(values):
+    return sum(values) / len(values) if values else math.nan
+
+
+def scalar_reference(batch):
+    """Per-trial solver calls and the loop aggregation they once fed.
+
+    Returns {cell: [(noma, tdma), ...]}, the CellStats per cell and the
+    common trials per budget, computed one trial at a time.
+    """
+    cfg = batch.config
+    s2 = cfg.user2_spec()
+    outcomes, cells, common_trials = {}, {}, {}
+    for pmax in cfg.p_max_dbm_grid:
+        budget = PowerBudget(dbm_to_watts(pmax))
+        for d1 in cfg.d1_grid:
+            s1 = cfg.user1_spec(d1)
+            outcomes[(d1, pmax)] = [
+                (solve_noma(ch, s1, s2, budget), solve_tdma(ch, s1, s2, budget))
+                for ch in batch.channels
+            ]
+        per_d1 = [outcomes[(d1, pmax)] for d1 in cfg.d1_grid]
+        common = tuple(
+            i
+            for i in range(cfg.n_trials)
+            if all(rs[i][0].feasible and rs[i][1].feasible for rs in per_d1)
+        )
+        common_trials[pmax] = common
+        for d1, rs in zip(cfg.d1_grid, per_d1):
+            noma_f = [n.energy for n, _ in rs if n.feasible]
+            tdma_f = [t.energy for _, t in rs if t.feasible]
+            both = [(n, t) for n, t in rs if n.feasible and t.feasible]
+            cells[(d1, pmax)] = CellStats(
+                d1=d1,
+                pmax_dbm=pmax,
+                n_trials=cfg.n_trials,
+                n_noma_feasible=len(noma_f),
+                n_tdma_feasible=len(tdma_f),
+                n_any_feasible=sum(1 for n, t in rs if n.feasible or t.feasible),
+                n_both_feasible=len(both),
+                n_common=len(common),
+                mean_energy_noma=_mean([n.energy for n, _ in both]),
+                mean_energy_tdma=_mean([t.energy for _, t in both]),
+                mean_energy_noma_scheme=_mean(noma_f),
+                mean_energy_tdma_scheme=_mean(tdma_f),
+                mean_energy_noma_common=_mean([rs[i][0].energy for i in common]),
+                mean_energy_tdma_common=_mean([rs[i][1].energy for i in common]),
+            )
+    return outcomes, cells, common_trials
+
+
+class TestBatchMatchesScalar:
+    """Every record and aggregate of the column kernel equals the scalar
+    solvers' outcome on the same instance, bit for bit."""
+
+    def check(self, batch):
+        outcomes, cells, common_trials = scalar_reference(batch)
+        for key, expected in outcomes.items():
+            records = batch.records[key]
+            assert len(records) == len(expected)
+            for i, (noma, tdma) in enumerate(expected):
+                assert records[i].noma == noma, (key, i)
+                assert records[i].tdma == tdma, (key, i)
+        assert batch.cells == cells
+        assert batch.common_trials == common_trials
+        return [o for cell in outcomes.values() for o in cell]
+
+    def test_seeded_draws_with_ties_and_starved_budget(self):
+        cfg = ExperimentConfig(
+            n_trials=300,
+            seed=7,
+            d1_grid=(100, 200, 300),
+            d2=300,
+            p_max_dbm_grid=(-20.0, 10.0, 30.0),
+        )
+        outcomes = self.check(run_trials(cfg))
+        assert any(noma.relabeled for noma, _ in outcomes)
+        assert any(not tdma.feasible for _, tdma in outcomes)
+        assert {noma.verdict for noma, _ in outcomes if not noma.feasible} >= {
+            InfeasibleReason.POWER_BUDGET_EXCEEDED,
+            InfeasibleReason.SIC_PRODUCT_GE_ONE,
+            InfeasibleReason.RATE_UNREACHABLE,
+        }
+
+    def test_channel_overrides_cover_every_branch(self):
+        above_one = math.nextafter(1.0, 2.0)
+        channels = (
+            ChannelPair(1.0, 1.0),  # g1 == g2
+            ChannelPair(above_one, 1.0),  # g1 one ulp above g2
+            ChannelPair(1.0, above_one),
+            ChannelPair(4.0, 1.0),
+            ChannelPair(1.0, 4.0),
+            ChannelPair(2.0, 0.5),
+            ChannelPair(1e-3, 5.0),
+            ChannelPair(50.0, 0.02),
+        )
+        cfg = ExperimentConfig(
+            n_trials=len(channels),
+            d1_grid=(400, 3900, 4000),
+            d2=4000,
+            p_max_dbm_grid=(-20.0, 30.0, 34.0),
+        )
+        outcomes = self.check(run_trials(cfg, channels=channels))
+        schemes = {noma.allocation.scheme for noma, _ in outcomes if noma.feasible}
+        assert schemes == {Scheme.SIC_RX2, Scheme.TIN, Scheme.SIC_RX1}
+        assert any(noma.relabeled for noma, _ in outcomes)
+        assert any(noma.sub_verdicts and len(noma.sub_verdicts) == 2 for noma, _ in outcomes)
+
+    def test_tdma_matrix_in_small_chunks(self, monkeypatch):
+        # 2 to 4 trials per chunk, the last one partial
+        monkeypatch.setattr(tdma, "_CHUNK_ELEMENTS", 250)
+        cfg = ExperimentConfig(
+            n_trials=25, seed=3, d1_grid=(150, 290), p_max_dbm_grid=(20.0,)
+        )
+        self.check(run_trials(cfg))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_tdma_energies_keep_first_allowed_split(self):
+        # At 1e307 W on these gains the budget rules out the shortest splits
+        # and every split it allows overflows to an infinite energy;
+        # solve_tdma then keeps the first allowed split.
+        cfg = ExperimentConfig(
+            n_trials=1, d1_grid=(200,), d2=500, p_max_dbm_grid=(3100.0,)
+        )
+        outcomes = self.check(run_trials(cfg, channels=(ChannelPair(2e-307, 2e-307),)))
+        tdma = outcomes[0][1].allocation
+        assert tdma.m1 > cfg.min_blocklength and tdma.energy == math.inf
