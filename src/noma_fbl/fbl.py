@@ -16,8 +16,10 @@ Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -110,12 +112,26 @@ def blocklength_for_sinr(gamma: float, spec: UserSpec) -> float:
     """
     if gamma <= 0.0:
         raise ValueError(f"SINR must be positive, got {gamma}")
-    q = q_inv(spec.error_target) / LN2
+    return _blocklength(gamma, spec.payload_bits, _q_ln2(spec.error_target))
+
+
+@lru_cache(maxsize=256)
+def _q_ln2(error_target: float) -> float:
+    """q_inv(eps)/ln 2, the dispersion weight of the rate relation; memoized,
+    as every bisection step of a root reads it for the same eps."""
+    return q_inv(error_target) / LN2
+
+
+def _blocklength(gamma, payload_bits, q, log2=math.log2, sqrt=math.sqrt):
+    """The closed form of blocklength_for_sinr with q = q_inv(eps)/ln 2.
+
+    Takes numpy arrays when given log2=np.log2 and sqrt=np.sqrt; the
+    operations and their order are the same either way.
+    """
     dispersion = 1.0 - 1.0 / (1.0 + gamma) ** 2
-    log_term = math.log2(1.0 + gamma)
+    log_term = log2(1.0 + gamma)
     root = (
-        q * math.sqrt(dispersion)
-        + math.sqrt(dispersion * q * q + 4.0 * spec.payload_bits * log_term)
+        q * sqrt(dispersion) + sqrt(dispersion * q * q + 4.0 * payload_bits * log_term)
     ) / (2.0 * log_term)
     return root * root
 
@@ -169,16 +185,24 @@ def required_sinr(spec: UserSpec, m: float) -> float:
     Raises ValueError for m below the spec's minimum blocklength, and
     BracketError if the required SINR overflows any realistic range.
     """
-    _require_trusted(spec, m)
-    return _required_sinr(spec.payload_bits, spec.error_target, m)
-
-
-def _require_trusted(spec: UserSpec, m: float) -> None:
     if m < spec.min_blocklength:
-        raise ValueError(
-            f"blocklength {m} below the model's minimum blocklength "
-            f"({spec.min_blocklength})"
-        )
+        raise _untrusted(spec, m)
+    key = (spec.payload_bits, spec.error_target, m)
+    gamma = _SINR_MEMO.get(key)
+    if gamma is None:
+        _sinr_counts[1] += 1
+        gamma = _SINR_MEMO[key] = _sinr_root(*key)
+        _trim_sinr_memo()
+    else:
+        _sinr_counts[0] += 1
+    return gamma
+
+
+def _untrusted(spec: UserSpec, m: float) -> ValueError:
+    return ValueError(
+        f"blocklength {m} below the model's minimum blocklength "
+        f"({spec.min_blocklength})"
+    )
 
 
 @lru_cache(maxsize=256)
@@ -188,31 +212,134 @@ def _rate_spec(payload_bits: int, error_target: float) -> UserSpec:
     return UserSpec(payload_bits, error_target, deadline=1, min_blocklength=1)
 
 
-@lru_cache(maxsize=8192)
-def _required_sinr(payload_bits: int, error_target: float, m: float) -> float:
+#: Required SINRs keyed on (payload_bits, error_target, m), oldest first:
+#: the one memo of required_sinr and required_sinr_table.  A plain dict,
+#: whose lookup costs what the lru_cache it replaces cost; an OrderedDict
+#: with least-recently-used refresh costs 0.13 us more per hit.
+_SINR_MEMO: dict[tuple, float] = {}
+_SINR_MEMO_SIZE = 8192
+#: Lookups of the memo that found their key, and that did not.
+_sinr_counts = [0, 0]
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _sinr_cache_info() -> _CacheInfo:
+    return _CacheInfo(*_sinr_counts, _SINR_MEMO_SIZE, len(_SINR_MEMO))
+
+
+# Hit and miss counts of the memo, as on an lru_cache-wrapped function.
+required_sinr.cache_info = _sinr_cache_info
+
+
+def _trim_sinr_memo() -> None:
+    """Past its size, drop the oldest quarter of the memo in one pass
+    (deleting a dict's first key one at a time rescans the deleted ones)."""
+    if len(_SINR_MEMO) > _SINR_MEMO_SIZE:
+        excess = len(_SINR_MEMO) - _SINR_MEMO_SIZE * 3 // 4
+        for key in list(islice(_SINR_MEMO, excess)):
+            del _SINR_MEMO[key]
+
+
+#: The doubling bracket of a root gives up past this SINR.
+_BRACKET_LIMIT = 1e150
+
+
+def _bracket_error(payload_bits: int, m: float) -> BracketError:
+    return BracketError(
+        f"required SINR for {payload_bits} bits in {m} uses "
+        "exceeds representable range"
+    )
+
+
+def _sinr_root(payload_bits: int, error_target: float, m: float) -> float:
+    """required_sinr without the memo: double a bracket from 1 until it
+    encloses the root, then bisect it with sinr_for_blocklength."""
     spec = _rate_spec(payload_bits, error_target)
     hi = 1.0
     while blocklength_for_sinr(hi, spec) > m:
         hi *= 2.0
-        if hi > 1e150:
-            raise BracketError(
-                f"required SINR for {payload_bits} bits in {m} uses "
-                "exceeds representable range"
-            )
+        if hi > _BRACKET_LIMIT:
+            raise _bracket_error(payload_bits, m)
     return sinr_for_blocklength(m, spec, hi)
 
 
-# Hit and miss counts of the memo, as on any lru_cache-wrapped function.
-required_sinr.cache_info = _required_sinr.cache_info
+#: A table window with fewer roots missing from the memo than this finds
+#: them one by one through required_sinr; from this many on, _sinr_roots
+#: finds them together.  On a 2-vCPU Xeon VM one numpy bisection costs a
+#: fixed ~0.8 ms plus ~1 us per root, against ~23 us per scalar root, so
+#: they break even near 35 roots (benchmarks/test_fbl_layers.py).
+_VECTOR_MIN_MISSES = 32
+
+#: Relative error margin of the numpy closed form, per unit of 1 + 1/gamma,
+#: with 1 ulp = 2**-52.  numpy's elementwise + - * / and sqrt round exactly
+#: as Python's do, so _blocklength on arrays differs from the scalar form
+#: only where two inputs of the shared arithmetic differ:
+#: (a) log_term: np.log2 against math.log2, taken to be within 1 ulp each,
+#:     so at most 2 ulp apart.  The root scales like log_term**-s with s in
+#:     [1/2, 1], so the result (root squared) moves by at most 4 ulp.
+#: (b) dispersion: (1+g)**2 is x*x in numpy and libm pow in Python, at most
+#:     1 ulp apart; after the reciprocal, 1 - 1/(1+g)**2 = g(2+g)/(1+g)**2
+#:     cancels, leaving at most 2 ulp / (g(2+g)) <= 1 ulp / g, plus 1 ulp
+#:     for the subtraction.  The root scales like dispersion**s with s in
+#:     [0, 1/2], so the result moves by at most (1 + 1/g) ulp.
+#: The dozen roundings after these two can each land 1 ulp apart, which
+#: the final square doubles: about 24 ulp more.  So the gap stays below
+#: 29 ulp * (1 + 1/g), and 64 ulp covers it twice over.  The largest gap
+#: seen on a sweep of gamma over 1e-7..1e13 is 2.3 ulp * (1 + 1/gamma);
+#: tests/test_fbl.py fails if a sweep shows more than an eighth of the margin.
+_NUMPY_MARGIN = 64 * 2.0**-52
+
+
+def _sinr_roots(payload_bits: int, error_target: float, ms: list[int]) -> np.ndarray:
+    """_sinr_root for each m of ms (ascending), as one numpy bisection.
+
+    Same brackets, midpoints and stop rule as _sinr_root, and every
+    comparison blocklength < m decided as the scalar form decides it: by
+    numpy where its value lies outside the margin of _NUMPY_MARGIN around
+    m, else by the scalar form itself.  So each root has the scalar path's
+    bits.  Raises BracketError as _sinr_root(ms[0]) would.
+    """
+    q = _q_ln2(error_target)
+    # The scalar brackets: for each m the first power of two 2**k whose
+    # blocklength is at most m.  The smallest m needs the largest k.
+    tops = []
+    hi = 1.0
+    while True:
+        tops.append(_blocklength(hi, payload_bits, q))
+        if tops[-1] <= ms[0]:
+            break
+        hi *= 2.0
+        if hi > _BRACKET_LIMIT:
+            raise _bracket_error(payload_bits, ms[0])
+    m = np.array(ms, dtype=float)
+    lo = np.zeros(len(m))
+    hi = np.ldexp(1.0, np.argmax(np.array(tops) <= m[:, None], axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            live = (hi - lo > DEFAULT_SINR_TOL) & (lo < mid) & (mid < hi)
+            if not live.any():
+                return mid
+            b = _blocklength(mid, payload_bits, q, np.log2, np.sqrt)
+            below = b < m
+            # NaN compares false, so a NaN value is unsure too.
+            unsure = live & ~(np.abs(b - m) > _NUMPY_MARGIN * (1.0 + 1.0 / mid) * b)
+            for i in np.flatnonzero(unsure).tolist():
+                below[i] = _blocklength(float(mid[i]), payload_bits, q) < ms[i]
+            hi = np.where(live & below, mid, hi)
+            lo = np.where(live & ~below, mid, lo)
 
 
 def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
     """required_sinr evaluated on the integer blocklengths m_lo..m_hi.
 
     Read-only array, memoized on (payload_bits, error_target, m_lo, m_hi);
-    index i holds the SINR for m = m_lo + i.
+    index i holds the SINR for m = m_lo + i.  Bit for bit the values
+    required_sinr gives, which share its memo.
     """
-    _require_trusted(spec, m_lo)
+    if m_lo < spec.min_blocklength:
+        raise _untrusted(spec, m_lo)
     return _required_sinr_table(spec.payload_bits, spec.error_target, m_lo, m_hi)
 
 
@@ -220,11 +347,21 @@ def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
 def _required_sinr_table(
     payload_bits: int, error_target: float, m_lo: int, m_hi: int
 ) -> np.ndarray:
-    spec = _rate_spec(payload_bits, error_target)
-    # Each entry comes from, and fills, the per-m memo of required_sinr.
-    table = np.array(
-        [required_sinr(spec, m) for m in range(m_lo, m_hi + 1)], dtype=float
-    )
+    ms = range(m_lo, m_hi + 1)
+    keys = [(payload_bits, error_target, m) for m in ms]
+    missing = [i for i, key in enumerate(keys) if key not in _SINR_MEMO]
+    if len(missing) < _VECTOR_MIN_MISSES:
+        spec = _rate_spec(payload_bits, error_target)
+        table = np.array([required_sinr(spec, m) for m in ms], dtype=float)
+    else:
+        _sinr_counts[0] += len(keys) - len(missing)
+        _sinr_counts[1] += len(missing)
+        gammas = [_SINR_MEMO.get(key) for key in keys]
+        roots = _sinr_roots(payload_bits, error_target, [ms[i] for i in missing])
+        for i, gamma in zip(missing, roots.tolist()):
+            gammas[i] = _SINR_MEMO[keys[i]] = gamma
+        _trim_sinr_memo()
+        table = np.array(gammas, dtype=float)
     table.flags.writeable = False
     return table
 

@@ -32,6 +32,7 @@ the same for arrays of gains sharing one (s1, s2, budget), which is what a
 Monte-Carlo cell is.
 """
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -223,7 +224,12 @@ def _solve(
         return SolveOutcome(verdict=InfeasibleReason.RATE_UNREACHABLE)
     if row.product_wall and gamma1 * gamma2 >= 1.0:
         return SolveOutcome(verdict=InfeasibleReason.SIC_PRODUCT_GE_ONE)
-    p1, p2 = row.powers(gamma1, gamma2, ch.g1, ch.g2)
+    try:
+        p1, p2 = row.powers(gamma1, gamma2, ch.g1, ch.g2)
+    except ZeroDivisionError:
+        # g1*g2 underflowed to 0 in the tin denominator: the powers
+        # overflow, as the IEEE division of _row_columns makes them.
+        p1 = p2 = math.inf
     if p1 + p2 > budget.p_max:
         return SolveOutcome(verdict=InfeasibleReason.POWER_BUDGET_EXCEEDED)
     return SolveOutcome(allocation=_allocation(row, s1, s2, gamma1, gamma2, p1, p2))

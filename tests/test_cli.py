@@ -97,6 +97,17 @@ class TestSolve:
         assert code in (0, 2)
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tiny_gains_end_in_exit_code_not_traceback(self, capsys):
+        # g1*g2 underflows to 0 in the denominator of tin's power inversion
+        code, out, _ = run_cli(
+            capsys, "solve", "--g1", "3e-307", "--g2", "2e-307", "--pmax-dbm", "3100",
+            "--d1", "200", "--d2", "500",
+        )
+        assert code == 2
+        noma = json.loads(out)["results"]["noma"]
+        assert noma["sub_verdicts"]["tin"] == "power-budget-exceeded"
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, *BASE, "--format", "text")
         assert code == 0

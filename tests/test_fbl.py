@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noma_fbl import (
     BracketError,
@@ -18,6 +20,8 @@ from noma_fbl import (
     required_sinr,
     sinr_for_blocklength,
 )
+from noma_fbl import fbl
+from noma_fbl.fbl import required_sinr_table
 
 from oracles import blocklength_by_bracketing, rate_by_quadrature, sinr_by_bracketing
 
@@ -185,3 +189,112 @@ class TestUserSpecValidation:
     def test_bad_payload(self):
         with pytest.raises(ValueError):
             UserSpec(payload_bits=0, error_target=1e-7, deadline=300)
+
+
+_EPS = st.floats(-12.0, math.log10(0.4)).map(lambda x: 10.0**x)
+_BOUNDED = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+
+
+def _cold_memos():
+    fbl._SINR_MEMO.clear()
+    fbl._required_sinr_table.cache_clear()
+
+
+def _scalar_roots(payload_bits, error_target, ms):
+    return np.array([fbl._sinr_root(payload_bits, error_target, m) for m in ms])
+
+
+class TestRequiredSinrTable:
+    """The table path, vectorised or not, gives the scalar roots bit for bit."""
+
+    @_BOUNDED
+    @given(
+        payload_bits=st.integers(1, 3000),
+        error_target=_EPS,
+        m_lo=st.integers(1, 100_000),
+        size=st.integers(1, 120),
+        known=st.sets(st.integers(0, 119)),
+    )
+    @example(1, 1e-3, 100_000, 40, set())  # tiny roots
+    @example(3000, 1e-9, 100, 40, set())  # huge roots, past float resolution
+    @example(3000, 1e-9, 1, 40, set())  # beyond the bracket
+    @example(2970, 1e-9, 6, 40, set())  # m = 6 needs the first doubling past it
+    # numpy alone would decide one step at m = 142 wrongly: a few ulp off
+    @example(2845, 2.7765660567406283e-09, 120, 40, set())
+    @example(160, 1e-7, 100, 31, set())  # one miss short of the crossover
+    @example(160, 1e-7, 100, 32, set())
+    @example(160, 1e-7, 100, 60, set(range(0, 60, 2)))  # 30 misses
+    @example(160, 1e-7, 100, 120, set(range(0, 120, 3)))  # 80 misses
+    def test_equals_uncached_scalar_roots(
+        self, payload_bits, error_target, m_lo, size, known
+    ):
+        # The window m_lo .. m_lo + size - 1, its entries at indices `known`
+        # already in the memo.
+        _cold_memos()
+        ms = range(m_lo, m_lo + size)
+        spec = UserSpec(payload_bits, error_target, deadline=ms[-1], min_blocklength=1)
+        try:
+            want = _scalar_roots(payload_bits, error_target, ms)
+        except BracketError:
+            with pytest.raises(BracketError):
+                required_sinr_table(spec, ms[0], ms[-1])
+            return
+        for i in sorted(known):
+            if i < size:
+                assert required_sinr(spec, ms[i]) == want[i]
+        got = required_sinr_table(spec, ms[0], ms[-1])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # Every root is now in the per-m memo, with its scalar bits.
+        hits = required_sinr.cache_info().hits
+        again = [required_sinr(spec, m) for m in ms]
+        assert required_sinr.cache_info().hits == hits + size
+        assert np.array_equal(np.array(again).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("size,vectorised", [(31, False), (32, True)])
+    def test_crossover_on_missing_roots(self, monkeypatch, size, vectorised):
+        _cold_memos()
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return roots(*args)
+
+        roots = fbl._sinr_roots
+        monkeypatch.setattr(fbl, "_sinr_roots", spy)
+        spec = UserSpec(160, 1e-7, 1000)
+        required_sinr(spec, 100)  # in the memo: not a miss
+        before = required_sinr.cache_info()
+        required_sinr_table(spec, 100, 100 + size)
+        after = required_sinr.cache_info()
+        assert bool(calls) is vectorised
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, size)
+
+    def test_memo_is_bounded(self):
+        _cold_memos()
+        spec = UserSpec(1, 0.1, 12_100, min_blocklength=1)
+        before = required_sinr.cache_info()
+        required_sinr_table(spec, 1, 10_000)
+        info = required_sinr.cache_info()
+        assert info.maxsize == 8192 and 0 < info.currsize <= 8192
+        assert (info.hits, info.misses) == (before.hits, before.misses + 10_000)
+        # The oldest roots went first.
+        assert (1, 0.1, 10_000) in fbl._SINR_MEMO and (1, 0.1, 1) not in fbl._SINR_MEMO
+        for m in range(10_001, 12_100):  # past the size again, one by one
+            required_sinr(spec, m)
+        assert required_sinr.cache_info().currsize <= 8192
+
+    def test_numpy_closed_form_stays_well_inside_its_margin(self):
+        # The vectorised bisection trusts numpy's blocklength_for_sinr where
+        # it lies outside _NUMPY_MARGIN * (1 + 1/gamma) of m.  A numpy whose
+        # log2 or square rounds differently must fail here first.
+        gamma = np.geomspace(1e-7, 1e13, 10_001)
+        worst = 0.0
+        for payload_bits in (1, 16, 160, 3000):
+            for error_target in (1e-12, 1e-7, 1e-3, 0.4):
+                spec = unconstrained(payload_bits, error_target)
+                q = fbl._q_ln2(error_target)
+                vec = fbl._blocklength(gamma, payload_bits, q, np.log2, np.sqrt)
+                ref = np.array([blocklength_for_sinr(g, spec) for g in gamma.tolist()])
+                gap = np.abs(vec - ref) / ((1.0 + 1.0 / gamma) * ref)
+                worst = max(worst, float(gap.max()))
+        assert 8.0 * worst <= fbl._NUMPY_MARGIN

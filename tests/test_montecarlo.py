@@ -341,3 +341,14 @@ class TestBatchMatchesScalar:
         outcomes = self.check(run_trials(cfg, channels=(ChannelPair(2e-307, 2e-307),)))
         tdma = outcomes[0][1].allocation
         assert tdma.m1 > cfg.min_blocklength and tdma.energy == math.inf
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tin_denominator_underflow_matches_scalar(self):
+        # g1*g2 underflows to 0 in tin's power inversion: the column form
+        # divides to infinite powers, and the scalar solver must agree.
+        cfg = ExperimentConfig(
+            n_trials=1, d1_grid=(200,), d2=500, p_max_dbm_grid=(3100.0,)
+        )
+        outcomes = self.check(run_trials(cfg, channels=(ChannelPair(3e-307, 2e-307),)))
+        noma = outcomes[0][0]
+        assert dict(noma.sub_verdicts)[Scheme.TIN] == InfeasibleReason.POWER_BUDGET_EXCEEDED
