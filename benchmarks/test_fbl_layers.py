@@ -1,7 +1,11 @@
-"""Micro-benchmarks of the fbl root-finding layers, with cold memos.
+"""Micro-benchmarks of the import, q_inv and fbl root-finding layers.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks``; these files sit
 outside the test paths, so the tier-1 suite does not run them.
+
+The import benchmark starts a fresh interpreter per round, so it also
+counts interpreter start-up; compare it with ``python -c pass`` to
+isolate the import.  The root-finding benchmarks start from cold memos.
 
 A table of up to fbl._VECTOR_MIN_MISSES - 1 entries is filled one scalar
 root at a time, a larger one by one numpy bisection.  To re-check that
@@ -10,13 +14,34 @@ scalar miss times the number of entries: the crossover sits where the
 two are equal.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from noma_fbl import UserSpec, fbl, required_sinr
+import noma_fbl
+from noma_fbl import UserSpec, fbl, q_inv, required_sinr
 from noma_fbl.fbl import required_sinr_table
 
 # A solve-cold-like user: 600 bits at eps 1e-5, windows from m = 100 up.
 SPEC = UserSpec(600, 1e-5, deadline=1000)
+
+
+def _fresh_import():
+    src = str(Path(noma_fbl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", "import noma_fbl"], env=env, check=True)
+
+
+def test_fresh_interpreter_import(benchmark):
+    benchmark.pedantic(_fresh_import, rounds=10, iterations=1)
+
+
+def test_warm_q_inv(benchmark):
+    assert benchmark(q_inv, SPEC.error_target) > 0.0
 
 
 def _cold():
