@@ -41,7 +41,10 @@ def test_fresh_interpreter_import(benchmark):
 
 
 def test_warm_q_inv(benchmark):
-    assert benchmark(q_inv, SPEC.error_target) > 0.0
+    # 200 rounds of 200 calls: a bare benchmark() takes ~40k rounds, whose
+    # raw timings would make up most of a --benchmark-json file.
+    args = (SPEC.error_target,)
+    assert benchmark.pedantic(q_inv, args=args, rounds=200, iterations=200) > 0.0
 
 
 def _cold():

@@ -1,7 +1,9 @@
 """Command-line front end: solve single instances, sweep d1, run Monte-Carlo.
 
-Exit codes: 0 when every requested solve was feasible, 2 when at least one
-was infeasible, 1 on usage or I/O errors.  All file outputs are
+Exit codes: solve returns 0 when every requested solve was feasible and 2
+when at least one was infeasible; sweep and montecarlo return 0 whenever
+they write their files, whose rows report feasibility; every command
+returns 1 on usage or I/O errors.  All file outputs are
 deterministic functions of the arguments (no timestamps, fixed float
 formatting), so identical invocations produce byte-identical files; the
 Monte-Carlo manifest records sha256 checksums to make that checkable.

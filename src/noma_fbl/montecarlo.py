@@ -24,6 +24,9 @@ average.
 
 Each cell is solved as array expressions over all the draws (the column
 forms in noma and tdma), with the scalar solvers' checks and arithmetic.
+TDMA's budget-free minimum is found once per split window, which cells
+whose d1 values give the same window share, and each budget re-solves only
+the draws whose free minimum it rules out.
 A cell keeps compact per-trial columns (energies, winner and verdict
 codes, the chosen TDMA split), from which TrialBatch.records rebuilds any
 trial's outcomes on access, equal to solve_noma's and solve_tdma's; so
@@ -39,7 +42,7 @@ import numpy as np
 
 from .fbl import UserSpec
 from .noma import _noma_columns, _noma_outcome
-from .tdma import _best_splits, _outcome, _splits
+from .tdma import _best_splits, _free_splits, _outcome, _splits
 from .types import ChannelPair, PowerBudget, SolveOutcome
 
 __all__ = [
@@ -198,9 +201,12 @@ class CellRecords(Sequence):
 
 
 def _mean(values: np.ndarray) -> float:
-    # sum() over a list adds left to right; np.sum adds pairwise, which
-    # moves the last bits of the output.
-    return sum(values.tolist()) / len(values) if len(values) else math.nan
+    # Strictly left to right, so the output bits are the same on every
+    # Python and numpy: np.sum adds pairwise, and sum() of floats adds with
+    # compensation from Python 3.12 on.
+    if not len(values):
+        return math.nan
+    return float(np.add.accumulate(values)[-1]) / len(values)
 
 
 @dataclass(frozen=True)
@@ -328,6 +334,14 @@ def run_trials(
     g2 = np.array([ch.g2 for ch in channels], dtype=float)
 
     s2 = cfg.user2_spec()
+    # TDMA reads d1 only through its split window's upper end, so the
+    # budget-free step runs once per distinct window.
+    windows = {}
+    for d1 in cfg.d1_grid:
+        m1_hi = min(d1, cfg.d2 - cfg.min_blocklength)
+        if m1_hi not in windows:
+            splits = _splits(cfg.user1_spec(d1), s2)
+            windows[m1_hi] = splits, _free_splits(splits, g1, g2)
     records: dict[tuple[int, float], CellRecords] = {}
     for p_max_dbm in cfg.p_max_dbm_grid:
         p_max = dbm_to_watts(p_max_dbm)
@@ -339,8 +353,8 @@ def run_trials(
             noma = _noma_columns(
                 np.where(swap, g2, g1), np.where(swap, g1, g2), s1, s2, p_max
             )
-            splits = _splits(s1, s2)
-            tdma = _best_splits(splits, g1, g2, p_max)
+            splits, free = windows[min(d1, cfg.d2 - cfg.min_blocklength)]
+            tdma = _best_splits(splits, g1, g2, p_max, free)
             records[(d1, p_max_dbm)] = CellRecords(channels, s1, s2, splits, noma, tdma)
 
     batch = TrialBatch(config=cfg, channels=channels, records=records)

@@ -13,8 +13,11 @@ single integer decision variable, which is minimized exhaustively:
     E(m1) = m1 * required_sinr(s1, m1) / g1
           + (D2 - m1) * required_sinr(s2, D2 - m1) / g2
 
-solve_tdma minimizes it for one channel pair; _best_splits makes the same
-choice for many draws sharing (s1, s2, budget), one row per draw.
+solve_tdma minimizes it for one channel pair.  For many draws sharing
+(s1, s2), the column form splits the choice in two: _free_splits finds each
+draw's minimum with the budget ignored, once per split window, and
+_best_splits keeps it under each budget that allows it, re-solving only
+the draws whose free minimum the budget rules out.
 """
 
 import numpy as np
@@ -32,7 +35,8 @@ from .types import (
 
 __all__ = ["solve_tdma"]
 
-#: Energy-matrix elements per chunk of trials in _best_splits (8 bytes each).
+#: Energy-matrix elements per chunk of trials in _free_splits and
+#: _masked_splits (8 bytes each).
 _CHUNK_ELEMENTS = 1 << 18
 
 #: The candidate splits of one (s1, s2): m1, m2 = D2 - m1 and their required
@@ -107,23 +111,38 @@ def solve_tdma(
     return _outcome(splits, best, ch)
 
 
-def _best_splits(
-    splits: _Splits | InfeasibleReason, g1: np.ndarray, g2: np.ndarray, p_max: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """solve_tdma's choice for arrays of gains: per trial, the split index
-    (-1: none) and its energy (NaN for none).
+def _free_splits(
+    splits: _Splits | InfeasibleReason, g1: np.ndarray, g2: np.ndarray
+) -> np.ndarray:
+    """Per trial, the index of the first lowest-energy split with the budget
+    ignored (zeros when there is no split).
 
-    Same comparisons and arithmetic as solve_tdma on a (trials x splits)
-    matrix, in chunks of trials that bound its size.
+    The energies are solve_tdma's, on a (trials x splits) matrix in chunks
+    of trials that bound its size.  The budget only rules splits out, so
+    one call serves every budget of a split window (see _best_splits).
     """
-    n = len(g1)
+    free = np.zeros(len(g1), np.int32)
     if isinstance(splits, InfeasibleReason):
-        return np.full(n, -1, np.int32), np.full(n, np.nan)
+        return free
     m1, m2, gamma1, gamma2 = splits
     e1, e2 = m1 * gamma1, m2 * gamma2
-    best = np.empty(n, np.int32)
     step = max(1, _CHUNK_ELEMENTS // len(m1))
-    for lo in range(0, n, step):
+    for lo in range(0, len(g1), step):
+        a, b = g1[lo : lo + step, None], g2[lo : lo + step, None]
+        free[lo : lo + step] = (e1 / a + e2 / b).argmin(axis=1)
+    return free
+
+
+def _masked_splits(
+    splits: _Splits, g1: np.ndarray, g2: np.ndarray, p_max: float
+) -> np.ndarray:
+    """solve_tdma's split index per trial (-1: none within budget), from the
+    energy matrix with the splits the budget rules out masked to inf."""
+    m1, m2, gamma1, gamma2 = splits
+    e1, e2 = m1 * gamma1, m2 * gamma2
+    best = np.empty(len(g1), np.int32)
+    step = max(1, _CHUNK_ELEMENTS // len(m1))
+    for lo in range(0, len(g1), step):
         a, b = g1[lo : lo + step, None], g2[lo : lo + step, None]
         ok = (gamma1 <= p_max * a) & (gamma2 <= p_max * b)
         pick = np.where(ok, e1 / a + e2 / b, np.inf).argmin(axis=1)
@@ -131,6 +150,33 @@ def _best_splits(
         # too; solve_tdma then keeps the first allowed split.
         first = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
         best[lo : lo + step] = np.where(ok[np.arange(len(pick)), pick], pick, first)
+    return best
+
+
+def _best_splits(
+    splits: _Splits | InfeasibleReason,
+    g1: np.ndarray,
+    g2: np.ndarray,
+    p_max: float,
+    free: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """solve_tdma's choice for arrays of gains: per trial, the split index
+    (-1: none) and its energy (NaN for none).
+
+    free is _free_splits(splits, g1, g2).  A trial keeps its free split
+    when the budget allows it: the first global minimum, when allowed, is
+    also the first allowed minimum, and a row whose energies are all inf
+    has free = 0, the first allowed split if split 0 is allowed.  Only the
+    other trials go through the masked matrix of _masked_splits.
+    """
+    n = len(g1)
+    if isinstance(splits, InfeasibleReason):
+        return np.full(n, -1, np.int32), np.full(n, np.nan)
+    m1, m2, gamma1, gamma2 = splits
+    allowed = (gamma1[free] <= p_max * g1) & (gamma2[free] <= p_max * g2)
+    rows = np.flatnonzero(~allowed)
+    best = free.copy()
+    best[rows] = _masked_splits(splits, g1[rows], g2[rows], p_max)
     chosen = np.maximum(best, 0)
     energy = m1[chosen] * (gamma1[chosen] / g1) + m2[chosen] * (gamma2[chosen] / g2)
     return best, np.where(best >= 0, energy, np.nan)

@@ -6,7 +6,9 @@ that `noma-fbl montecarlo --seed 1` writes with every other argument at its
 default (1000 trials x 20 values of d1 x 3 budgets), and those of a seed-7
 run whose grid reaches d1 == d2 (441 relabeled deadline ties) and a starved
 budget (-20 dBm), so that the power-budget, product-wall and rate verdicts
-all occur.  A change of any output byte fails here; re-pin only on purpose.
+all occur, and those of a seed-9 run at -5/0/5 dBm, where the budget rules
+out the budget-free TDMA optimum of 5-61% of the trials per cell.  A change
+of any output byte fails here; re-pin only on purpose.
 """
 
 import hashlib
@@ -24,6 +26,13 @@ GOLDEN_MC_SEED7_TIES = {
     "energy_vs_d1.csv": "2915013b4b23d66c17cc57bb3ef623b21d3920875faa7a58a20e240df1b5f4d3",
     "feasibility_vs_d1_pmax.csv": "bb9995ff555d7045f7ef5ed903c72b99ea5fa39cd1ae9bed76df8a84b0a1f0dc",
     "manifest.json": "4e769d12d289bcc2815c690de1f6ef826a84fe593449d02b9a9468c8bfa61e54",
+}
+
+
+GOLDEN_MC_SEED9_BINDING_BUDGETS = {
+    "energy_vs_d1.csv": "3ba489230f1a3dd4ae01078ba4a3cd12cc9fc2d359378cb0fdaf8dd953fe6708",
+    "feasibility_vs_d1_pmax.csv": "42db40f626556da75059697a33fbc70fac610c8065cb565a9c2ca9df982d6098",
+    "manifest.json": "e7451602be28594c90f8ab4aa4e61f995575a631ccec346f7a7e94a2d230324e",
 }
 
 
@@ -45,3 +54,15 @@ def test_ties_and_starved_budget_match_golden_sha256(tmp_path):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
     }
     assert digests == GOLDEN_MC_SEED7_TIES
+
+
+def test_binding_budgets_match_golden_sha256(tmp_path):
+    argv = [
+        "montecarlo", "--seed", "9", "--trials", "300",
+        "--pmax-dbm-grid=-5,0,5", "--out-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+    }
+    assert digests == GOLDEN_MC_SEED9_BINDING_BUDGETS

@@ -17,7 +17,7 @@ from noma_fbl import (
     solve_noma,
     solve_tdma,
 )
-from noma_fbl import tdma
+from noma_fbl import montecarlo, tdma
 from noma_fbl.montecarlo import CellStats, draw_channel_batch
 from noma_fbl.types import Scheme
 
@@ -148,6 +148,11 @@ class TestHarness:
         verdicts = {r.noma.verdict for r in records if not r.noma.feasible}
         assert verdicts  # typed reasons, not exceptions
 
+    def test_mean_adds_left_to_right(self):
+        # Left to right this is 0.0; compensated summation (sum() from
+        # Python 3.12 on) gives 0.5.
+        assert montecarlo._mean(np.array([1.0, 1e100, 1.0, -1e100])) == 0.0
+
     def test_channel_override_length_checked(self):
         cfg = ExperimentConfig(n_trials=3, d1_grid=(200,), p_max_dbm_grid=(30.0,))
         with pytest.raises(ValueError):
@@ -215,7 +220,12 @@ class TestShapeSmoke:
 
 
 def _mean(values):
-    return sum(values) / len(values) if values else math.nan
+    # Left to right, as the engine adds; sum() of floats compensates from
+    # Python 3.12 on.
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values) if values else math.nan
 
 
 def scalar_reference(batch):
@@ -352,3 +362,47 @@ class TestBatchMatchesScalar:
         outcomes = self.check(run_trials(cfg, channels=(ChannelPair(3e-307, 2e-307),)))
         noma = outcomes[0][0]
         assert dict(noma.sub_verdicts)[Scheme.TIN] == InfeasibleReason.POWER_BUDGET_EXCEEDED
+
+    def test_budgets_rule_out_the_free_optimum(self):
+        # At -5/0/5 dBm the budget forbids the budget-free TDMA optimum of
+        # a large share of trials, and some of them still have an allowed
+        # split, found by the masked re-solve.
+        cfg = ExperimentConfig(
+            n_trials=300,
+            seed=9,
+            d1_grid=(100, 160, 220, 290),
+            p_max_dbm_grid=(-5.0, 0.0, 5.0),
+        )
+        batch = run_trials(cfg)
+        self.check(batch)
+        g1 = np.array([ch.g1 for ch in batch.channels])
+        g2 = np.array([ch.g2 for ch in batch.channels])
+        shares, moved = [], 0
+        for (d1, pmax), records in batch.records.items():
+            _, _, gamma1, gamma2 = records.splits
+            free = tdma._free_splits(records.splits, g1, g2)
+            p_max = dbm_to_watts(pmax)
+            ruled_out = (gamma1[free] > p_max * g1) | (gamma2[free] > p_max * g2)
+            shares.append(np.mean(ruled_out))
+            moved += np.count_nonzero(ruled_out & (records.tdma_best >= 0))
+            assert np.array_equal(records.tdma_best[~ruled_out], free[~ruled_out])
+        assert any(0.1 <= share <= 0.9 for share in shares)
+        assert moved > 0
+
+    def test_cells_share_split_windows(self):
+        # Every d1 at or above d2 - min_blocklength = 200 has the split
+        # window m1 in [100, 200], the tie d1 == d2 included.
+        cfg = ExperimentConfig(
+            n_trials=60,
+            seed=11,
+            d1_grid=(150, 200, 240, 270, 300),
+            d2=300,
+            p_max_dbm_grid=(0.0, 30.0),
+        )
+        batch = run_trials(cfg)
+        self.check(batch)
+        for pmax in cfg.p_max_dbm_grid:
+            shared = batch.records[(200, pmax)].splits
+            assert batch.records[(150, pmax)].splits is not shared
+            for d1 in (240, 270, 300):
+                assert batch.records[(d1, pmax)].splits is shared
