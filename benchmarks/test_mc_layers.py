@@ -10,7 +10,6 @@ cell after the first in a run; `run_trials` is timed warm too.  Rounds
 are fixed so that the raw timings --benchmark-json stores stay small.
 """
 
-import numpy as np
 import pytest
 
 from noma_fbl import ExperimentConfig, cli, dbm_to_watts, run_trials
@@ -18,7 +17,7 @@ from noma_fbl.montecarlo import ENERGY_COLUMNS, _aggregate
 from noma_fbl.noma import _noma_columns
 from noma_fbl.tdma import _best_splits, _free_splits, _splits
 
-CFG = ExperimentConfig(p_max_dbm_grid=(20.0, 25.0, 30.0))
+CFG = ExperimentConfig()
 #: A d1 whose split window is the widest of the grid, m1 in [100, 200].
 D1 = 200
 
@@ -30,9 +29,7 @@ def batch():
 
 @pytest.fixture(scope="module")
 def gains(batch):
-    g1 = np.array([ch.g1 for ch in batch.channels])
-    g2 = np.array([ch.g2 for ch in batch.channels])
-    return g1, g2
+    return batch.g1, batch.g2
 
 
 def _tdma_column(g1, g2):

@@ -4,7 +4,6 @@ harness for comparing the schemes over Rayleigh fading."""
 
 from .fbl import (
     BracketError,
-    DEFAULT_SINR_TOL,
     ENERGY_MONOTONE_THRESHOLD,
     UserSpec,
     achievable_rate,
@@ -49,7 +48,6 @@ __all__ = [
     "q_func",
     "q_inv",
     "BracketError",
-    "DEFAULT_SINR_TOL",
     "ENERGY_MONOTONE_THRESHOLD",
     "UserSpec",
     "achievable_rate",

@@ -61,19 +61,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_grid(text: str) -> list[int]:
+def _parse_grid(text: str) -> tuple[int, ...]:
     """Parse an inclusive start:stop:step integer grid specification."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected start:stop:step, got {text!r}")
-    start, stop, step = (int(p) for p in parts)
+    try:
+        start, stop, step = (int(p) for p in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}") from None
     if step <= 0 or stop < start:
-        raise ValueError(f"need step > 0 and stop >= start in {text!r}")
-    return list(range(start, stop + 1, step))
+        raise argparse.ArgumentTypeError(f"need step > 0 and stop >= start in {text!r}")
+    return tuple(range(start, stop + 1, step))
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a,b,... numbers, got {text!r}") from None
 
 
 def _add_instance_args(parser: argparse.ArgumentParser, with_d1: bool) -> None:
@@ -228,13 +231,9 @@ def cmd_solve(parser: argparse.ArgumentParser, args) -> int:
 
 def cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
     ch = _channel_from_args(parser, args)
-    try:
-        d1_values = _parse_grid(args.d1_grid)
-    except ValueError as exc:
-        parser.error(str(exc))
     lines = [f"# schema={SWEEP_SCHEMA}", ",".join(SWEEP_COLUMNS)]
     try:
-        for d1 in d1_values:
+        for d1 in args.d1_grid:
             s1, s2 = _specs_from_args(args, d1)
             budget = PowerBudget(dbm_to_watts(args.pmax_dbm))
             outcomes, _ = _solve_schemes(ch, s1, s2, budget, args.scheme)
@@ -272,9 +271,9 @@ def cmd_montecarlo(parser: argparse.ArgumentParser, args) -> int:
         cfg = ExperimentConfig(
             n_trials=args.trials,
             seed=args.seed,
-            d1_grid=tuple(_parse_grid(args.d1_grid)),
+            d1_grid=args.d1_grid,
             d2=args.d2,
-            p_max_dbm_grid=tuple(_parse_float_list(args.pmax_dbm_grid)),
+            p_max_dbm_grid=args.pmax_dbm_grid,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep user 1's deadline, write a CSV")
     _add_instance_args(p_sweep, with_d1=False)
     p_sweep.add_argument(
-        "--d1-grid", required=True,
+        "--d1-grid", type=_parse_grid, required=True,
         help="inclusive integer grid start:stop:step for user 1's deadline",
     )
     p_sweep.add_argument("--out", required=True, help="output CSV path")
@@ -349,15 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser(
         "montecarlo", help="seeded Monte-Carlo over Rayleigh channels"
     )
-    p_mc.add_argument("--trials", type=int, default=1000, help="number of channel draws")
-    p_mc.add_argument("--seed", type=int, default=1, help="Philox seed")
+    defaults = ExperimentConfig()
+    p_mc.add_argument("--trials", type=int, default=defaults.n_trials, help="number of channel draws")
+    p_mc.add_argument("--seed", type=int, default=defaults.seed, help="Philox seed")
     p_mc.add_argument(
-        "--d1-grid", default="100:290:10",
+        "--d1-grid", type=_parse_grid, default=defaults.d1_grid,
         help="inclusive integer grid start:stop:step for user 1's deadline",
     )
-    p_mc.add_argument("--d2", type=int, default=300, help="deadline of user 2")
+    p_mc.add_argument("--d2", type=int, default=defaults.d2, help="deadline of user 2")
     p_mc.add_argument(
-        "--pmax-dbm-grid", default="20,25,30",
+        "--pmax-dbm-grid", type=_parse_float_list, default=defaults.p_max_dbm_grid,
         help="comma-separated power budgets in dBm",
     )
     p_mc.add_argument("--out-dir", required=True, help="directory for output files")

@@ -11,6 +11,10 @@ relation: evaluating it, solving it for the blocklength given the SINR
 (closed form, a quadratic in sqrt(m)), and solving it for the SINR given the
 blocklength (bisection, since no closed form exists in that direction).
 
+Every SINR root comes from one bisection, _bisect, on [0, hi]: hi is the
+caller's in sinr_for_blocklength and doubled from 1 in required_sinr and
+its tables, whose larger fills run the same steps on numpy arrays.
+
 Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 (symbols) and may be real-valued, rates are bits per channel use.
 """
@@ -33,7 +37,7 @@ LN2 = math.log(2.0)
 ENERGY_MONOTONE_THRESHOLD = 2.0 * math.sqrt(LN2) / (4.0 - math.sqrt(2.0))
 
 #: Bisection tolerance on the SINR bracket width.
-DEFAULT_SINR_TOL = 1e-9
+_SINR_TOL = 1e-9
 
 
 class BracketError(Exception):
@@ -139,21 +143,13 @@ def _blocklength(gamma, payload_bits, q, log2=math.log2, sqrt=math.sqrt):
 def sinr_for_blocklength(m_star: float, spec: UserSpec, gamma_hi: float) -> float:
     """SINR at which the payload exactly fits in m_star channel uses.
 
-    Bisection on [0, gamma_hi] driven by the closed-form inverse: a midpoint
-    whose exact-fit blocklength is below m_star over-delivers, so it becomes
-    the new upper bound.  Terminates when the bracket is narrower than
-    DEFAULT_SINR_TOL, or when its midpoint no longer splits it (for large
-    SINRs the float spacing exceeds the tolerance).
-
-    Raises BracketError when even gamma_hi cannot deliver the payload in
-    m_star uses (blocklength_for_sinr(gamma_hi) > m_star); callers typically
-    pass gamma_hi = p_max * channel_gain so that this signals infeasibility.
+    Bisection on [0, gamma_hi] (see _bisect).  Raises BracketError when
+    even gamma_hi cannot deliver the payload in m_star uses
+    (blocklength_for_sinr(gamma_hi) > m_star); callers typically pass
+    gamma_hi = p_max * channel_gain so that this signals infeasibility.
     """
     if m_star < spec.min_blocklength:
-        raise ValueError(
-            f"m_star ({m_star}) below the model's minimum blocklength "
-            f"({spec.min_blocklength})"
-        )
+        raise _untrusted(spec, m_star)
     if gamma_hi <= 0.0:
         raise ValueError(f"gamma_hi must be positive, got {gamma_hi}")
     if blocklength_for_sinr(gamma_hi, spec) > m_star:
@@ -161,12 +157,23 @@ def sinr_for_blocklength(m_star: float, spec: UserSpec, gamma_hi: float) -> floa
             f"payload {spec.payload_bits} bits does not fit in {m_star} uses "
             f"even at SINR {gamma_hi}"
         )
-    lo, hi = 0.0, gamma_hi
-    while hi - lo > DEFAULT_SINR_TOL:
+    return _bisect(spec.payload_bits, _q_ln2(spec.error_target), m_star, gamma_hi)
+
+
+def _bisect(payload_bits: int, q: float, m: float, hi: float) -> float:
+    """SINR on [0, hi] at which m uses fit the payload, q = q_inv(eps)/ln 2.
+
+    A midpoint whose blocklength is below m over-delivers and becomes the
+    new top.  Stops once the bracket is narrower than _SINR_TOL or its
+    midpoint no longer splits it (the float spacing of large SINRs exceeds
+    the tolerance), and returns the midpoint.
+    """
+    lo = 0.0
+    while hi - lo > _SINR_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if blocklength_for_sinr(mid, spec) < m_star:
+        if _blocklength(mid, payload_bits, q) < m:
             hi = mid
         else:
             lo = mid
@@ -205,13 +212,6 @@ def _untrusted(spec: UserSpec, m: float) -> ValueError:
     )
 
 
-@lru_cache(maxsize=256)
-def _rate_spec(payload_bits: int, error_target: float) -> UserSpec:
-    """A spec carrying only what the rate relation reads (N and eps);
-    memoized, as building a frozen dataclass costs ~2 us per cache miss."""
-    return UserSpec(payload_bits, error_target, deadline=1, min_blocklength=1)
-
-
 #: Required SINRs keyed on (payload_bits, error_target, m), oldest first:
 #: the one memo of required_sinr and required_sinr_table.  A plain dict,
 #: whose lookup costs what the lru_cache it replaces cost; an OrderedDict
@@ -245,30 +245,33 @@ def _trim_sinr_memo() -> None:
 _BRACKET_LIMIT = 1e150
 
 
-def _bracket_error(payload_bits: int, m: float) -> BracketError:
-    return BracketError(
-        f"required SINR for {payload_bits} bits in {m} uses "
-        "exceeds representable range"
-    )
+def _doubling(payload_bits: int, q: float, m: float) -> list[float]:
+    """Blocklengths at SINR 1, 2, 4, ..., up to the first power of two whose
+    blocklength is at most m: the top of m's bracket, 2**(len - 1).
+    Raises BracketError past _BRACKET_LIMIT."""
+    tops = [_blocklength(1.0, payload_bits, q)]
+    while tops[-1] > m:
+        if 2.0 ** len(tops) > _BRACKET_LIMIT:
+            raise BracketError(
+                f"required SINR for {payload_bits} bits in {m} uses "
+                "exceeds representable range"
+            )
+        tops.append(_blocklength(2.0 ** len(tops), payload_bits, q))
+    return tops
 
 
 def _sinr_root(payload_bits: int, error_target: float, m: float) -> float:
-    """required_sinr without the memo: double a bracket from 1 until it
-    encloses the root, then bisect it with sinr_for_blocklength."""
-    spec = _rate_spec(payload_bits, error_target)
-    hi = 1.0
-    while blocklength_for_sinr(hi, spec) > m:
-        hi *= 2.0
-        if hi > _BRACKET_LIMIT:
-            raise _bracket_error(payload_bits, m)
-    return sinr_for_blocklength(m, spec, hi)
+    """required_sinr without the memo: bisect m's doubling bracket."""
+    q = _q_ln2(error_target)
+    top = 2.0 ** (len(_doubling(payload_bits, q, m)) - 1)
+    return _bisect(payload_bits, q, m, top)
 
 
 #: A table window with fewer roots missing from the memo than this finds
-#: them one by one through required_sinr; from this many on, _sinr_roots
-#: finds them together.  On a 2-vCPU Xeon VM one numpy bisection costs a
-#: fixed ~0.8 ms plus ~1 us per root, against ~23 us per scalar root, so
-#: they break even near 35 roots (benchmarks/test_fbl_layers.py).
+#: them one by one with _sinr_root; from this many on, _sinr_roots finds
+#: them together.  On a 2-vCPU Xeon VM one numpy bisection costs a fixed
+#: ~0.8 ms plus ~1 us per root, against ~20 us per scalar root, so they
+#: break even near 40 roots (benchmarks/test_fbl_layers.py).
 _VECTOR_MIN_MISSES = 32
 
 #: Relative error margin of the numpy closed form, per unit of 1 + 1/gamma,
@@ -303,22 +306,14 @@ def _sinr_roots(payload_bits: int, error_target: float, ms: list[int]) -> np.nda
     q = _q_ln2(error_target)
     # The scalar brackets: for each m the first power of two 2**k whose
     # blocklength is at most m.  The smallest m needs the largest k.
-    tops = []
-    hi = 1.0
-    while True:
-        tops.append(_blocklength(hi, payload_bits, q))
-        if tops[-1] <= ms[0]:
-            break
-        hi *= 2.0
-        if hi > _BRACKET_LIMIT:
-            raise _bracket_error(payload_bits, ms[0])
+    tops = _doubling(payload_bits, q, ms[0])
     m = np.array(ms, dtype=float)
     lo = np.zeros(len(m))
     hi = np.ldexp(1.0, np.argmax(np.array(tops) <= m[:, None], axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             mid = 0.5 * (lo + hi)
-            live = (hi - lo > DEFAULT_SINR_TOL) & (lo < mid) & (mid < hi)
+            live = (hi - lo > _SINR_TOL) & (lo < mid) & (mid < hi)
             if not live.any():
                 return mid
             b = _blocklength(mid, payload_bits, q, np.log2, np.sqrt)
@@ -347,21 +342,20 @@ def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
 def _required_sinr_table(
     payload_bits: int, error_target: float, m_lo: int, m_hi: int
 ) -> np.ndarray:
-    ms = range(m_lo, m_hi + 1)
-    keys = [(payload_bits, error_target, m) for m in ms]
-    missing = [i for i, key in enumerate(keys) if key not in _SINR_MEMO]
+    keys = [(payload_bits, error_target, m) for m in range(m_lo, m_hi + 1)]
+    gammas = [_SINR_MEMO.get(key) for key in keys]
+    missing = [i for i, gamma in enumerate(gammas) if gamma is None]
+    ms = [m_lo + i for i in missing]
     if len(missing) < _VECTOR_MIN_MISSES:
-        spec = _rate_spec(payload_bits, error_target)
-        table = np.array([required_sinr(spec, m) for m in ms], dtype=float)
+        roots = [_sinr_root(payload_bits, error_target, m) for m in ms]
     else:
-        _sinr_counts[0] += len(keys) - len(missing)
-        _sinr_counts[1] += len(missing)
-        gammas = [_SINR_MEMO.get(key) for key in keys]
-        roots = _sinr_roots(payload_bits, error_target, [ms[i] for i in missing])
-        for i, gamma in zip(missing, roots.tolist()):
-            gammas[i] = _SINR_MEMO[keys[i]] = gamma
-        _trim_sinr_memo()
-        table = np.array(gammas, dtype=float)
+        roots = _sinr_roots(payload_bits, error_target, ms).tolist()
+    for i, gamma in zip(missing, roots):
+        gammas[i] = _SINR_MEMO[keys[i]] = gamma
+    _sinr_counts[0] += len(keys) - len(missing)
+    _sinr_counts[1] += len(missing)
+    _trim_sinr_memo()
+    table = np.array(gammas, dtype=float)
     table.flags.writeable = False
     return table
 

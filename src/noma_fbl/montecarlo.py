@@ -36,6 +36,7 @@ every aggregate can be recomputed.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +81,7 @@ class ExperimentConfig:
     rayleigh_scale: float = 100.0
     d1_grid: tuple[int, ...] = DEFAULT_D1_GRID
     d2: int = 300
-    p_max_dbm_grid: tuple[float, ...] = (30.0,)
+    p_max_dbm_grid: tuple[float, ...] = (20.0, 25.0, 30.0)
     payload_bits: int = 160
     error_target: float = 1e-7
     min_blocklength: int = 100
@@ -152,8 +153,8 @@ class CellRecords(Sequence):
     """The trial outcomes of one grid cell, held as per-trial columns.
 
     Item i is the TrialRecord of trial i, rebuilt on access: equal to what
-    solve_noma and solve_tdma return for channels[i] and the cell's specs
-    and budget.  Nothing rebuilt is kept.  The columns come from
+    solve_noma and solve_tdma return for ChannelPair(g1[i], g2[i]) and the
+    cell's specs and budget.  Nothing rebuilt is kept.  The columns come from
     noma._noma_columns (noma_winner: index of the winning formulation, -1
     for none; noma_codes: each formulation's verdict code; noma_energy)
     and tdma._best_splits (tdma_best: index into splits, -1 for none;
@@ -162,14 +163,15 @@ class CellRecords(Sequence):
 
     def __init__(
         self,
-        channels: tuple[ChannelPair, ...],
+        g1: np.ndarray,
+        g2: np.ndarray,
         s1: UserSpec,
         s2: UserSpec,
         splits,
         noma: tuple[np.ndarray, np.ndarray, np.ndarray],
         tdma: tuple[np.ndarray, np.ndarray],
     ):
-        self.channels, self.s1, self.s2, self.splits = channels, s1, s2, splits
+        self.g1, self.g2, self.s1, self.s2, self.splits = g1, g2, s1, s2, splits
         self.noma_winner, self.noma_codes, self.noma_energy = noma
         self.tdma_best, self.tdma_energy = tdma
 
@@ -182,10 +184,10 @@ class CellRecords(Sequence):
         return self.tdma_best >= 0
 
     def __len__(self) -> int:
-        return len(self.channels)
+        return len(self.g1)
 
     def __getitem__(self, i: int) -> TrialRecord:
-        ch = self.channels[i]
+        ch = ChannelPair(float(self.g1[i]), float(self.g2[i]))
         # A deadline tie relabels as order_by_deadline does; the specs are
         # equal then, so only the gains swap.
         relabeled = self.s1.deadline == self.s2.deadline and ch.g1 > ch.g2
@@ -276,17 +278,22 @@ class TrialBatch:
     """Complete result of a Monte-Carlo run: records plus aggregates.
 
     records is keyed by (d1, p_max_dbm); each cell's CellRecords rebuilds
-    its trial outcomes on access from per-trial columns.  channels holds
-    the single set of draws shared by every cell.  common_trials maps each
-    power budget to the trial indices feasible for both schemes at every
-    d1.
+    its trial outcomes on access from per-trial columns.  g1 and g2 hold
+    the single set of draws shared by every cell (channels builds them as
+    ChannelPairs on first access).  common_trials maps each power budget
+    to the trial indices feasible for both schemes at every d1.
     """
 
     config: ExperimentConfig
-    channels: tuple[ChannelPair, ...]
+    g1: np.ndarray
+    g2: np.ndarray
     records: dict[tuple[int, float], CellRecords]
     cells: dict[tuple[int, float], CellStats] = field(default_factory=dict)
     common_trials: dict[float, tuple[int, ...]] = field(default_factory=dict)
+
+    @cached_property
+    def channels(self) -> tuple[ChannelPair, ...]:
+        return tuple(map(ChannelPair, self.g1.tolist(), self.g2.tolist()))
 
     def cell(self, d1: int, p_max_dbm: float) -> CellStats:
         return self.cells[(d1, p_max_dbm)]
@@ -322,16 +329,13 @@ def run_trials(
     """
     if channels is None:
         rng = np.random.Generator(np.random.Philox(cfg.seed))
-        gains = draw_channel_batch(rng, cfg.rayleigh_scale, cfg.n_trials)
-        channels = tuple(
-            ChannelPair(g1=float(g1), g2=float(g2)) for g1, g2 in gains
-        )
+        g1, g2 = draw_channel_batch(rng, cfg.rayleigh_scale, cfg.n_trials).T.copy()
     elif len(channels) != cfg.n_trials:
         raise ValueError(
             f"{len(channels)} channel overrides for {cfg.n_trials} trials"
         )
-    g1 = np.array([ch.g1 for ch in channels], dtype=float)
-    g2 = np.array([ch.g2 for ch in channels], dtype=float)
+    else:
+        g1, g2 = np.array([(ch.g1, ch.g2) for ch in channels], dtype=float).T.copy()
 
     s2 = cfg.user2_spec()
     # TDMA reads d1 only through its split window's upper end, so the
@@ -355,9 +359,9 @@ def run_trials(
             )
             splits, free = windows[min(d1, cfg.d2 - cfg.min_blocklength)]
             tdma = _best_splits(splits, g1, g2, p_max, free)
-            records[(d1, p_max_dbm)] = CellRecords(channels, s1, s2, splits, noma, tdma)
+            records[(d1, p_max_dbm)] = CellRecords(g1, g2, s1, s2, splits, noma, tdma)
 
-    batch = TrialBatch(config=cfg, channels=channels, records=records)
+    batch = TrialBatch(config=cfg, g1=g1, g2=g2, records=records)
     _aggregate(batch)
     return batch
 

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 
 from noma_fbl import (
     ChannelPair,
+    ExperimentConfig,
     PowerBudget,
     UserSpec,
     solve_noma,
@@ -233,6 +235,11 @@ class TestMonteCarlo:
         for entry in manifest["outputs"]:
             fresh = (tmp_path / "second" / entry["path"]).read_bytes()
             assert hashlib.sha256(fresh).hexdigest() == entry["sha256"]
+
+    def test_defaults_are_the_config_defaults(self, tmp_path, capsys):
+        assert run_cli(capsys, "montecarlo", "--out-dir", str(tmp_path))[0] == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"] == json.loads(json.dumps(asdict(ExperimentConfig())))
 
 
 INSTANCE = ["--d1", "200", "--d2", "300"]

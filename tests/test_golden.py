@@ -9,11 +9,22 @@ budget (-20 dBm), so that the power-budget, product-wall and rate verdicts
 all occur, and those of a seed-9 run at -5/0/5 dBm, where the budget rules
 out the budget-free TDMA optimum of 5-61% of the trials per cell.  A change
 of any output byte fails here; re-pin only on purpose.
+
+The Monte-Carlo runs only reach 160-bit roots at eps 1e-7, so one more
+digest pins the bits of the SINR root-finder itself over the whole input
+range: scalar roots, tables filled on both sides of the vectorised
+crossover, and roots on caller-chosen brackets, BracketError included.
 """
 
 import hashlib
+import math
+import random
 
+import numpy as np
+
+from noma_fbl import BracketError, UserSpec, fbl, required_sinr, sinr_for_blocklength
 from noma_fbl.cli import main
+from noma_fbl.fbl import required_sinr_table
 
 GOLDEN_MC_SEED1 = {
     "energy_vs_d1.csv": "67a630351481723379ab4986a170717f85a4aeb3de3e92817309d4e533fc2ecb",
@@ -66,3 +77,38 @@ def test_binding_budgets_match_golden_sha256(tmp_path):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
     }
     assert digests == GOLDEN_MC_SEED9_BINDING_BUDGETS
+
+
+GOLDEN_SINR_ROOTS = "ae30429971c2a7187e41294bee7e40fc5eb8a4c6a77a94b1362c275cc84bf199"
+
+
+def _random_user(rng):
+    return rng.randint(1, 3000), 10.0 ** rng.uniform(-12.0, math.log10(0.3))
+
+
+def test_sinr_root_bits_match_golden_sha256():
+    fbl._SINR_MEMO.clear()
+    fbl._required_sinr_table.cache_clear()
+    rng = random.Random(7)
+    roots = []  # -1.0 marks a BracketError; every root is positive
+    for _ in range(1500):
+        payload_bits, error_target = _random_user(rng)
+        spec = UserSpec(payload_bits, error_target, deadline=20_000, min_blocklength=1)
+        try:
+            roots.append(required_sinr(spec, rng.randint(1, 20_000)))
+        except BracketError:
+            roots.append(-1.0)
+    for _ in range(1500):
+        payload_bits, error_target = _random_user(rng)
+        spec = UserSpec(payload_bits, error_target, deadline=20_000, min_blocklength=1)
+        m_star = rng.uniform(1.0, 20_000.0)
+        try:
+            roots.append(sinr_for_blocklength(m_star, spec, 10.0 ** rng.uniform(-3.0, 20.0)))
+        except BracketError:
+            roots.append(-1.0)
+    # 31 roots missing from the memo, found one by one, and 200 found together.
+    roots += required_sinr_table(UserSpec(600, 1e-5, deadline=130), 100, 130).tolist()
+    spec = UserSpec(2845, 2.7765660567406283e-09, deadline=319)
+    roots += required_sinr_table(spec, 120, 319).tolist()
+    bits = np.array(roots, dtype="<f8").view("<i8")
+    assert hashlib.sha256(bits.tobytes()).hexdigest() == GOLDEN_SINR_ROOTS
