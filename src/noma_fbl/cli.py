@@ -33,18 +33,9 @@ SWEEP_SCHEMA = "noma-fbl/sweep-v1"
 MC_ENERGY_SCHEMA = "noma-fbl/mc-energy-v1"
 MC_FEASIBILITY_SCHEMA = "noma-fbl/mc-feasibility-v1"
 
-SWEEP_COLUMNS = (
-    "d1",
-    "scheme",
-    "feasible",
-    "m1",
-    "m2",
-    "p1",
-    "p2",
-    "gamma1",
-    "gamma2",
-    "energy",
-)
+#: Allocation fields in the order every output format lists them.
+ALLOCATION_COLUMNS = ("m1", "m2", "p1", "p2", "gamma1", "gamma2", "energy")
+SWEEP_COLUMNS = ("d1", "scheme", "feasible") + ALLOCATION_COLUMNS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,13 +145,7 @@ def _solve_schemes(
 def _allocation_dict(alloc: Allocation) -> dict:
     return {
         "scheme": alloc.scheme.value,
-        "m1": alloc.m1,
-        "m2": alloc.m2,
-        "p1": alloc.p1,
-        "p2": alloc.p2,
-        "gamma1": alloc.gamma1,
-        "gamma2": alloc.gamma2,
-        "energy": alloc.energy,
+        **{col: getattr(alloc, col) for col in ALLOCATION_COLUMNS},
         "sic_overall_error": alloc.sic_overall_error,
     }
 
@@ -179,18 +164,9 @@ def _outcome_dict(outcome: SolveOutcome) -> dict:
 def _outcome_fields(outcome: SolveOutcome) -> tuple[str, ...]:
     """The feasible,m1,...,energy CSV cells for one solve outcome."""
     if not outcome.feasible:
-        return ("0", "", "", "", "", "", "", "")
+        return ("0",) + ("",) * len(ALLOCATION_COLUMNS)
     a = outcome.allocation
-    return (
-        "1",
-        _fmt(a.m1),
-        _fmt(a.m2),
-        _fmt(a.p1),
-        _fmt(a.p2),
-        _fmt(a.gamma1),
-        _fmt(a.gamma2),
-        _fmt(a.energy),
-    )
+    return ("1",) + tuple(_fmt(getattr(a, col)) for col in ALLOCATION_COLUMNS)
 
 
 def cmd_solve(parser: argparse.ArgumentParser, args) -> int:

@@ -269,10 +269,11 @@ def _sinr_root(payload_bits: int, error_target: float, m: float) -> float:
 
 #: A table window with fewer roots missing from the memo than this finds
 #: them one by one with _sinr_root; from this many on, _sinr_roots finds
-#: them together.  On a 2-vCPU Xeon VM one numpy bisection costs a fixed
-#: ~0.8 ms plus ~1 us per root, against ~20 us per scalar root, so they
-#: break even near 40 roots (benchmarks/test_fbl_layers.py).
-_VECTOR_MIN_MISSES = 32
+#: them together.  Cold tables of n entries from m = 100 on a 2-vCPU Xeon
+#: VM, scalar / numpy, medians of 41: 600 bits at eps 1e-5, n = 48: 1.94 /
+#: 2.06 ms, n = 56: 2.23 / 2.05 ms; 160 bits at 1e-7, n = 56: 1.68 / 1.80
+#: ms, n = 64: 1.87 / 1.82 ms.  They break even near 50-62 roots.
+_VECTOR_MIN_MISSES = 56
 
 #: Relative error margin of the numpy closed form, per unit of 1 + 1/gamma,
 #: with 1 ulp = 2**-52.  numpy's elementwise + - * / and sqrt round exactly

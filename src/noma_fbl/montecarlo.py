@@ -23,10 +23,11 @@ d1: the averaging set is fixed, so per-trial monotonicity survives the
 average.
 
 Each cell is solved as array expressions over all the draws (the column
-forms in noma and tdma), with the scalar solvers' checks and arithmetic.
-TDMA's budget-free minimum is found once per split window, which cells
-whose d1 values give the same window share, and each budget re-solves only
-the draws whose free minimum it rules out.
+forms in noma and tdma), with the scalar solvers' checks and arithmetic;
+noma's also relabels the users on a deadline tie, as solve_noma does.  TDMA's
+budget-free minimum is found once per split window (tdma._window), which
+cells whose d1 values give the same window share, and each budget
+re-solves only the draws whose free minimum it rules out.
 A cell keeps compact per-trial columns (energies, winner and verdict
 codes, the chosen TDMA split), from which TrialBatch.records rebuilds any
 trial's outcomes on access, equal to solve_noma's and solve_tdma's; so
@@ -43,7 +44,7 @@ import numpy as np
 
 from .fbl import UserSpec
 from .noma import _noma_columns, _noma_outcome
-from .tdma import _best_splits, _free_splits, _outcome, _splits
+from .tdma import _best_splits, _free_splits, _outcome, _splits, _window
 from .types import ChannelPair, PowerBudget, SolveOutcome
 
 __all__ = [
@@ -188,17 +189,8 @@ class CellRecords(Sequence):
 
     def __getitem__(self, i: int) -> TrialRecord:
         ch = ChannelPair(float(self.g1[i]), float(self.g2[i]))
-        # A deadline tie relabels as order_by_deadline does; the specs are
-        # equal then, so only the gains swap.
-        relabeled = self.s1.deadline == self.s2.deadline and ch.g1 > ch.g2
-        noma = _noma_outcome(
-            int(self.noma_winner[i]),
-            self.noma_codes[:, i].tolist(),
-            ChannelPair(ch.g2, ch.g1) if relabeled else ch,
-            self.s1,
-            self.s2,
-            relabeled,
-        )
+        winner, codes = int(self.noma_winner[i]), self.noma_codes[:, i].tolist()
+        noma = _noma_outcome(winner, codes, ch, self.s1, self.s2)
         return TrialRecord(noma, _outcome(self.splits, int(self.tdma_best[i]), ch))
 
 
@@ -338,26 +330,22 @@ def run_trials(
         g1, g2 = np.array([(ch.g1, ch.g2) for ch in channels], dtype=float).T.copy()
 
     s2 = cfg.user2_spec()
-    # TDMA reads d1 only through its split window's upper end, so the
-    # budget-free step runs once per distinct window.
+    # TDMA reads d1 only through its split window, so the budget-free step
+    # runs once per distinct window.
     windows = {}
     for d1 in cfg.d1_grid:
-        m1_hi = min(d1, cfg.d2 - cfg.min_blocklength)
-        if m1_hi not in windows:
-            splits = _splits(cfg.user1_spec(d1), s2)
-            windows[m1_hi] = splits, _free_splits(splits, g1, g2)
+        s1 = cfg.user1_spec(d1)
+        window = _window(s1, s2)
+        if window not in windows:
+            splits = _splits(s1, s2)
+            windows[window] = splits, _free_splits(splits, g1, g2)
     records: dict[tuple[int, float], CellRecords] = {}
     for p_max_dbm in cfg.p_max_dbm_grid:
         p_max = dbm_to_watts(p_max_dbm)
         for d1 in cfg.d1_grid:
             s1 = cfg.user1_spec(d1)
-            # A deadline tie relabels the weaker channel as user 1, as
-            # order_by_deadline does (and CellRecords.__getitem__ again).
-            swap = (g1 > g2) if d1 == cfg.d2 else np.zeros(len(g1), bool)
-            noma = _noma_columns(
-                np.where(swap, g2, g1), np.where(swap, g1, g2), s1, s2, p_max
-            )
-            splits, free = windows[min(d1, cfg.d2 - cfg.min_blocklength)]
+            noma = _noma_columns(g1, g2, s1, s2, p_max)
+            splits, free = windows[_window(s1, s2)]
             tdma = _best_splits(splits, g1, g2, p_max, free)
             records[(d1, p_max_dbm)] = CellRecords(g1, g2, s1, s2, splits, noma, tdma)
 

@@ -6,10 +6,11 @@ receiver, if any, can run successive interference cancellation (SIC) depends
 on the channel ordering and on whether both codewords fit inside the shorter
 deadline.  Spending more channel uses on a codeword lowers both its required
 SINR and its blocklength-energy product (see fbl.energy_monotone), so every
-formulation pins each blocklength at its binding deadline, looks up the
-required SINRs gamma_k = required_sinr(s_k, m_k), inverts its SINR maps for
-the powers in closed form and checks the budget.  The formulations differ
-only in these table rows (_SIC_RX2, _TIN, _SIC_RX1):
+formulation pins each blocklength at its binding deadline (_blocklengths),
+looks up the required SINRs gamma_k = required_sinr(s_k, m_k), inverts its
+SINR maps for the powers in closed form and checks the budget; an energy
+m1*p1 + m2*p2 that overflows a float is over any budget.  The formulations
+differ only in these table rows (_SIC_RX2, _TIN, _SIC_RX1):
 
   scheme   channels  m2  SINR maps                    SIC composition
   sic-rx2  g1 <= g2  D2  gamma1 = p1*g1/(p2*g1 + 1)   eps1 then eps2
@@ -28,8 +29,8 @@ One kernel, _solve, runs every formulation from its row; solve_sic_rx2,
 solve_tin and solve_sic_rx1 add their channel-order precondition.
 solve_noma dispatches on the channel ordering and, in the g1 > g2 regime,
 keeps the cheaper of the two candidate formulations.  _noma_columns does
-the same for arrays of gains sharing one (s1, s2, budget), which is what a
-Monte-Carlo cell is.
+the same, deadline-tie relabel included, for arrays of gains sharing one
+(s1, s2, budget), which is what a Monte-Carlo cell is.
 """
 
 import math
@@ -158,17 +159,25 @@ _TIN = _Formulation(Scheme.TIN, False, _powers_tin, None, True)
 _SIC_RX1 = _Formulation(Scheme.SIC_RX1, True, _powers_sic_rx1, (1, 0), False)
 
 
+def _blocklengths(
+    row: _Formulation, s1: UserSpec, s2: UserSpec
+) -> tuple[float, float]:
+    """The (m1, m2) a formulation pins: m1 at D1, m2 at D1 or D2."""
+    m1 = float(s1.deadline)
+    return m1, m1 if row.m2_at_d1 else float(s2.deadline)
+
+
 def _row_sinrs(
     row: _Formulation, s1: UserSpec, s2: UserSpec
 ) -> tuple[float, float] | InfeasibleReason:
     """The (gamma1, gamma2) a formulation needs, or the verdict that rules it
     out whatever the channel: user 2's blocklength window is empty (m2 = D1
     below its minimum), or a required SINR leaves any realistic range."""
-    deadline2 = s1.deadline if row.m2_at_d1 else s2.deadline
-    if s2.min_blocklength > deadline2:
+    m1, m2 = _blocklengths(row, s1, s2)
+    if s2.min_blocklength > m2:
         return InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY
     try:
-        return required_sinr(s1, s1.deadline), required_sinr(s2, deadline2)
+        return required_sinr(s1, m1), required_sinr(s2, m2)
     except BracketError:
         return InfeasibleReason.RATE_UNREACHABLE
 
@@ -187,8 +196,7 @@ def _allocation(
         eps = (s1.error_target, s2.error_target)
         first, second = row.sic_stages
         sic_overall_error = overall_sic_error(eps[first], eps[second])
-    m1 = float(s1.deadline)
-    m2 = m1 if row.m2_at_d1 else float(s2.deadline)
+    m1, m2 = _blocklengths(row, s1, s2)
     return Allocation(
         m1=m1,
         m2=m2,
@@ -213,7 +221,8 @@ def _solve(
 
     Checks, in order: user 2's blocklength window (empty only when m2 = D1
     falls below its minimum blocklength), rate reachability of both required
-    SINRs within p_max * g_k, the SINR-product wall, and the power budget.
+    SINRs within p_max * g_k, the SINR-product wall, and the power budget,
+    which an energy that overflows a float exceeds too.
     """
     _require_deadline_order(s1, s2)
     gammas = _row_sinrs(row, s1, s2)
@@ -232,7 +241,10 @@ def _solve(
         p1 = p2 = math.inf
     if p1 + p2 > budget.p_max:
         return SolveOutcome(verdict=InfeasibleReason.POWER_BUDGET_EXCEEDED)
-    return SolveOutcome(allocation=_allocation(row, s1, s2, gamma1, gamma2, p1, p2))
+    allocation = _allocation(row, s1, s2, gamma1, gamma2, p1, p2)
+    if allocation.energy == math.inf:
+        return SolveOutcome(verdict=InfeasibleReason.POWER_BUDGET_EXCEEDED)
+    return SolveOutcome(allocation=allocation)
 
 
 def solve_sic_rx2(
@@ -345,8 +357,7 @@ def solve_noma(
 
 # Column form of solve_noma, for many channel draws of one (s1, s2, budget)
 # cell.  A trial's verdict code under a formulation is its index in
-# _VERDICT_PRECEDENCE, or _FEASIBLE.  The gains arrive deadline-ordered, so
-# relabeling is the caller's (see order_by_deadline).
+# _VERDICT_PRECEDENCE, or _FEASIBLE.
 
 _ROWS = (_SIC_RX2, _TIN, _SIC_RX1)
 _FEASIBLE = -1
@@ -378,10 +389,10 @@ def _row_columns(
         energy = np.full(n, np.nan)
     else:
         p1, p2 = row.powers(gamma1, gamma2, g1, g2)
-        code[p1 + p2 > p_max] = _CODE[InfeasibleReason.POWER_BUDGET_EXCEEDED]
-        m1 = float(s1.deadline)
-        m2 = m1 if row.m2_at_d1 else float(s2.deadline)
+        m1, m2 = _blocklengths(row, s1, s2)
         energy = m1 * p1 + m2 * p2
+        over = (p1 + p2 > p_max) | (energy == np.inf)
+        code[over] = _CODE[InfeasibleReason.POWER_BUDGET_EXCEEDED]
     # Reachability is checked before the wall and the budget, so it overrides.
     unreachable = (gamma1 > p_max * g1) | (gamma2 > p_max * g2)
     code[unreachable] = _CODE[InfeasibleReason.RATE_UNREACHABLE]
@@ -392,16 +403,24 @@ def _row_columns(
 def _noma_columns(
     g1: np.ndarray, g2: np.ndarray, s1: UserSpec, s2: UserSpec, p_max: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """solve_noma over arrays of deadline-ordered gains.
+    """solve_noma over arrays of gains.
 
     Returns, per trial, the index in _ROWS of the winning formulation (-1
     when none is feasible), every formulation's verdict code (shape
-    (3, n)) and the winner's energy (NaN when none).  Dispatch as in
-    solve_noma: sic-rx2 when g1 <= g2, else the cheaper feasible of tin and
-    sic-rx1 with ties to tin.
+    (3, n)) and the winner's energy (NaN when none), all for the users as
+    order_by_deadline labels them.  Dispatch as in solve_noma: sic-rx2 when
+    g1 <= g2, else the cheaper feasible of tin and sic-rx1 with ties to tin.
     """
     _require_deadline_order(s1, s2)
-    columns = [_row_columns(row, g1, g2, s1, s2, p_max) for row in _ROWS]
+    if s1.deadline == s2.deadline:
+        # order_by_deadline gives label 1 to the weaker channel.  The specs
+        # of a Monte-Carlo cell differ only in their deadlines, so on a tie
+        # they are equal and only the gains swap.
+        g1, g2 = np.minimum(g1, g2), np.maximum(g1, g2)
+    # Tiny gains overflow the powers and energies (tin divides by an
+    # underflowed g1*g2), as the scalar arithmetic does; huge ones p_max*g.
+    with np.errstate(divide="ignore", over="ignore"):
+        columns = [_row_columns(row, g1, g2, s1, s2, p_max) for row in _ROWS]
     codes = np.stack([code for code, _ in columns])
     energies = np.stack([energy for _, energy in columns])
     ok = codes == _FEASIBLE
@@ -416,15 +435,11 @@ def _noma_columns(
 
 
 def _noma_outcome(
-    winner: int,
-    codes: list[int],
-    ch: ChannelPair,
-    s1: UserSpec,
-    s2: UserSpec,
-    relabeled: bool,
+    winner: int, codes: list[int], ch: ChannelPair, s1: UserSpec, s2: UserSpec
 ) -> SolveOutcome:
     """The outcome solve_noma gives for one trial of _noma_columns, rebuilt
-    from its winner and codes on its deadline-ordered channel pair."""
+    from its winner and codes on its channel pair."""
+    ch, s1, s2, relabeled = order_by_deadline(ch, s1, s2)
     if winner >= 0:
         row = _ROWS[winner]
         gamma1, gamma2 = _row_sinrs(row, s1, s2)

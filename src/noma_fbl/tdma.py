@@ -13,11 +13,12 @@ single integer decision variable, which is minimized exhaustively:
     E(m1) = m1 * required_sinr(s1, m1) / g1
           + (D2 - m1) * required_sinr(s2, D2 - m1) / g2
 
-solve_tdma minimizes it for one channel pair.  For many draws sharing
-(s1, s2), the column form splits the choice in two: _free_splits finds each
-draw's minimum with the budget ignored, once per split window, and
-_best_splits keeps it under each budget that allows it, re-solving only
-the draws whose free minimum the budget rules out.
+over the splits the budget allows; an energy that overflows a float is
+over any budget too.  One picker, _pick, makes this choice everywhere.
+For many draws sharing (s1, s2), the column form splits it in two:
+_free_splits finds each draw's minimum with the budget ignored, once per
+split window (_window), and _best_splits keeps it under each budget that
+allows it, re-solving only the draws whose free minimum it rules out.
 """
 
 import numpy as np
@@ -44,13 +45,17 @@ _CHUNK_ELEMENTS = 1 << 18
 _Splits = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
+def _window(s1: UserSpec, s2: UserSpec) -> tuple[int, int]:
+    """The lowest and highest m1 solve_tdma weighs (empty when lo > hi)."""
+    return s1.min_blocklength, min(s1.deadline, s2.deadline - s2.min_blocklength)
+
+
 def _splits(s1: UserSpec, s2: UserSpec) -> _Splits | InfeasibleReason:
     """Every time split solve_tdma weighs, or the verdict that rules out all
     of them whatever the channel."""
     _require_deadline_order(s1, s2)
     d2 = s2.deadline
-    m1_lo = s1.min_blocklength
-    m1_hi = min(s1.deadline, d2 - s2.min_blocklength)
+    m1_lo, m1_hi = _window(s1, s2)
     if m1_lo > m1_hi:
         return InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY
     try:
@@ -63,29 +68,43 @@ def _splits(s1: UserSpec, s2: UserSpec) -> _Splits | InfeasibleReason:
     return m1, d2 - m1, gamma1, gamma2[::-1]
 
 
+def _pick(energy: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
+    """Along the last axis, the index of the first lowest energy where ok
+    (everywhere when ok is None), or -1 where none of those energies is
+    finite: an energy that overflows a float is over any budget.
+    """
+    if ok is not None:
+        energy = np.where(ok, energy, np.inf)
+    return np.where(energy.min(axis=-1) < np.inf, energy.argmin(axis=-1), -1)
+
+
 def _outcome(
     splits: _Splits | InfeasibleReason, best: int, ch: ChannelPair
 ) -> SolveOutcome:
-    """The outcome of choosing split index best (-1: none within budget)."""
+    """The outcome of choosing split index best (-1: none within budget), or
+    over budget when its energy overflows: _pick compares energies rounded in
+    another order, so that can still happen within an ulp of the float range."""
     if isinstance(splits, InfeasibleReason):
         return SolveOutcome(verdict=splits)
-    if best < 0:
-        return SolveOutcome(verdict=InfeasibleReason.POWER_BUDGET_EXCEEDED)
-    m1, m2, gamma1, gamma2 = splits
-    p1 = gamma1[best] / ch.g1
-    p2 = gamma2[best] / ch.g2
-    return SolveOutcome(
-        allocation=Allocation(
-            m1=float(m1[best]),
-            m2=float(m2[best]),
-            p1=float(p1),
-            p2=float(p2),
-            gamma1=float(gamma1[best]),
-            gamma2=float(gamma2[best]),
-            energy=float(m1[best] * p1 + m2[best] * p2),
-            scheme=Scheme.TDMA,
-        )
-    )
+    if best >= 0:
+        m1, m2, gamma1, gamma2 = (float(column[best]) for column in splits)
+        p1 = gamma1 / ch.g1
+        p2 = gamma2 / ch.g2
+        energy = m1 * p1 + m2 * p2
+        if energy < np.inf:
+            return SolveOutcome(
+                allocation=Allocation(
+                    m1=m1,
+                    m2=m2,
+                    p1=p1,
+                    p2=p2,
+                    gamma1=gamma1,
+                    gamma2=gamma2,
+                    energy=energy,
+                    scheme=Scheme.TDMA,
+                )
+            )
+    return SolveOutcome(verdict=InfeasibleReason.POWER_BUDGET_EXCEEDED)
 
 
 def solve_tdma(
@@ -95,8 +114,9 @@ def solve_tdma(
 
     Enumerates every integer m1 in [min_blocklength_1, min(D1, D2 -
     min_blocklength_2)], keeping the lowest-energy split whose per-slot
-    powers respect the budget (ties go to the smallest m1).  Requires
-    s1.deadline <= s2.deadline; callers order users first.
+    powers respect the budget (ties go to the smallest m1) and whose energy
+    does not overflow.  Requires s1.deadline <= s2.deadline; callers order
+    users first.
     """
     splits = _splits(s1, s2)
     best = -1
@@ -104,10 +124,9 @@ def solve_tdma(
         m1, m2, gamma1, gamma2 = splits
         # One user per slot: the budget caps each power separately.
         ok = (gamma1 <= budget.p_max * ch.g1) & (gamma2 <= budget.p_max * ch.g2)
-        if ok.any():
+        with np.errstate(over="ignore"):
             energy = m1 * gamma1 / ch.g1 + m2 * gamma2 / ch.g2
-            idx = np.flatnonzero(ok)
-            best = idx[np.argmin(energy[idx])]
+        best = int(_pick(energy, ok))
     return _outcome(splits, best, ch)
 
 
@@ -115,29 +134,30 @@ def _free_splits(
     splits: _Splits | InfeasibleReason, g1: np.ndarray, g2: np.ndarray
 ) -> np.ndarray:
     """Per trial, the index of the first lowest-energy split with the budget
-    ignored (zeros when there is no split).
+    ignored, or -1 when there is no split or every energy overflows.
 
     The energies are solve_tdma's, on a (trials x splits) matrix in chunks
     of trials that bound its size.  The budget only rules splits out, so
     one call serves every budget of a split window (see _best_splits).
     """
-    free = np.zeros(len(g1), np.int32)
+    free = np.full(len(g1), -1, np.int32)
     if isinstance(splits, InfeasibleReason):
         return free
     m1, m2, gamma1, gamma2 = splits
     e1, e2 = m1 * gamma1, m2 * gamma2
     step = max(1, _CHUNK_ELEMENTS // len(m1))
-    for lo in range(0, len(g1), step):
-        a, b = g1[lo : lo + step, None], g2[lo : lo + step, None]
-        free[lo : lo + step] = (e1 / a + e2 / b).argmin(axis=1)
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(g1), step):
+            a, b = g1[lo : lo + step, None], g2[lo : lo + step, None]
+            free[lo : lo + step] = _pick(e1 / a + e2 / b)
     return free
 
 
 def _masked_splits(
     splits: _Splits, g1: np.ndarray, g2: np.ndarray, p_max: float
 ) -> np.ndarray:
-    """solve_tdma's split index per trial (-1: none within budget), from the
-    energy matrix with the splits the budget rules out masked to inf."""
+    """solve_tdma's split index per trial (-1: none within budget), picked
+    from the energy matrix in chunks of trials."""
     m1, m2, gamma1, gamma2 = splits
     e1, e2 = m1 * gamma1, m2 * gamma2
     best = np.empty(len(g1), np.int32)
@@ -145,11 +165,7 @@ def _masked_splits(
     for lo in range(0, len(g1), step):
         a, b = g1[lo : lo + step, None], g2[lo : lo + step, None]
         ok = (gamma1 <= p_max * a) & (gamma2 <= p_max * b)
-        pick = np.where(ok, e1 / a + e2 / b, np.inf).argmin(axis=1)
-        # The argmin lands outside ok only when every allowed energy is inf
-        # too; solve_tdma then keeps the first allowed split.
-        first = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
-        best[lo : lo + step] = np.where(ok[np.arange(len(pick)), pick], pick, first)
+        best[lo : lo + step] = _pick(e1 / a + e2 / b, ok)
     return best
 
 
@@ -164,19 +180,21 @@ def _best_splits(
     (-1: none) and its energy (NaN for none).
 
     free is _free_splits(splits, g1, g2).  A trial keeps its free split
-    when the budget allows it: the first global minimum, when allowed, is
-    also the first allowed minimum, and a row whose energies are all inf
-    has free = 0, the first allowed split if split 0 is allowed.  Only the
-    other trials go through the masked matrix of _masked_splits.
+    when it has one (a finite energy) and the budget allows it: the first
+    global minimum is then also the first allowed one.  Only the other
+    trials go through _masked_splits.
     """
     n = len(g1)
     if isinstance(splits, InfeasibleReason):
         return np.full(n, -1, np.int32), np.full(n, np.nan)
     m1, m2, gamma1, gamma2 = splits
-    allowed = (gamma1[free] <= p_max * g1) & (gamma2[free] <= p_max * g2)
-    rows = np.flatnonzero(~allowed)
-    best = free.copy()
-    best[rows] = _masked_splits(splits, g1[rows], g2[rows], p_max)
-    chosen = np.maximum(best, 0)
-    energy = m1[chosen] * (gamma1[chosen] / g1) + m2[chosen] * (gamma2[chosen] / g2)
+    # Tiny gains overflow the energies, huge ones p_max * g.
+    with np.errstate(over="ignore"):
+        allowed = (gamma1[free] <= p_max * g1) & (gamma2[free] <= p_max * g2)
+        rows = np.flatnonzero((free < 0) | ~allowed)
+        best = free.copy()
+        best[rows] = _masked_splits(splits, g1[rows], g2[rows], p_max)
+        chosen = np.maximum(best, 0)
+        energy = m1[chosen] * (gamma1[chosen] / g1) + m2[chosen] * (gamma2[chosen] / g2)
+    best[energy == np.inf] = -1  # as in _outcome
     return best, np.where(best >= 0, energy, np.nan)

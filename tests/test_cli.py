@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from dataclasses import asdict
 
 import pytest
@@ -109,6 +110,23 @@ class TestSolve:
         assert code == 2
         noma = json.loads(out)["results"]["noma"]
         assert noma["sub_verdicts"]["tin"] == "power-budget-exceeded"
+
+    @pytest.mark.parametrize("g1,g2", [("1e-306", "2e-306"), ("3e-307", "2e-307")])
+    def test_overflowing_energy_is_over_budget(self, capsys, g1, g2):
+        # Every allocation within the budget has an energy past the float
+        # range, so neither scheme is feasible.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "solve", "--g1", g1, "--g2", g2, "--pmax-dbm", "3100",
+                "--d1", "200", "--d2", "500",
+            )
+        assert (code, err, caught) == (2, "", [])
+        results = json.loads(out)["results"]
+        assert {name: r["verdict"] for name, r in results.items()} == {
+            "noma": "power-budget-exceeded",
+            "tdma": "power-budget-exceeded",
+        }
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, *BASE, "--format", "text")

@@ -221,8 +221,9 @@ class TestRequiredSinrTable:
     @example(2970, 1e-9, 6, 40, set())  # m = 6 needs the first doubling past it
     # numpy alone would decide one step at m = 142 wrongly: a few ulp off
     @example(2845, 2.7765660567406283e-09, 120, 40, set())
-    @example(160, 1e-7, 100, 31, set())  # one miss short of the crossover
-    @example(160, 1e-7, 100, 32, set())
+    # one miss short of the crossover, and at it
+    @example(160, 1e-7, 100, fbl._VECTOR_MIN_MISSES - 1, set())
+    @example(160, 1e-7, 100, fbl._VECTOR_MIN_MISSES, set())
     @example(160, 1e-7, 100, 60, set(range(0, 60, 2)))  # 30 misses
     @example(160, 1e-7, 100, 120, set(range(0, 120, 3)))  # 80 misses
     def test_equals_uncached_scalar_roots(
@@ -250,7 +251,10 @@ class TestRequiredSinrTable:
         assert required_sinr.cache_info().hits == hits + size
         assert np.array_equal(np.array(again).view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("size,vectorised", [(31, False), (32, True)])
+    @pytest.mark.parametrize(
+        "size,vectorised",
+        [(fbl._VECTOR_MIN_MISSES - 1, False), (fbl._VECTOR_MIN_MISSES, True)],
+    )
     def test_crossover_on_missing_roots(self, monkeypatch, size, vectorised):
         _cold_memos()
         calls = []

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noma_fbl import (
     ChannelPair,
@@ -340,19 +342,16 @@ class TestBatchMatchesScalar:
         )
         self.check(run_trials(cfg))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_tdma_energies_keep_first_allowed_split(self):
+    def test_overflowing_tdma_energies_are_over_budget(self):
         # At 1e307 W on these gains the budget rules out the shortest splits
-        # and every split it allows overflows to an infinite energy;
-        # solve_tdma then keeps the first allowed split.
+        # and every split it allows overflows to an infinite energy, which
+        # is over budget too.
         cfg = ExperimentConfig(
             n_trials=1, d1_grid=(200,), d2=500, p_max_dbm_grid=(3100.0,)
         )
         outcomes = self.check(run_trials(cfg, channels=(ChannelPair(2e-307, 2e-307),)))
-        tdma = outcomes[0][1].allocation
-        assert tdma.m1 > cfg.min_blocklength and tdma.energy == math.inf
+        assert outcomes[0][1].verdict == InfeasibleReason.POWER_BUDGET_EXCEEDED
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_tin_denominator_underflow_matches_scalar(self):
         # g1*g2 underflows to 0 in tin's power inversion: the column form
         # divides to infinite powers, and the scalar solver must agree.
@@ -406,3 +405,45 @@ class TestBatchMatchesScalar:
             assert batch.records[(150, pmax)].splits is not shared
             for d1 in (240, 270, 300):
                 assert batch.records[(d1, pmax)].splits is shared
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        g1=st.floats(-307.0, 6.0).map(lambda x: 10.0**x),
+        g2=st.floats(-307.0, 6.0).map(lambda x: 10.0**x),
+        pmax_dbm=st.floats(-50.0, 3100.0),
+        bits=st.tuples(st.integers(1, 3000), st.integers(1, 3000)),
+        eps=st.tuples(*[st.floats(-12.0, math.log10(0.4)).map(lambda x: 10.0**x)] * 2),
+        d1=st.integers(100, 600),
+        extra=st.integers(0, 400),
+    )
+    @example(1e-306, 2e-306, 3100.0, (160, 160), (1e-7, 1e-7), 200, 300)
+    @example(3e-307, 2e-307, 3100.0, (160, 160), (1e-7, 1e-7), 200, 300)
+    # TDMA's split energy rounds to the largest float when compared and
+    # overflows as reported.
+    @example(
+        3.3957641274877783e-305, 2.4106225536608306e-306, 3110.0, (160, 160), (1e-7, 1e-7), 100, 100
+    )
+    def test_feasible_energy_is_finite_and_exact(
+        self, g1, g2, pmax_dbm, bits, eps, d1, extra
+    ):
+        # Gains and budgets out to the ends of the float range, where the
+        # powers and energies overflow.
+        s1 = UserSpec(bits[0], eps[0], d1)
+        s2 = UserSpec(bits[1], eps[1], d1 + extra)
+        budget = PowerBudget(dbm_to_watts(pmax_dbm))
+        for solve in (solve_noma, solve_tdma):
+            a = solve(ChannelPair(g1, g2), s1, s2, budget).allocation
+            if a is not None:
+                assert math.isfinite(a.energy)
+                assert a.energy == a.m1 * a.p1 + a.m2 * a.p2
+        # The column kernel on the same draw and its mirror image, with
+        # user 1's payload and target for both users.
+        cfg = ExperimentConfig(
+            n_trials=2,
+            d1_grid=(d1,),
+            d2=d1 + extra,
+            p_max_dbm_grid=(pmax_dbm,),
+            payload_bits=bits[0],
+            error_target=eps[0],
+        )
+        self.check(run_trials(cfg, channels=(ChannelPair(g1, g2), ChannelPair(g2, g1))))
