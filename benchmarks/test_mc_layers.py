@@ -15,7 +15,7 @@ import pytest
 from noma_fbl import ExperimentConfig, cli, dbm_to_watts, run_trials
 from noma_fbl.montecarlo import ENERGY_COLUMNS, _aggregate
 from noma_fbl.noma import _noma_columns
-from noma_fbl.tdma import _best_splits, _free_splits, _splits
+from noma_fbl.tdma import _best_splits, _pick_trials, _splits
 
 CFG = ExperimentConfig()
 #: A d1 whose split window is the widest of the grid, m1 in [100, 200].
@@ -35,7 +35,7 @@ def gains(batch):
 def _tdma_column(g1, g2):
     """TDMA for one d1 at every budget of the grid, as run_trials does."""
     splits = _splits(CFG.user1_spec(D1), CFG.user2_spec())
-    free = _free_splits(splits, g1, g2)
+    free = _pick_trials(splits, g1, g2)
     return [
         _best_splits(splits, g1, g2, dbm_to_watts(p), free)
         for p in CFG.p_max_dbm_grid

@@ -1,0 +1,56 @@
+"""Micro-benchmarks of the scalar solvers, one cached call at a time.
+
+Run with ``PYTHONPATH=src python -m pytest benchmarks``; these files sit
+outside the test paths, so the tier-1 suite does not run them.
+
+The instances follow the paper's protocol, as `noma-fbl montecarlo` draws
+it: 160-bit packets at block-error target 1e-7 for both users, d2 = 300,
+d1 from the default grid, budgets of 20, 25 and 30 dBm and Rayleigh gains
+(scale 100, seed 1).  Every instance is solved once before timing, so the
+SINR memo and tables are warm and each timed call is the solver's own cost.
+A round is a run of consecutive instances, and the reported time is per
+call.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from noma_fbl import (
+    ChannelPair,
+    ExperimentConfig,
+    PowerBudget,
+    dbm_to_watts,
+    solve_noma,
+    solve_tdma,
+)
+from noma_fbl.montecarlo import draw_channel_batch
+
+CFG = ExperimentConfig()
+N_INSTANCES = 600
+CALLS_PER_ROUND = 20
+
+
+def _instances():
+    rng = np.random.Generator(np.random.Philox(CFG.seed))
+    gains = draw_channel_batch(rng, CFG.rayleigh_scale, N_INSTANCES)
+    cells = itertools.cycle(itertools.product(CFG.d1_grid, CFG.p_max_dbm_grid))
+    s2 = CFG.user2_spec()
+    return [
+        (ChannelPair(g1, g2), CFG.user1_spec(d1), s2, PowerBudget(dbm_to_watts(p)))
+        for (g1, g2), (d1, p) in zip(gains.tolist(), cells)
+    ]
+
+
+INSTANCES = _instances()
+
+
+@pytest.mark.parametrize("solve", [solve_noma, solve_tdma], ids=["noma", "tdma"])
+def test_cached_solve_per_call(benchmark, solve):
+    outcomes = [solve(*instance) for instance in INSTANCES]
+    assert any(out.feasible for out in outcomes)
+    instances = itertools.cycle(INSTANCES)
+    benchmark.pedantic(
+        lambda: solve(*next(instances)), rounds=300, iterations=CALLS_PER_ROUND
+    )

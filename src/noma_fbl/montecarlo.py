@@ -24,10 +24,11 @@ average.
 
 Each cell is solved as array expressions over all the draws (the column
 forms in noma and tdma), with the scalar solvers' checks and arithmetic;
-noma's also relabels the users on a deadline tie, as solve_noma does.  TDMA's
-budget-free minimum is found once per split window (tdma._window), which
-cells whose d1 values give the same window share, and each budget
-re-solves only the draws whose free minimum it rules out.
+noma's also relabels the users on a deadline tie, as solve_noma does.  TDMA
+picks its splits through solve_tdma's own picker (tdma._pick): the
+budget-free minimum once per split window (tdma._window), which cells whose
+d1 values give the same window share, and then, per budget, again for only
+the draws whose free minimum that budget rules out.
 A cell keeps compact per-trial columns (energies, winner and verdict
 codes, the chosen TDMA split), from which TrialBatch.records rebuilds any
 trial's outcomes on access, equal to solve_noma's and solve_tdma's; so
@@ -44,7 +45,7 @@ import numpy as np
 
 from .fbl import UserSpec
 from .noma import _noma_columns, _noma_outcome
-from .tdma import _best_splits, _free_splits, _outcome, _splits, _window
+from .tdma import _best_splits, _outcome, _pick_trials, _splits, _window
 from .types import ChannelPair, PowerBudget, SolveOutcome
 
 __all__ = [
@@ -158,8 +159,8 @@ class CellRecords(Sequence):
     cell's specs and budget.  Nothing rebuilt is kept.  The columns come from
     noma._noma_columns (noma_winner: index of the winning formulation, -1
     for none; noma_codes: each formulation's verdict code; noma_energy)
-    and tdma._best_splits (tdma_best: index into splits, -1 for none;
-    tdma_energy); energies are NaN where infeasible.
+    and tdma._best_splits (tdma_best: index into splits, -1 for none, as
+    tdma._pick chooses it; tdma_energy); energies are NaN where infeasible.
     """
 
     def __init__(
@@ -338,7 +339,7 @@ def run_trials(
         window = _window(s1, s2)
         if window not in windows:
             splits = _splits(s1, s2)
-            windows[window] = splits, _free_splits(splits, g1, g2)
+            windows[window] = splits, _pick_trials(splits, g1, g2)
     records: dict[tuple[int, float], CellRecords] = {}
     for p_max_dbm in cfg.p_max_dbm_grid:
         p_max = dbm_to_watts(p_max_dbm)

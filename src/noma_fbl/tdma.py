@@ -14,11 +14,12 @@ single integer decision variable, which is minimized exhaustively:
           + (D2 - m1) * required_sinr(s2, D2 - m1) / g2
 
 over the splits the budget allows; an energy that overflows a float is
-over any budget too.  One picker, _pick, makes this choice everywhere.
-For many draws sharing (s1, s2), the column form splits it in two:
-_free_splits finds each draw's minimum with the budget ignored, once per
-split window (_window), and _best_splits keeps it under each budget that
-allows it, re-solving only the draws whose free minimum it rules out.
+over any budget too.  One picker, _pick, computes these energies and makes
+this choice everywhere, for one draw or for arrays of draws.  For many draws
+sharing (s1, s2), _pick_trials runs it over chunks of draws, and the column
+form uses it twice: once per split window (_window) with the budget ignored,
+and then, in _best_splits, only for the draws whose budget-free minimum a
+budget rules out; every other draw keeps that minimum.
 """
 
 import numpy as np
@@ -36,8 +37,7 @@ from .types import (
 
 __all__ = ["solve_tdma"]
 
-#: Energy-matrix elements per chunk of trials in _free_splits and
-#: _masked_splits (8 bytes each).
+#: Energy-matrix elements per chunk of trials in _pick_trials (8 bytes each).
 _CHUNK_ELEMENTS = 1 << 18
 
 #: The candidate splits of one (s1, s2): m1, m2 = D2 - m1 and their required
@@ -68,13 +68,21 @@ def _splits(s1: UserSpec, s2: UserSpec) -> _Splits | InfeasibleReason:
     return m1, d2 - m1, gamma1, gamma2[::-1]
 
 
-def _pick(energy: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
-    """Along the last axis, the index of the first lowest energy where ok
-    (everywhere when ok is None), or -1 where none of those energies is
-    finite: an energy that overflows a float is over any budget.
+def _pick(splits: _Splits, g1, g2, p_max: float | None = None) -> np.ndarray:
+    """Along the last axis, the index of the first lowest-energy split whose
+    per-slot powers p_max allows (every split when p_max is None), or -1
+    where none of those energies is finite: an energy that overflows a float
+    is over any budget.  g1 and g2 are one draw's gains, or (draws x 1)
+    columns of them.
     """
-    if ok is not None:
-        energy = np.where(ok, energy, np.inf)
+    m1, m2, gamma1, gamma2 = splits
+    # Tiny gains overflow the energies, huge ones p_max * g.
+    with np.errstate(over="ignore"):
+        energy = m1 * gamma1 / g1 + m2 * gamma2 / g2
+        if p_max is not None:
+            # One user per slot: the budget caps each power separately.
+            ok = (gamma1 <= p_max * g1) & (gamma2 <= p_max * g2)
+            energy = np.where(ok, energy, np.inf)
     return np.where(energy.min(axis=-1) < np.inf, energy.argmin(axis=-1), -1)
 
 
@@ -121,51 +129,29 @@ def solve_tdma(
     splits = _splits(s1, s2)
     best = -1
     if not isinstance(splits, InfeasibleReason):
-        m1, m2, gamma1, gamma2 = splits
-        # One user per slot: the budget caps each power separately.
-        ok = (gamma1 <= budget.p_max * ch.g1) & (gamma2 <= budget.p_max * ch.g2)
-        with np.errstate(over="ignore"):
-            energy = m1 * gamma1 / ch.g1 + m2 * gamma2 / ch.g2
-        best = int(_pick(energy, ok))
+        best = int(_pick(splits, ch.g1, ch.g2, budget.p_max))
     return _outcome(splits, best, ch)
 
 
-def _free_splits(
-    splits: _Splits | InfeasibleReason, g1: np.ndarray, g2: np.ndarray
+def _pick_trials(
+    splits: _Splits | InfeasibleReason,
+    g1: np.ndarray,
+    g2: np.ndarray,
+    p_max: float | None = None,
 ) -> np.ndarray:
-    """Per trial, the index of the first lowest-energy split with the budget
-    ignored, or -1 when there is no split or every energy overflows.
+    """_pick per trial for arrays of gains (-1: no split), on (trials x
+    splits) energy matrices in chunks of trials that bound their size.
 
-    The energies are solve_tdma's, on a (trials x splits) matrix in chunks
-    of trials that bound its size.  The budget only rules splits out, so
-    one call serves every budget of a split window (see _best_splits).
+    The budget only rules splits out, so one budget-free call (p_max None)
+    serves every budget of a split window (see _best_splits).
     """
-    free = np.full(len(g1), -1, np.int32)
+    best = np.full(len(g1), -1, np.int32)
     if isinstance(splits, InfeasibleReason):
-        return free
-    m1, m2, gamma1, gamma2 = splits
-    e1, e2 = m1 * gamma1, m2 * gamma2
-    step = max(1, _CHUNK_ELEMENTS // len(m1))
-    with np.errstate(over="ignore"):
-        for lo in range(0, len(g1), step):
-            a, b = g1[lo : lo + step, None], g2[lo : lo + step, None]
-            free[lo : lo + step] = _pick(e1 / a + e2 / b)
-    return free
-
-
-def _masked_splits(
-    splits: _Splits, g1: np.ndarray, g2: np.ndarray, p_max: float
-) -> np.ndarray:
-    """solve_tdma's split index per trial (-1: none within budget), picked
-    from the energy matrix in chunks of trials."""
-    m1, m2, gamma1, gamma2 = splits
-    e1, e2 = m1 * gamma1, m2 * gamma2
-    best = np.empty(len(g1), np.int32)
-    step = max(1, _CHUNK_ELEMENTS // len(m1))
+        return best
+    step = max(1, _CHUNK_ELEMENTS // len(splits[0]))
     for lo in range(0, len(g1), step):
-        a, b = g1[lo : lo + step, None], g2[lo : lo + step, None]
-        ok = (gamma1 <= p_max * a) & (gamma2 <= p_max * b)
-        best[lo : lo + step] = _pick(e1 / a + e2 / b, ok)
+        rows = slice(lo, lo + step)
+        best[rows] = _pick(splits, g1[rows, None], g2[rows, None], p_max)
     return best
 
 
@@ -179,10 +165,10 @@ def _best_splits(
     """solve_tdma's choice for arrays of gains: per trial, the split index
     (-1: none) and its energy (NaN for none).
 
-    free is _free_splits(splits, g1, g2).  A trial keeps its free split
-    when it has one (a finite energy) and the budget allows it: the first
-    global minimum is then also the first allowed one.  Only the other
-    trials go through _masked_splits.
+    free is _pick_trials(splits, g1, g2), the budget-free choice.  A trial
+    keeps its free split when it has one (a finite energy) and the budget
+    allows it: the first global minimum is then also the first allowed one.
+    Only the other trials are picked again, under the budget.
     """
     n = len(g1)
     if isinstance(splits, InfeasibleReason):
@@ -193,7 +179,7 @@ def _best_splits(
         allowed = (gamma1[free] <= p_max * g1) & (gamma2[free] <= p_max * g2)
         rows = np.flatnonzero((free < 0) | ~allowed)
         best = free.copy()
-        best[rows] = _masked_splits(splits, g1[rows], g2[rows], p_max)
+        best[rows] = _pick_trials(splits, g1[rows], g2[rows], p_max)
         chosen = np.maximum(best, 0)
         energy = m1[chosen] * (gamma1[chosen] / g1) + m2[chosen] * (gamma2[chosen] / g2)
     best[energy == np.inf] = -1  # as in _outcome

@@ -100,7 +100,6 @@ class TestSolve:
         assert code in (0, 2)
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_tiny_gains_end_in_exit_code_not_traceback(self, capsys):
         # g1*g2 underflows to 0 in the denominator of tin's power inversion
         code, out, _ = run_cli(

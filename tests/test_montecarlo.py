@@ -379,7 +379,7 @@ class TestBatchMatchesScalar:
         shares, moved = [], 0
         for (d1, pmax), records in batch.records.items():
             _, _, gamma1, gamma2 = records.splits
-            free = tdma._free_splits(records.splits, g1, g2)
+            free = tdma._pick_trials(records.splits, g1, g2)
             p_max = dbm_to_watts(pmax)
             ruled_out = (gamma1[free] > p_max * g1) | (gamma2[free] > p_max * g2)
             shares.append(np.mean(ruled_out))

@@ -1,8 +1,13 @@
 """TDMA baseline: exhaustive split search vs continuous oracle, saturation."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noma_fbl import (
+    BracketError,
     ChannelPair,
     InfeasibleReason,
     PowerBudget,
@@ -21,17 +26,25 @@ def spec(deadline: int, **overrides) -> UserSpec:
 
 
 def brute_force_best(ch, s1, s2, budget):
-    """Plain-python re-enumeration of every split (the solver vectorizes)."""
+    """Plain-python re-enumeration of every split (the solver vectorizes):
+    the first lowest-energy (m1, energy), or the verdict when there is none.
+    An energy that overflows a float counts as no split."""
+    window = range(s1.min_blocklength, min(s1.deadline, s2.deadline - s2.min_blocklength) + 1)
+    if not window:
+        return InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY
     best = None
-    for m1 in range(s1.min_blocklength, min(s1.deadline, s2.deadline - s2.min_blocklength) + 1):
-        m2 = s2.deadline - m1
-        gamma1, gamma2 = required_sinr(s1, m1), required_sinr(s2, m2)
-        if gamma1 > budget.p_max * ch.g1 or gamma2 > budget.p_max * ch.g2:
-            continue
-        energy = m1 * gamma1 / ch.g1 + m2 * gamma2 / ch.g2
-        if best is None or energy < best[1]:
-            best = (m1, energy)
-    return best
+    try:
+        for m1 in window:
+            m2 = s2.deadline - m1
+            gamma1, gamma2 = required_sinr(s1, m1), required_sinr(s2, m2)
+            if gamma1 > budget.p_max * ch.g1 or gamma2 > budget.p_max * ch.g2:
+                continue
+            energy = m1 * gamma1 / ch.g1 + m2 * gamma2 / ch.g2
+            if energy < math.inf and (best is None or energy < best[1]):
+                best = (m1, energy)
+    except BracketError:
+        return InfeasibleReason.RATE_UNREACHABLE
+    return best or InfeasibleReason.POWER_BUDGET_EXCEEDED
 
 
 class TestSolveTdma:
@@ -41,14 +54,47 @@ class TestSolveTdma:
         assert out.allocation.m1 == 150.0  # D2/2 for identical users/channels
         assert out.allocation.m2 == 150.0
 
-    def test_matches_plain_enumeration(self):
-        ch = ChannelPair(1.0, 4.0)
-        s1, s2 = spec(200), spec(300)
-        budget = PowerBudget(2.5)
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        g1=st.floats(-307.0, 6.0).map(lambda x: 10.0**x),
+        g2=st.floats(-307.0, 6.0).map(lambda x: 10.0**x),
+        # -50 to 3100 dBm
+        p_max=st.floats(-8.0, 307.0).map(lambda x: 10.0**x),
+        bits=st.tuples(st.integers(1, 3000), st.integers(1, 3000)),
+        eps=st.tuples(*[st.floats(-12.0, math.log10(0.4)).map(lambda x: 10.0**x)] * 2),
+        d1=st.integers(100, 500),
+        extra=st.integers(0, 300),
+        split=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+    )
+    @example(1.0, 4.0, 2.5, (160, 160), (1e-7, 1e-7), 200, 100, None)
+    @example(1.0, 4.0, 2.5, (100_000, 160), (1e-7, 1e-7), 200, 100, None)
+    @example(1.0, 4.0, 2.5, (160, 160), (1e-7, 1e-7), 100, 200, (0.0, 0.0))
+    def test_matches_plain_enumeration(
+        self, g1, g2, p_max, bits, eps, d1, extra, split
+    ):
+        # Windows from none (d2 < 200) through one split to a few hundred.
+        s1 = UserSpec(bits[0], eps[0], d1)
+        s2 = UserSpec(bits[1], eps[1], d1 + extra)
+        hi = min(s1.deadline, s2.deadline - s2.min_blocklength)
+        if split is not None and hi >= s1.min_blocklength:
+            # A split of the window, user 2's power there within a decade of
+            # user 1's, and the larger of the two as the budget: it binds
+            # wherever the budget-free optimum needs more.
+            at, decades = split
+            m1 = s1.min_blocklength + round(at * (hi - s1.min_blocklength))
+            p1 = required_sinr(s1, m1) / g1
+            gamma2 = required_sinr(s2, s2.deadline - m1)
+            g2 = min(max(gamma2 / (p1 * 10.0**decades), 1e-307), 1e6)
+            p_max = min(max(p1, gamma2 / g2, 1e-8), 1e307)
+        ch = ChannelPair(g1, g2)
+        budget = PowerBudget(p_max)
         out = solve_tdma(ch, s1, s2, budget)
-        m1, energy = brute_force_best(ch, s1, s2, budget)
-        assert out.allocation.m1 == m1
-        assert out.allocation.energy == pytest.approx(energy, rel=1e-12)
+        best = brute_force_best(ch, s1, s2, budget)
+        if isinstance(best, InfeasibleReason):
+            assert out.verdict == best
+        else:
+            assert out.feasible and out.allocation.m1 == best[0]
+            assert out.allocation.energy == pytest.approx(best[1], rel=1e-12)
 
     def test_matches_golden_section_oracle(self):
         ch = ChannelPair(1.0, 4.0)
