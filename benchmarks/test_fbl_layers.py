@@ -7,11 +7,16 @@ The import benchmark starts a fresh interpreter per round, so it also
 counts interpreter start-up; compare it with ``python -c pass`` to
 isolate the import.  The root-finding benchmarks start from cold memos.
 
-A table of up to fbl._VECTOR_MIN_MISSES - 1 entries is filled one scalar
-root at a time, a larger one by one numpy bisection.  To re-check that
-crossover on another machine, compare the cold table times with the cold
-scalar miss times the number of entries: the crossover sits where the
-two are equal.
+Every cold root jumps into its bisection from a certified window around a
+Newton estimate.  A table of up to fbl._VECTOR_MIN_MISSES - 1 entries is
+filled one scalar root at a time; a larger one finds every window and jump
+with numpy, and finishes in the scalar bisection only the entries whose
+window still holds a midpoint.  To re-check that crossover on another
+machine, compare the cold table times with the cold scalar miss times the
+number of entries: the crossover sits where the two are equal.  The
+3000-bit rows are the huge-SINR end (about 2**30 at m = 100), where float
+spacing rather than the tolerance ends the bisection and the windows are
+widest: solve-cold's slowest instances.
 """
 
 import os
@@ -27,6 +32,8 @@ from noma_fbl.fbl import required_sinr_table
 
 # A solve-cold-like user: 600 bits at eps 1e-5, windows from m = 100 up.
 SPEC = UserSpec(600, 1e-5, deadline=1000)
+# solve-cold's largest payload at its strictest error target.
+HUGE = UserSpec(3000, 1e-9, deadline=1000)
 
 
 def _fresh_import():
@@ -52,11 +59,10 @@ def _cold():
     fbl._required_sinr_table.cache_clear()
 
 
-@pytest.mark.parametrize("entries", [10, 32, 100, 500])
-def test_cold_required_sinr_table(benchmark, entries):
+def _cold_table(benchmark, spec, entries):
     table = benchmark.pedantic(
         required_sinr_table,
-        args=(SPEC, 100, 99 + entries),
+        args=(spec, 100, 99 + entries),
         setup=_cold,
         rounds=20,
         iterations=1,
@@ -64,8 +70,25 @@ def test_cold_required_sinr_table(benchmark, entries):
     assert len(table) == entries
 
 
-def test_cold_required_sinr_miss(benchmark):
+def _cold_miss(benchmark, spec):
     gamma = benchmark.pedantic(
-        required_sinr, args=(SPEC, 100), setup=_cold, rounds=200, iterations=1
+        required_sinr, args=(spec, 100), setup=_cold, rounds=200, iterations=1
     )
     assert gamma > 0.0
+
+
+@pytest.mark.parametrize("entries", [10, 32, 100, 500])
+def test_cold_required_sinr_table(benchmark, entries):
+    _cold_table(benchmark, SPEC, entries)
+
+
+def test_cold_required_sinr_miss(benchmark):
+    _cold_miss(benchmark, SPEC)
+
+
+def test_cold_huge_required_sinr_table(benchmark):
+    _cold_table(benchmark, HUGE, 500)
+
+
+def test_cold_huge_required_sinr_miss(benchmark):
+    _cold_miss(benchmark, HUGE)

@@ -11,9 +11,15 @@ relation: evaluating it, solving it for the blocklength given the SINR
 (closed form, a quadratic in sqrt(m)), and solving it for the SINR given the
 blocklength (bisection, since no closed form exists in that direction).
 
-Every SINR root comes from one bisection, _bisect, on [0, hi]: hi is the
-caller's in sinr_for_blocklength and doubled from 1 in required_sinr and
-its tables, whose larger fills run the same steps on numpy arrays.
+Every SINR root comes from one bisection, _bisect.  sinr_for_blocklength
+runs it on [0, hi] with the caller's hi; required_sinr and its tables run it
+on [0, top], top doubled from 1 until it encloses the root, but start it
+where it would stand just before its first comparison that is not certain.
+A Newton estimate of the root, a window around it that two closed-form
+evaluations certify, and the dyadic bracket the loop holds on entering the
+window take the place of the doubling and of some 30 bisection steps
+(_jump).  Larger table fills find those estimates, windows and brackets on
+numpy arrays.
 
 Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 (symbols) and may be real-valued, rates are bits per channel use.
@@ -24,12 +30,14 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 
 from .qfunc import q_inv
 
 LN2 = math.log(2.0)
+_SQRT2 = math.sqrt(2.0)
 
 #: Largest ratio q_inv(eps)/sqrt(N) for which the blocklength-energy product
 #: m * required_sinr(m) is guaranteed strictly decreasing in m.  Equals
@@ -38,6 +46,9 @@ ENERGY_MONOTONE_THRESHOLD = 2.0 * math.sqrt(LN2) / (4.0 - math.sqrt(2.0))
 
 #: Bisection tolerance on the SINR bracket width.
 _SINR_TOL = 1e-9
+#: Width of the last bracket of a bisection from a power of two >= 1 that
+#: the tolerance stops: the largest power of two at most _SINR_TOL.
+_SINR_STEP = 2.0 ** math.floor(math.log2(_SINR_TOL))
 
 
 class BracketError(Exception):
@@ -157,26 +168,29 @@ def sinr_for_blocklength(m_star: float, spec: UserSpec, gamma_hi: float) -> floa
             f"payload {spec.payload_bits} bits does not fit in {m_star} uses "
             f"even at SINR {gamma_hi}"
         )
-    return _bisect(spec.payload_bits, _q_ln2(spec.error_target), m_star, gamma_hi)
+    return _bisect(spec.payload_bits, _q_ln2(spec.error_target), m_star, 0.0, gamma_hi)
 
 
-def _bisect(payload_bits: int, q: float, m: float, hi: float) -> float:
-    """SINR on [0, hi] at which m uses fit the payload, q = q_inv(eps)/ln 2.
+def _bisect(payload_bits: int, q: float, m: float, lo: float, hi: float) -> float:
+    """SINR on [lo, hi] at which m uses fit the payload, q = q_inv(eps)/ln 2.
 
     A midpoint whose blocklength is below m over-delivers and becomes the
     new top.  Stops once the bracket is narrower than _SINR_TOL or its
     midpoint no longer splits it (the float spacing of large SINRs exceeds
-    the tolerance), and returns the midpoint.
+    the tolerance), and returns the midpoint.  Every root is this loop's
+    from lo = 0; a bracket from _jump is one that loop passes through.
     """
-    lo = 0.0
+    evals = 0
     while hi - lo > _SINR_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
+        evals += 1
         if _blocklength(mid, payload_bits, q) < m:
             hi = mid
         else:
             lo = mid
+    _root_counts[2] += evals
     return 0.5 * (lo + hi)
 
 
@@ -231,6 +245,23 @@ def _sinr_cache_info() -> _CacheInfo:
 # Hit and miss counts of the memo, as on an lru_cache-wrapped function.
 required_sinr.cache_info = _sinr_cache_info
 
+#: Work of the roots found since import: those found from a bracket of
+#: _jump, those whose window could not be certified (found by the whole
+#: bisection from [0, top]), and the closed-form evaluations of all of them,
+#: sinr_for_blocklength's included.  A root past the doubling's limit is
+#: neither: it raises BracketError.
+_root_counts = [0, 0, 0]
+
+_RootInfo = namedtuple("RootInfo", "jumps fallbacks evals")
+
+
+def _root_info() -> _RootInfo:
+    return _RootInfo(*_root_counts)
+
+
+# Root-finding counts, read as cache_info is.
+required_sinr.root_info = _root_info
+
 
 def _trim_sinr_memo() -> None:
     """Past its size, drop the oldest quarter of the memo in one pass
@@ -243,88 +274,234 @@ def _trim_sinr_memo() -> None:
 
 #: The doubling bracket of a root gives up past this SINR.
 _BRACKET_LIMIT = 1e150
+#: The last power of two the doubling tries.
+_BRACKET_TOP = 2.0 ** math.floor(math.log2(_BRACKET_LIMIT))
 
 
-def _doubling(payload_bits: int, q: float, m: float) -> list[float]:
-    """Blocklengths at SINR 1, 2, 4, ..., up to the first power of two whose
-    blocklength is at most m: the top of m's bracket, 2**(len - 1).
-    Raises BracketError past _BRACKET_LIMIT."""
-    tops = [_blocklength(1.0, payload_bits, q)]
-    while tops[-1] > m:
-        if 2.0 ** len(tops) > _BRACKET_LIMIT:
-            raise BracketError(
-                f"required SINR for {payload_bits} bits in {m} uses "
-                "exceeds representable range"
-            )
-        tops.append(_blocklength(2.0 ** len(tops), payload_bits, q))
-    return tops
+def _unreachable(payload_bits: int, m: float) -> BracketError:
+    return BracketError(
+        f"required SINR for {payload_bits} bits in {m} uses "
+        "exceeds representable range"
+    )
+
+
+def _doubling(payload_bits: int, q: float, m: float) -> float:
+    """The top of m's bracket: the first power of two from 1 on whose
+    blocklength is at most m.  Raises BracketError past _BRACKET_LIMIT."""
+    top = 1.0
+    while True:
+        _root_counts[2] += 1
+        if _blocklength(top, payload_bits, q) <= m:
+            return top
+        top *= 2.0
+        if top > _BRACKET_LIMIT:
+            raise _unreachable(payload_bits, m)
 
 
 def _sinr_root(payload_bits: int, error_target: float, m: float) -> float:
-    """required_sinr without the memo: bisect m's doubling bracket."""
+    """required_sinr without the memo: _bisect on m's doubling bracket, from
+    the bracket of _jump where it finds one."""
     q = _q_ln2(error_target)
-    top = 2.0 ** (len(_doubling(payload_bits, q, m)) - 1)
-    return _bisect(payload_bits, q, m, top)
+    cell = _jump(payload_bits, q, m)
+    if cell is None:
+        _root_counts[1] += 1
+        cell = 0.0, _doubling(payload_bits, q, m)
+    else:
+        _root_counts[0] += 1
+    return _bisect(payload_bits, q, m, *cell)
 
 
 #: A table window with fewer roots missing from the memo than this finds
 #: them one by one with _sinr_root; from this many on, _sinr_roots finds
 #: them together.  Cold tables of n entries from m = 100 on a 2-vCPU Xeon
-#: VM, scalar / numpy, medians of 41: 600 bits at eps 1e-5, n = 48: 1.94 /
-#: 2.06 ms, n = 56: 2.23 / 2.05 ms; 160 bits at 1e-7, n = 56: 1.68 / 1.80
-#: ms, n = 64: 1.87 / 1.82 ms.  They break even near 50-62 roots.
-_VECTOR_MIN_MISSES = 56
+#: VM, scalar / numpy, medians of 41: 600 bits at eps 1e-5, n = 16: 0.18 /
+#: 0.21 ms, n = 24: 0.28 / 0.23 ms; 160 bits at 1e-7, n = 16: 0.19 / 0.22
+#: ms, n = 24: 0.27 / 0.21 ms; 3000 bits at 1e-9, n = 16: 0.40 / 0.44 ms,
+#: n = 24: 0.57 / 0.55 ms.  They break even near 20 roots.
+_VECTOR_MIN_MISSES = 20
 
-#: Relative error margin of the numpy closed form, per unit of 1 + 1/gamma,
-#: with 1 ulp = 2**-52.  numpy's elementwise + - * / and sqrt round exactly
-#: as Python's do, so _blocklength on arrays differs from the scalar form
-#: only where two inputs of the shared arithmetic differ:
-#: (a) log_term: np.log2 against math.log2, taken to be within 1 ulp each,
-#:     so at most 2 ulp apart.  The root scales like log_term**-s with s in
-#:     [1/2, 1], so the result (root squared) moves by at most 4 ulp.
-#: (b) dispersion: (1+g)**2 is x*x in numpy and libm pow in Python, at most
-#:     1 ulp apart; after the reciprocal, 1 - 1/(1+g)**2 = g(2+g)/(1+g)**2
-#:     cancels, leaving at most 2 ulp / (g(2+g)) <= 1 ulp / g, plus 1 ulp
-#:     for the subtraction.  The root scales like dispersion**s with s in
-#:     [0, 1/2], so the result moves by at most (1 + 1/g) ulp.
-#: The dozen roundings after these two can each land 1 ulp apart, which
-#: the final square doubles: about 24 ulp more.  So the gap stays below
-#: 29 ulp * (1 + 1/g), and 64 ulp covers it twice over.  The largest gap
-#: seen on a sweep of gamma over 1e-7..1e13 is 2.3 ulp * (1 + 1/gamma);
-#: tests/test_fbl.py fails if a sweep shows more than an eighth of the margin.
-_NUMPY_MARGIN = 64 * 2.0**-52
+#: Relative error bound of the closed form _blocklength, scalar or numpy,
+#: against exact arithmetic on the same float inputs, per unit of
+#: 1 + 1/gamma, with 1 ulp = 2**-52.  + - * / and sqrt round to nearest
+#: (1/2 ulp); log2, and the scalar form's libm pow for (1+g)**2, are taken
+#: to be within 4 ulp (libm's within 1, numpy's SIMD log2 within 4):
+#: (a) 1 + g rounds by up to 1/2 ulp of 1 + g, a relative change of g of
+#:     1/2 ulp * (1 + 1/g); the exact result, whose elasticity in g is at
+#:     most 2, moves by at most (1 + 1/g) ulp.
+#: (b) log_term: log2 adds 4 ulp.  The root scales like log_term**-s with
+#:     s in [1/2, 1], so the result (root squared) moves by at most 8 ulp.
+#: (c) dispersion: (1+g)**2 and its reciprocal come within 5 ulp of
+#:     1/(1+g)**2; 1 - 1/(1+g)**2 = g(2+g)/(1+g)**2 cancels, leaving at
+#:     most 5 ulp / (g(2+g)) <= 2.5 ulp / g, plus 1/2 ulp for the
+#:     subtraction.  The root scales like dispersion**s with s in [0, 1/2],
+#:     so the result moves by at most 3 (1 + 1/g) ulp.
+#: The dozen roundings after these can each add 1/2 ulp, which the final
+#: square doubles: 12 ulp more.  So the error stays below
+#: 25 ulp * (1 + 1/g), and 64 ulp covers it more than twice over.  The
+#: largest error seen on a sweep of gamma over 1e-9..1e13 is
+#: 3.0 ulp * (1 + 1/gamma), for either form; tests/test_fbl.py fails if a
+#: sweep shows more than an eighth of the margin.
+_CLOSED_FORM_MARGIN = 64 * 2.0**-52
+
+#: Newton steps of a root estimate.  From _window's start, 4 steps brought
+#: each of 50,000 sampled roots (N 1-3000, eps 1e-12-0.9, m 1-20,000)
+#: within 1e-14 of where Newton settles; 3 steps left 43 of them short.
+_NEWTON_STEPS = 4
+#: ln(1 + gamma) of the largest estimate taken: past every power of two
+#: the doubling tries, with room for a window below it.
+_T_CAP = math.log(4.0 * _BRACKET_TOP)
+
+#: The functions _window, _certain and _cell take from math for one root,
+#: and from numpy for a table's.
+_MATH = SimpleNamespace(
+    sqrt=math.sqrt, expm1=math.expm1, log2=math.log2, frexp=math.frexp,
+    ldexp=math.ldexp, ceil=math.ceil, floor=math.floor, minimum=min,
+    maximum=max, index=int, float=float,
+)
+_NUMPY = SimpleNamespace(
+    sqrt=np.sqrt, expm1=np.expm1, log2=np.log2, frexp=np.frexp,
+    ldexp=np.ldexp, ceil=np.ceil, floor=np.floor, minimum=np.minimum,
+    maximum=np.maximum, index=lambda x: x.astype(np.int64),
+    float=lambda x: x.astype(float),
+)
+
+
+def _margin(gamma):
+    """The closed form's relative error bound at gamma."""
+    return _CLOSED_FORM_MARGIN * (1.0 + 1.0 / gamma)
+
+
+def _window(payload_bits, q, m, xp):
+    """Ends a < b of a window around m's root, for _certain to check.
+
+    The estimate is Newton's on the rate form f(t) = t/ln 2 - c sqrt(v) -
+    N/m in t = ln(1 + gamma), with v = 1 - exp(-2t) and c = q/sqrt(m).
+    f(0) < 0, and f is convex in t for q >= 0 and concave for q < 0, so
+    Newton started right (left) of the root approaches it monotonically and
+    needs no safeguarding bracket.  The start is the nearer of the roots of
+    f with v bounded by 1 and by 2t (a quadratic in sqrt(t)), which both lie
+    on that side.  The window's half-width is 8 error margins of the closed
+    form at the estimate, over its elasticity -d ln B / d ln gamma there:
+    the blocklength at either end lies about 8 margins from m, which leaves
+    _certain's 4 and the estimate's own error room.
+    """
+    r = payload_bits / m
+    c = q / xp.sqrt(m)
+    s = xp.sqrt(2.0 * c * c + 4.0 * r / LN2)
+    if q >= 0.0:
+        u = 0.5 * LN2 * (_SQRT2 * c + s)
+        t = xp.minimum(LN2 * (r + c), u * u)
+    else:
+        u = 2.0 * r / (s - _SQRT2 * c)  # the same root, without cancellation
+        t = xp.maximum(LN2 * (r + c), u * u)
+    for _ in range(_NEWTON_STEPS):
+        v = -xp.expm1(-2.0 * t)
+        w = xp.sqrt(v)
+        slope = 1.0 / LN2 - c * (1.0 - v) / w
+        t = t - (t / LN2 - c * w - r) / slope
+    gamma = xp.expm1(xp.minimum(t, _T_CAP))
+    # f's slope in t over its slope in ln m, times d t / d ln gamma.
+    elasticity = slope / (0.5 * c * w + r) * gamma / (1.0 + gamma)
+    half = 8.0 * _margin(gamma) / elasticity * gamma
+    return gamma - half, gamma + half
+
+
+def _certain(payload_bits, q, m, a, b, xp):
+    """Whether the closed form is certainly at least m at every midpoint of
+    the bisection up to a, and certainly below m at every one from b on.
+
+    Take mu(g) = _margin(g) and B the closed form in exact arithmetic,
+    strictly decreasing in g.  From b on, mu falls, so a value at b below
+    m (1 - 4 mu(b)) puts B there below m (1 - 3 mu(b)), and every computed
+    value beyond below m.  On [a/2, a], mu at most doubles, and a value at a
+    of at least m (1 + 4 mu(a)) keeps every computed value at least m while
+    mu(a) <= 1/8.  Below a/2, each halving of g raises B by more than 0.1%
+    up to _BRACKET_TOP, while mu stays below 2e-5 on the midpoints, which
+    are at least _SINR_STEP.
+    """
+    at_a = _blocklength(a, payload_bits, q, xp.log2, xp.sqrt)
+    at_b = _blocklength(b, payload_bits, q, xp.log2, xp.sqrt)
+    return at_a >= m * (1.0 + 4.0 * _margin(a)), at_b < m * (1.0 - 4.0 * _margin(b))
+
+
+def _cell(a, b, xp):
+    """The bracket that the bisection of m's doubling bracket [0, top] holds
+    just before its first midpoint in a certain window [a, b], and whether
+    top is certain.
+
+    top is the first power of two from 1 on at or above b: the doubling
+    passes every power up to a and stops at every one from b on, so top is
+    certain unless a power above 1 lies between.  The loop's brackets are
+    dyadic cells of [0, top], and its midpoints multiples of s, the width of
+    its last bracket: _SINR_STEP where the tolerance stops it, or the float
+    spacing top * 2**-53 of [top/2, top), where the root lies, when that
+    stops it first.  On that grid, of fewer than 2**53 points, every sum and
+    midpoint of the loop is exact.  It keeps the cell that holds [a, b]
+    until it evaluates the grid point in [a, b] with the most trailing zero
+    bits; the cell around that point is the bracket.  With no grid point in
+    [a, b], it is the last cell, from which the loop evaluates nothing.
+    """
+    frac, e = xp.frexp(b)
+    p = xp.ldexp(1.0, e - (frac == 0.5))  # the first power of two >= b
+    top = xp.maximum(p, 1.0)
+    s = xp.maximum(_SINR_STEP, top * 2.0**-53)
+    # The grid indices of the last point below a and the last midpoint up to b.
+    lo = xp.index(xp.ceil(a / s) - 1.0)
+    hi = xp.index(xp.minimum(xp.floor(b / s), top / s - 1.0))
+    # The cell's width in grid steps: 2 to the bit length of lo ^ hi.
+    k = xp.frexp(xp.float(lo ^ hi))[1]
+    lo = (hi >> k << k) * s
+    return lo, lo + xp.ldexp(s, k), (p <= 1.0) | (0.5 * p <= a)
+
+
+def _jump(payload_bits: int, q: float, m: float) -> tuple[float, float] | None:
+    """The bracket _bisect holds on m's doubling bracket [0, top] just
+    before its first comparison that is not certain, or None when no window
+    around the root can be certified.  Raises BracketError where the window
+    shows that the doubling would."""
+    a, b = _window(payload_bits, q, m, _MATH)
+    if not a > 0.0:
+        return None
+    above, below = _certain(payload_bits, q, m, a, b, _MATH)
+    _root_counts[2] += 2
+    if above and a >= _BRACKET_TOP:
+        raise _unreachable(payload_bits, m)
+    if not (above and below):
+        return None
+    lo, hi, top_certain = _cell(a, b, _MATH)
+    return (lo, hi) if top_certain else None
 
 
 def _sinr_roots(payload_bits: int, error_target: float, ms: list[int]) -> np.ndarray:
-    """_sinr_root for each m of ms (ascending), as one numpy bisection.
+    """_sinr_root for each m of ms (ascending), with numpy finding the
+    windows, their certification and the brackets of all of them.
 
-    Same brackets, midpoints and stop rule as _sinr_root, and every
-    comparison blocklength < m decided as the scalar form decides it: by
-    numpy where its value lies outside the margin of _NUMPY_MARGIN around
-    m, else by the scalar form itself.  So each root has the scalar path's
+    A bracket with a midpoint left finishes in _bisect, and an entry numpy
+    cannot certify goes to _sinr_root, so each root has the scalar path's
     bits.  Raises BracketError as _sinr_root(ms[0]) would.
     """
     q = _q_ln2(error_target)
-    # The scalar brackets: for each m the first power of two 2**k whose
-    # blocklength is at most m.  The smallest m needs the largest k.
-    tops = _doubling(payload_bits, q, ms[0])
     m = np.array(ms, dtype=float)
-    lo = np.zeros(len(m))
-    hi = np.ldexp(1.0, np.argmax(np.array(tops) <= m[:, None], axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            mid = 0.5 * (lo + hi)
-            live = (hi - lo > _SINR_TOL) & (lo < mid) & (mid < hi)
-            if not live.any():
-                return mid
-            b = _blocklength(mid, payload_bits, q, np.log2, np.sqrt)
-            below = b < m
-            # NaN compares false, so a NaN value is unsure too.
-            unsure = live & ~(np.abs(b - m) > _NUMPY_MARGIN * (1.0 + 1.0 / mid) * b)
-            for i in np.flatnonzero(unsure).tolist():
-                below[i] = _blocklength(float(mid[i]), payload_bits, q) < ms[i]
-            hi = np.where(live & below, mid, hi)
-            lo = np.where(live & ~below, mid, lo)
+    with np.errstate(all="ignore"):
+        a, b = _window(payload_bits, q, m, _NUMPY)
+        above, below = _certain(payload_bits, q, m, a, b, _NUMPY)
+        # NaN compares false: an estimate that failed is not certain.
+        sure = above & below & (a < _BRACKET_TOP)
+        lo, hi, top_certain = _cell(
+            np.where(sure, a, 1.0), np.where(sure, b, 1.0), _NUMPY
+        )
+    sure &= top_certain
+    # _bisect's return, and its test for a midpoint left, on every bracket.
+    mid = 0.5 * (lo + hi)
+    open_ = (hi - lo > _SINR_TOL) & (lo < mid) & (mid < hi)
+    _root_counts[0] += int(np.count_nonzero(sure))
+    _root_counts[2] += 2 * len(ms)
+    for i in np.flatnonzero(~sure | open_).tolist():
+        if sure[i]:
+            mid[i] = _bisect(payload_bits, q, ms[i], float(lo[i]), float(hi[i]))
+        else:
+            mid[i] = _sinr_root(payload_bits, error_target, ms[i])
+    return mid
 
 
 def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 Each function recomputes a quantity along a different route than the
 library takes: quadrature of the normal density instead of erfc, generic
 root bracketing instead of the closed-form quadratic, brute-force grid or
-golden-section search instead of the closed-form allocations.
+golden-section search instead of the closed-form allocations.  The one
+exception, sinr_by_plain_bisection, takes the library's own route, step by
+step, as the reference for its shortcuts.
 """
 
 import math
@@ -13,7 +15,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtri
 
-from noma_fbl import UserSpec, rate_deficit
+from noma_fbl import BracketError, UserSpec, q_inv, rate_deficit
 
 LN2 = math.log(2.0)
 
@@ -70,6 +72,39 @@ def sinr_by_bracketing(spec: UserSpec, m: float) -> float:
     return brentq(
         lambda g: rate_deficit(m, g, spec), 1e-14, hi, xtol=1e-14, maxiter=300
     )
+
+
+def sinr_by_plain_bisection(payload_bits: int, error_target: float, m: float) -> float:
+    """required_sinr's root, every step taken: double the top from 1 until
+    the closed-form blocklength is at most m, then halve [0, top] until it
+    is no wider than 1e-9 or float spacing stops the halving, and return
+    the last midpoint.  Bit for bit the root's definition."""
+    q = q_inv(error_target) / LN2
+
+    def blocklength(gamma):  # the closed form, in the library's operation order
+        dispersion = 1.0 - 1.0 / (1.0 + gamma) ** 2
+        log_term = math.log2(1.0 + gamma)
+        root = (
+            q * math.sqrt(dispersion)
+            + math.sqrt(dispersion * q * q + 4.0 * payload_bits * log_term)
+        ) / (2.0 * log_term)
+        return root * root
+
+    hi = 1.0
+    while blocklength(hi) > m:
+        hi *= 2.0
+        if hi > 1e150:
+            raise BracketError(f"{payload_bits} bits in {m} uses")
+    lo = 0.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if blocklength(mid) < m:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def _fit_blocklength_vec(gamma: np.ndarray, n_bits: int, eps: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Finite-blocklength rate model: closed-form inverse, bisection, energy curve."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from noma_fbl import (
 from noma_fbl import fbl
 from noma_fbl.fbl import required_sinr_table
 
-from oracles import blocklength_by_bracketing, rate_by_quadrature, sinr_by_bracketing
+from oracles import (
+    blocklength_by_bracketing,
+    rate_by_quadrature,
+    sinr_by_bracketing,
+    sinr_by_plain_bisection,
+)
 
 SPEC_160 = UserSpec(payload_bits=160, error_target=1e-7, deadline=10**6)
 SPEC_SHANNON = UserSpec(
@@ -204,6 +210,57 @@ def _scalar_roots(payload_bits, error_target, ms):
     return np.array([fbl._sinr_root(payload_bits, error_target, m) for m in ms])
 
 
+def _off_by_half(window):
+    """_window with its ends moved to half the root: never certified."""
+
+    def moved(payload_bits, q, m, xp):
+        a, b = window(payload_bits, q, m, xp)
+        return 0.5 * a, 0.5 * b
+
+    return moved
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    payload_bits=st.integers(1, 3000),
+    error_target=st.floats(-12.0, math.log10(0.9)).map(lambda x: 10.0**x),
+    m_lo=st.integers(1, 5000),
+    size=st.integers(1, 80),
+    uncertified=st.just(False),
+)
+@example(3000, 1e-9, 100, 80, False)  # huge roots: float spacing ends the loop
+@example(1, 1e-3, 5000, 80, False)  # tiny roots
+@example(40, 0.8, 300, 80, False)  # eps > 0.5: q_inv < 0
+@example(600, 1e-5, 100, 80, True)  # every window fails: the whole loop
+def test_roots_are_the_plain_bisections(
+    payload_bits, error_target, m_lo, size, uncertified
+):
+    # required_sinr and its tables start the bisection deep inside; the roots,
+    # and their BracketError, are those of the loop from [0, top].
+    ms = range(m_lo, m_lo + size)
+    try:
+        want = [sinr_by_plain_bisection(payload_bits, error_target, m) for m in ms]
+    except BracketError:
+        want = None
+    spec = UserSpec(payload_bits, error_target, deadline=ms[-1], min_blocklength=1)
+    fallbacks = required_sinr.root_info().fallbacks
+    with pytest.MonkeyPatch.context() as patch:
+        if uncertified:
+            patch.setattr(fbl, "_window", _off_by_half(fbl._window))
+        for by_table in (True, False):
+            _cold_memos()
+            try:
+                if by_table:
+                    got = required_sinr_table(spec, ms[0], ms[-1]).tolist()
+                else:
+                    got = [required_sinr(spec, m) for m in ms]
+            except BracketError:
+                got = None
+            assert got == want
+    fell_back = required_sinr.root_info().fallbacks - fallbacks
+    assert fell_back == (2 * size if uncertified else 0)
+
+
 class TestRequiredSinrTable:
     """The table path, vectorised or not, gives the scalar roots bit for bit."""
 
@@ -288,17 +345,38 @@ class TestRequiredSinrTable:
         assert required_sinr.cache_info().currsize <= 8192
 
     def test_numpy_closed_form_stays_well_inside_its_margin(self):
-        # The vectorised bisection trusts numpy's blocklength_for_sinr where
-        # it lies outside _NUMPY_MARGIN * (1 + 1/gamma) of m.  A numpy whose
-        # log2 or square rounds differently must fail here first.
-        gamma = np.geomspace(1e-7, 1e13, 10_001)
+        # A root's window is certified with _CLOSED_FORM_MARGIN * (1 + 1/gamma),
+        # the bound on the closed form's error against exact arithmetic, scalar
+        # or numpy.  A libm or numpy whose log2 or square rounds differently
+        # must fail here first: against 40-digit decimals on a sparse sweep,
+        # and numpy against the scalar form on a dense one.
+        sparse = np.geomspace(1e-9, 1e13, 201)
+        dense = np.geomspace(1e-7, 1e13, 10_001)
         worst = 0.0
         for payload_bits in (1, 16, 160, 3000):
-            for error_target in (1e-12, 1e-7, 1e-3, 0.4):
+            for error_target in (1e-12, 1e-7, 1e-3, 0.4, 0.9):
                 spec = unconstrained(payload_bits, error_target)
                 q = fbl._q_ln2(error_target)
-                vec = fbl._blocklength(gamma, payload_bits, q, np.log2, np.sqrt)
-                ref = np.array([blocklength_for_sinr(g, spec) for g in gamma.tolist()])
-                gap = np.abs(vec - ref) / ((1.0 + 1.0 / gamma) * ref)
+                vec = fbl._blocklength(sparse, payload_bits, q, np.log2, np.sqrt)
+                for gamma, by_numpy in zip(sparse.tolist(), vec.tolist()):
+                    exact = _exact_blocklength(gamma, payload_bits, q)
+                    for got in (blocklength_for_sinr(gamma, spec), by_numpy):
+                        gap = abs(Decimal(got) / exact - 1) / (1 + 1 / Decimal(gamma))
+                        worst = max(worst, float(gap))
+                vec = fbl._blocklength(dense, payload_bits, q, np.log2, np.sqrt)
+                ref = np.array([blocklength_for_sinr(g, spec) for g in dense.tolist()])
+                gap = np.abs(vec - ref) / ((1.0 + 1.0 / dense) * ref)
                 worst = max(worst, float(gap.max()))
-        assert 8.0 * worst <= fbl._NUMPY_MARGIN
+        assert 0.0 < 8.0 * worst <= fbl._CLOSED_FORM_MARGIN
+
+
+def _exact_blocklength(gamma, payload_bits, q):
+    """The closed form of blocklength_for_sinr in 40-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        one, gamma, q = Decimal(1), Decimal(gamma), Decimal(q)
+        dispersion = one - one / (one + gamma) ** 2
+        log_term = (one + gamma).ln() / Decimal(2).ln()
+        spread = (dispersion * q * q + 4 * payload_bits * log_term).sqrt()
+        root = (q * dispersion.sqrt() + spread) / (2 * log_term)
+        return root * root

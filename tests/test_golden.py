@@ -12,8 +12,8 @@ of any output byte fails here; re-pin only on purpose.
 
 The Monte-Carlo runs only reach 160-bit roots at eps 1e-7, so one more
 digest pins the bits of the SINR root-finder itself over the whole input
-range: scalar roots, tables filled on both sides of the vectorised
-crossover, and roots on caller-chosen brackets, BracketError included.
+range: scalar roots, vectorised table fills, and roots on caller-chosen
+brackets, BracketError included.
 """
 
 import hashlib
@@ -106,9 +106,23 @@ def test_sinr_root_bits_match_golden_sha256():
             roots.append(sinr_for_blocklength(m_star, spec, 10.0 ** rng.uniform(-3.0, 20.0)))
         except BracketError:
             roots.append(-1.0)
-    # 31 roots missing from the memo, found one by one, and 200 found together.
+    # Two tables whose 31 and 200 roots missing from the memo are found together.
     roots += required_sinr_table(UserSpec(600, 1e-5, deadline=130), 100, 130).tolist()
     spec = UserSpec(2845, 2.7765660567406283e-09, deadline=319)
     roots += required_sinr_table(spec, 120, 319).tolist()
     bits = np.array(roots, dtype="<f8").view("<i8")
     assert hashlib.sha256(bits.tobytes()).hexdigest() == GOLDEN_SINR_ROOTS
+
+
+def test_golden_inputs_find_every_root_by_a_jump(tmp_path):
+    # A root whose window cannot be certified falls back to the whole
+    # bisection with the same bits, so only the counter shows an estimate
+    # that stopped working.
+    fbl._SINR_MEMO.clear()
+    fbl._required_sinr_table.cache_clear()
+    before = required_sinr.root_info()
+    test_sinr_root_bits_match_golden_sha256()
+    test_default_montecarlo_matches_golden_sha256(tmp_path)
+    after = required_sinr.root_info()
+    assert after.fallbacks == before.fallbacks
+    assert after.jumps - before.jumps > 1500
