@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import noma_fbl
-from noma_fbl import UserSpec, fbl, q_inv, required_sinr
+from noma_fbl import UserSpec, q_inv, required_sinr
 from noma_fbl.fbl import required_sinr_table
 
 # A solve-cold-like user: 600 bits at eps 1e-5, windows from m = 100 up.
@@ -55,8 +55,7 @@ def test_warm_q_inv(benchmark):
 
 
 def _cold():
-    fbl._SINR_MEMO.clear()
-    fbl._required_sinr_table.cache_clear()
+    required_sinr.cache_clear()
 
 
 def _cold_table(benchmark, spec, entries):

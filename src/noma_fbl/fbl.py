@@ -242,8 +242,15 @@ def _sinr_cache_info() -> _CacheInfo:
     return _CacheInfo(*_sinr_counts, _SINR_MEMO_SIZE, len(_SINR_MEMO))
 
 
-# Hit and miss counts of the memo, as on an lru_cache-wrapped function.
+def _sinr_cache_clear() -> None:
+    _SINR_MEMO.clear()
+    _required_sinr_table.cache_clear()
+    _sinr_counts[:] = 0, 0
+
+
+# Hit and miss counts of the memo, and its clear, as on an lru_cache function.
 required_sinr.cache_info = _sinr_cache_info
+required_sinr.cache_clear = _sinr_cache_clear
 
 #: Work of the roots found since import: those found from a bracket of
 #: _jump, those whose window could not be certified (found by the whole

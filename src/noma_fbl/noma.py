@@ -6,11 +6,11 @@ receiver, if any, can run successive interference cancellation (SIC) depends
 on the channel ordering and on whether both codewords fit inside the shorter
 deadline.  Spending more channel uses on a codeword lowers both its required
 SINR and its blocklength-energy product (see fbl.energy_monotone), so every
-formulation pins each blocklength at its binding deadline (_blocklengths),
-looks up the required SINRs gamma_k = required_sinr(s_k, m_k), inverts its
-SINR maps for the powers in closed form and checks the budget; an energy
-m1*p1 + m2*p2 that overflows a float is over any budget.  The formulations
-differ only in these table rows (_SIC_RX2, _TIN, _SIC_RX1):
+formulation pins each blocklength at its binding deadline and looks up the
+required SINRs gamma_k = required_sinr(s_k, m_k) (_requirement), inverts
+its SINR maps for the powers in closed form and checks the budget; an
+energy m1*p1 + m2*p2 that overflows a float is over any budget.  The
+formulations differ only in these table rows (_SIC_RX2, _TIN, _SIC_RX1):
 
   scheme   channels  m2  SINR maps                    SIC composition
   sic-rx2  g1 <= g2  D2  gamma1 = p1*g1/(p2*g1 + 1)   eps1 then eps2
@@ -25,15 +25,19 @@ decode, so it cancels codeword 1 first.  tin: codeword 2 may outlast D1, so
 neither receiver can cancel.  sic-rx1: both codewords are confined to D1, so
 receiver 1 (the stronger channel) cancels codeword 2 first.
 
-One kernel, _solve, runs every formulation from its row; solve_sic_rx2,
-solve_tin and solve_sic_rx1 add their channel-order precondition.
-solve_noma dispatches on the channel ordering and, in the g1 > g2 regime,
-keeps the cheaper of the two candidate formulations.  _noma_columns does
-the same, deadline-tie relabel included, for arrays of gains sharing one
-(s1, s2, budget), which is what a Monte-Carlo cell is.
+One kernel, _fold, runs every formulation from its row: it folds rate
+reachability, the SINR-product wall and the budget into a verdict code and
+an energy, on one draw's floats or on columns of gains sharing one (s1, s2,
+budget), which is what a Monte-Carlo cell is.  One rule, _winner, picks
+solve_noma's scheme: sic-rx2 when g1 <= g2, else the cheaper feasible of
+tin and sic-rx1.  solve_sic_rx2, solve_tin and solve_sic_rx1 are the kernel
+on one draw behind their channel-order precondition; solve_noma and
+_noma_columns (deadline-tie relabel included) run it on the candidates and
+apply the rule, and _noma_outcome rebuilds a trial's outcome from its codes.
 """
 
 import math
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -157,94 +161,130 @@ class _Formulation(NamedTuple):
 _SIC_RX2 = _Formulation(Scheme.SIC_RX2, False, _powers_sic_rx2, (0, 1), False)
 _TIN = _Formulation(Scheme.TIN, False, _powers_tin, None, True)
 _SIC_RX1 = _Formulation(Scheme.SIC_RX1, True, _powers_sic_rx1, (1, 0), False)
+_ROWS = (_SIC_RX2, _TIN, _SIC_RX1)
+#: The rows solve_noma solves, in tie-break order, by whether g1 <= g2.
+_CANDIDATES = {False: (1, 2), True: (0,)}
+
+#: The verdicts in the order an outcome headlines them.  A formulation's
+#: verdict code is its verdict's index here, or _FEASIBLE.  Its checks run
+#: window, rate, wall, budget, so the first one that fails has the highest
+#: code of those that fail.
+_VERDICT_PRECEDENCE = (
+    InfeasibleReason.POWER_BUDGET_EXCEEDED,
+    InfeasibleReason.SIC_PRODUCT_GE_ONE,
+    InfeasibleReason.RATE_UNREACHABLE,
+    InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY,
+)
+_BUDGET, _WALL, _RATE, _WINDOW = range(len(_VERDICT_PRECEDENCE))
+_FEASIBLE = -1
 
 
-def _blocklengths(
+def _requirement(
     row: _Formulation, s1: UserSpec, s2: UserSpec
-) -> tuple[float, float]:
-    """The (m1, m2) a formulation pins: m1 at D1, m2 at D1 or D2."""
+) -> tuple[float, float, float, float] | int:
+    """The (m1, m2) a formulation pins, m1 at D1 and m2 at D1 or D2, and the
+    (gamma1, gamma2) they need; or the code of the verdict that rules the
+    formulation out whatever the channel: user 2's blocklength window is
+    empty (m2 = D1 below its minimum), or a required SINR leaves any
+    realistic range."""
     m1 = float(s1.deadline)
-    return m1, m1 if row.m2_at_d1 else float(s2.deadline)
-
-
-def _row_sinrs(
-    row: _Formulation, s1: UserSpec, s2: UserSpec
-) -> tuple[float, float] | InfeasibleReason:
-    """The (gamma1, gamma2) a formulation needs, or the verdict that rules it
-    out whatever the channel: user 2's blocklength window is empty (m2 = D1
-    below its minimum), or a required SINR leaves any realistic range."""
-    m1, m2 = _blocklengths(row, s1, s2)
+    m2 = m1 if row.m2_at_d1 else float(s2.deadline)
     if s2.min_blocklength > m2:
-        return InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY
+        return _WINDOW
     try:
-        return required_sinr(s1, m1), required_sinr(s2, m2)
+        return m1, m2, required_sinr(s1, m1), required_sinr(s2, m2)
     except BracketError:
-        return InfeasibleReason.RATE_UNREACHABLE
+        return _RATE
 
 
-def _allocation(
-    row: _Formulation,
-    s1: UserSpec,
-    s2: UserSpec,
-    gamma1: float,
-    gamma2: float,
-    p1: float,
-    p2: float,
-) -> Allocation:
+def _mark(code: np.ndarray, mask: np.ndarray, value: float) -> np.ndarray:
+    code[mask] = value
+    return code
+
+
+#: What _fold, _run and _winner take from Python for one draw's floats, and
+#: from numpy for columns of draws.  Their masks combine with & and |, which
+#: mean the same on bools and on bool arrays; ~ does not (~True is -2).
+_FLOAT = SimpleNamespace(
+    codes=lambda like, code: code,
+    nans=lambda like: math.nan,
+    mark=lambda code, mask, value: value if mask else code,
+    where=lambda mask, a, b: a if mask else b,
+)
+_COLUMNS = SimpleNamespace(
+    codes=lambda like, code: np.full(len(like), code, np.int8),
+    nans=lambda like: np.full(len(like), np.nan),
+    mark=_mark,
+    where=np.where,
+)
+
+
+def _fold(row, m1, m2, gamma1, gamma2, g1, g2, p_max, xp):
+    """The one superposition kernel: a formulation's verdict code, energy
+    (NaN unless feasible) and powers at its pinned blocklengths and SINRs.
+
+    The checks, in precedence order: rate reachability (gamma_k >
+    p_max*g_k), the SINR-product wall, and the power budget (p1 + p2 >
+    p_max, which an energy that overflows a float exceeds too).  Past the
+    wall there are no powers; otherwise they invert the row's SINR maps on
+    gains (g1, g2), the energy is m1*p1 + m2*p2, and the budget's code is
+    marked first, so that reachability's overrides it.  The SINRs are
+    floats; the gains are one draw's floats (xp=_FLOAT) or columns of draws
+    (xp=_COLUMNS, under np.errstate(divide="ignore", over="ignore")).
+    """
+    if row.product_wall and gamma1 * gamma2 >= 1.0:
+        # The maps have no inverse, whatever the gains.
+        code, energy, p1, p2 = xp.codes(g1, _WALL), xp.nans(g1), math.nan, math.nan
+    else:
+        try:
+            p1, p2 = row.powers(gamma1, gamma2, g1, g2)
+        except ZeroDivisionError:
+            # g1*g2 underflowed to 0 in the tin denominator: the powers
+            # overflow, as numpy's IEEE division makes them.
+            p1 = p2 = math.inf
+        energy = m1 * p1 + m2 * p2
+        over = (p1 + p2 > p_max) | (energy == math.inf)
+        code = xp.mark(xp.codes(g1, _FEASIBLE), over, _BUDGET)
+    code = xp.mark(code, (gamma1 > p_max * g1) | (gamma2 > p_max * g2), _RATE)
+    return code, xp.mark(energy, code != _FEASIBLE, math.nan), p1, p2
+
+
+def _run(row, g1, g2, s1, s2, p_max, xp):
+    """_fold of one formulation for users (s1, s2), after the verdicts that
+    need no gains: the code, the energy, and the run (m1, m2, gamma1,
+    gamma2, p1, p2) that _allocation takes, None when the verdict needed
+    no gains."""
+    need = _requirement(row, s1, s2)
+    if isinstance(need, int):
+        return xp.codes(g1, need), xp.nans(g1), None
+    code, energy, p1, p2 = _fold(row, *need, g1, g2, p_max, xp)
+    return code, energy, (*need, p1, p2)
+
+
+def _allocation(row: _Formulation, s1: UserSpec, s2: UserSpec, run) -> Allocation:
+    m1, m2, gamma1, gamma2, p1, p2 = run
     sic_overall_error = None
     if row.sic_stages is not None:
         eps = (s1.error_target, s2.error_target)
         first, second = row.sic_stages
         sic_overall_error = overall_sic_error(eps[first], eps[second])
-    m1, m2 = _blocklengths(row, s1, s2)
     return Allocation(
-        m1=m1,
-        m2=m2,
-        p1=p1,
-        p2=p2,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        energy=m1 * p1 + m2 * p2,
-        scheme=row.scheme,
+        m1=m1, m2=m2, p1=p1, p2=p2, gamma1=gamma1, gamma2=gamma2,
+        energy=m1 * p1 + m2 * p2, scheme=row.scheme,
         sic_overall_error=sic_overall_error,
     )
 
 
 def _solve(
-    row: _Formulation,
-    ch: ChannelPair,
-    s1: UserSpec,
-    s2: UserSpec,
-    budget: PowerBudget,
+    row: _Formulation, ch: ChannelPair, s1: UserSpec, s2: UserSpec, budget: PowerBudget
 ) -> SolveOutcome:
-    """Minimum-energy allocation of one formulation, from its table row.
-
-    Checks, in order: user 2's blocklength window (empty only when m2 = D1
-    falls below its minimum blocklength), rate reachability of both required
-    SINRs within p_max * g_k, the SINR-product wall, and the power budget,
-    which an energy that overflows a float exceeds too.
-    """
+    """Minimum-energy allocation of one formulation, from its table row:
+    _run on one draw."""
     _require_deadline_order(s1, s2)
-    gammas = _row_sinrs(row, s1, s2)
-    if isinstance(gammas, InfeasibleReason):
-        return SolveOutcome(verdict=gammas)
-    gamma1, gamma2 = gammas
-    if gamma1 > budget.p_max * ch.g1 or gamma2 > budget.p_max * ch.g2:
-        return SolveOutcome(verdict=InfeasibleReason.RATE_UNREACHABLE)
-    if row.product_wall and gamma1 * gamma2 >= 1.0:
-        return SolveOutcome(verdict=InfeasibleReason.SIC_PRODUCT_GE_ONE)
-    try:
-        p1, p2 = row.powers(gamma1, gamma2, ch.g1, ch.g2)
-    except ZeroDivisionError:
-        # g1*g2 underflowed to 0 in the tin denominator: the powers
-        # overflow, as the IEEE division of _row_columns makes them.
-        p1 = p2 = math.inf
-    if p1 + p2 > budget.p_max:
-        return SolveOutcome(verdict=InfeasibleReason.POWER_BUDGET_EXCEEDED)
-    allocation = _allocation(row, s1, s2, gamma1, gamma2, p1, p2)
-    if allocation.energy == math.inf:
-        return SolveOutcome(verdict=InfeasibleReason.POWER_BUDGET_EXCEEDED)
-    return SolveOutcome(allocation=allocation)
+    code, _, run = _run(row, ch.g1, ch.g2, s1, s2, budget.p_max, _FLOAT)
+    if code != _FEASIBLE:
+        return SolveOutcome(verdict=_VERDICT_PRECEDENCE[code])
+    return SolveOutcome(allocation=_allocation(row, s1, s2, run))
 
 
 def solve_sic_rx2(
@@ -306,21 +346,30 @@ def solve_sic_rx1(
     return _solve(_SIC_RX1, ch, s1, s2, budget)
 
 
-_VERDICT_PRECEDENCE = (
-    InfeasibleReason.POWER_BUDGET_EXCEEDED,
-    InfeasibleReason.SIC_PRODUCT_GE_ONE,
-    InfeasibleReason.RATE_UNREACHABLE,
-    InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY,
-)
+def _winner(weak_first, codes, energies, xp):
+    """solve_noma's dispatch, the one place it is written: the index in
+    _ROWS of the winning formulation, or -1 when none is feasible.
+
+    sic-rx2 when g1 <= g2 (weak_first); otherwise the cheaper feasible of
+    tin and sic-rx1, ties to tin.  codes and energies hold every row's
+    verdict code and energy; a row that was not solved has code None.
+    """
+    ok = [code == _FEASIBLE for code in codes]
+    rx1_wins = ok[2] & ((codes[1] != _FEASIBLE) | (energies[2] < energies[1]))
+    strong_first = xp.where(rx1_wins, 2, xp.where(ok[1], 1, -1))
+    return xp.where(weak_first, xp.where(ok[0], 0, -1), strong_first)
 
 
-def _infeasible(
-    subs: tuple[tuple[Scheme, InfeasibleReason], ...], relabeled: bool
-) -> SolveOutcome:
-    """solve_noma's outcome when every candidate failed: the verdicts in
-    candidate order, headlined by the first in budget/product/rate/window
-    order."""
-    verdict = min((v for _, v in subs), key=_VERDICT_PRECEDENCE.index)
+def _outcome(winner, codes, runs, weak_first, s1, s2, relabeled) -> SolveOutcome:
+    """solve_noma's outcome from _winner: the winner's allocation from its
+    run, or every candidate's verdict in candidate order, headlined by the
+    first in budget/product/rate/window order."""
+    if winner >= 0:
+        allocation = _allocation(_ROWS[winner], s1, s2, runs[winner])
+        return SolveOutcome(allocation=allocation, relabeled=relabeled)
+    candidates = _CANDIDATES[weak_first]
+    subs = tuple((_ROWS[k].scheme, _VERDICT_PRECEDENCE[codes[k]]) for k in candidates)
+    verdict = _VERDICT_PRECEDENCE[min(codes[k] for k in candidates)]
     return SolveOutcome(verdict=verdict, sub_verdicts=subs, relabeled=relabeled)
 
 
@@ -337,79 +386,26 @@ def solve_noma(
     budget/product/rate/window order.
     """
     ch, s1, s2, relabeled = order_by_deadline(ch, s1, s2)
-    if ch.g1 <= ch.g2:
-        candidates = ((Scheme.SIC_RX2, solve_sic_rx2),)
-    else:
-        candidates = ((Scheme.TIN, solve_tin), (Scheme.SIC_RX1, solve_sic_rx1))
-    best = None
-    subs = []
-    for scheme, solve in candidates:
-        outcome = solve(ch, s1, s2, budget)
-        a = outcome.allocation
-        if a is None:
-            subs.append((scheme, outcome.verdict))
-        elif best is None or a.energy < best.energy:
-            best = a
-    if best is not None:
-        return SolveOutcome(allocation=best, relabeled=relabeled)
-    return _infeasible(tuple(subs), relabeled)
-
-
-# Column form of solve_noma, for many channel draws of one (s1, s2, budget)
-# cell.  A trial's verdict code under a formulation is its index in
-# _VERDICT_PRECEDENCE, or _FEASIBLE.
-
-_ROWS = (_SIC_RX2, _TIN, _SIC_RX1)
-_FEASIBLE = -1
-_CODE = {v: i for i, v in enumerate(_VERDICT_PRECEDENCE)}
-
-
-def _row_columns(
-    row: _Formulation,
-    g1: np.ndarray,
-    g2: np.ndarray,
-    s1: UserSpec,
-    s2: UserSpec,
-    p_max: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """_solve over arrays of gains: per trial, a verdict code and the energy
-    (NaN unless feasible).
-
-    The checks and the arithmetic are _solve's, element-wise, so a feasible
-    trial's energy equals the scalar one bit for bit.
-    """
-    n = len(g1)
-    gammas = _row_sinrs(row, s1, s2)
-    if isinstance(gammas, InfeasibleReason):
-        return np.full(n, _CODE[gammas], np.int8), np.full(n, np.nan)
-    gamma1, gamma2 = gammas
-    code = np.full(n, _FEASIBLE, np.int8)
-    if row.product_wall and gamma1 * gamma2 >= 1.0:
-        code[:] = _CODE[InfeasibleReason.SIC_PRODUCT_GE_ONE]
-        energy = np.full(n, np.nan)
-    else:
-        p1, p2 = row.powers(gamma1, gamma2, g1, g2)
-        m1, m2 = _blocklengths(row, s1, s2)
-        energy = m1 * p1 + m2 * p2
-        over = (p1 + p2 > p_max) | (energy == np.inf)
-        code[over] = _CODE[InfeasibleReason.POWER_BUDGET_EXCEEDED]
-    # Reachability is checked before the wall and the budget, so it overrides.
-    unreachable = (gamma1 > p_max * g1) | (gamma2 > p_max * g2)
-    code[unreachable] = _CODE[InfeasibleReason.RATE_UNREACHABLE]
-    energy[code != _FEASIBLE] = np.nan
-    return code, energy
+    weak_first = ch.g1 <= ch.g2
+    codes, energies, runs = [None] * 3, [math.nan] * 3, [None] * 3
+    for k in _CANDIDATES[weak_first]:
+        codes[k], energies[k], runs[k] = _run(
+            _ROWS[k], ch.g1, ch.g2, s1, s2, budget.p_max, _FLOAT
+        )
+    winner = _winner(weak_first, codes, energies, _FLOAT)
+    return _outcome(winner, codes, runs, weak_first, s1, s2, relabeled)
 
 
 def _noma_columns(
     g1: np.ndarray, g2: np.ndarray, s1: UserSpec, s2: UserSpec, p_max: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """solve_noma over arrays of gains.
+    """solve_noma over arrays of gains sharing one (s1, s2, p_max).
 
     Returns, per trial, the index in _ROWS of the winning formulation (-1
     when none is feasible), every formulation's verdict code (shape
     (3, n)) and the winner's energy (NaN when none), all for the users as
-    order_by_deadline labels them.  Dispatch as in solve_noma: sic-rx2 when
-    g1 <= g2, else the cheaper feasible of tin and sic-rx1 with ties to tin.
+    order_by_deadline labels them.  A feasible trial's energy equals the
+    scalar one bit for bit: both are _fold's arithmetic.
     """
     _require_deadline_order(s1, s2)
     if s1.deadline == s2.deadline:
@@ -420,18 +416,12 @@ def _noma_columns(
     # Tiny gains overflow the powers and energies (tin divides by an
     # underflowed g1*g2), as the scalar arithmetic does; huge ones p_max*g.
     with np.errstate(divide="ignore", over="ignore"):
-        columns = [_row_columns(row, g1, g2, s1, s2, p_max) for row in _ROWS]
-    codes = np.stack([code for code, _ in columns])
-    energies = np.stack([energy for _, energy in columns])
-    ok = codes == _FEASIBLE
-    rx1_wins = ok[2] & (~ok[1] | (energies[2] < energies[1]))
-    winner = np.where(
-        g1 <= g2,
-        np.where(ok[0], 0, -1),
-        np.where(rx1_wins, 2, np.where(ok[1], 1, -1)),
-    ).astype(np.int8)
+        columns = [_run(row, g1, g2, s1, s2, p_max, _COLUMNS) for row in _ROWS]
+    codes, energies, _ = zip(*columns)
+    winner = _winner(g1 <= g2, codes, energies, _COLUMNS).astype(np.int8)
+    energies = np.stack(energies)
     energy = np.where(winner >= 0, energies[winner, np.arange(len(g1))], np.nan)
-    return winner, codes, energy
+    return winner, np.stack(codes), energy
 
 
 def _noma_outcome(
@@ -440,14 +430,9 @@ def _noma_outcome(
     """The outcome solve_noma gives for one trial of _noma_columns, rebuilt
     from its winner and codes on its channel pair."""
     ch, s1, s2, relabeled = order_by_deadline(ch, s1, s2)
+    runs = [None] * 3
     if winner >= 0:
-        row = _ROWS[winner]
-        gamma1, gamma2 = _row_sinrs(row, s1, s2)
-        p1, p2 = row.powers(gamma1, gamma2, ch.g1, ch.g2)
-        allocation = _allocation(row, s1, s2, gamma1, gamma2, p1, p2)
-        return SolveOutcome(allocation=allocation, relabeled=relabeled)
-    candidates = (0,) if ch.g1 <= ch.g2 else (1, 2)
-    subs = tuple(
-        (_ROWS[k].scheme, _VERDICT_PRECEDENCE[codes[k]]) for k in candidates
-    )
-    return _infeasible(subs, relabeled)
+        # The winner passed every check under the cell's budget; without a
+        # budget the kernel gives back its allocation, bit for bit.
+        runs[winner] = _run(_ROWS[winner], ch.g1, ch.g2, s1, s2, math.inf, _FLOAT)[2]
+    return _outcome(winner, codes, runs, ch.g1 <= ch.g2, s1, s2, relabeled)

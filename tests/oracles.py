@@ -3,7 +3,8 @@
 Each function recomputes a quantity along a different route than the
 library takes: quadrature of the normal density instead of erfc, generic
 root bracketing instead of the closed-form quadratic, brute-force grid or
-golden-section search instead of the closed-form allocations.  The one
+golden-section search instead of the closed-form allocations, a linear
+solve instead of the closed-form power inversions.  The one
 exception, sinr_by_plain_bisection, takes the library's own route, step by
 step, as the reference for its shortcuts.
 """
@@ -15,7 +16,14 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtri
 
-from noma_fbl import BracketError, UserSpec, q_inv, rate_deficit
+from noma_fbl import (
+    BracketError,
+    InfeasibleReason,
+    UserSpec,
+    q_inv,
+    rate_deficit,
+    required_sinr,
+)
 
 LN2 = math.log(2.0)
 
@@ -134,16 +142,25 @@ def _grid_pass(
     ax1: np.ndarray,
     ax2: np.ndarray,
 ) -> tuple[float, tuple[int, int]]:
-    """One brute-force pass over a SINR grid; returns (min energy, argmin)."""
+    """One brute-force pass over a SINR grid; returns (min energy, argmin).
+
+    Only SINRs whose exact-fit blocklength lies in [min blocklength, cap]
+    can be feasible, so the others are dropped before the outer product.
+    The argmin indexes the full axes; the scan is row-major with a strict
+    <, so it is the first minimum either way.
+    """
     m1 = _fit_blocklength_vec(ax1, s1.payload_bits, s1.error_target)
     m2 = _fit_blocklength_vec(ax2, s2.payload_bits, s2.error_target)
     cap1 = float(s1.deadline)
     cap2 = float(s2.deadline) if scheme != "sic_rx1" else float(s1.deadline)
-    ok1 = (m1 >= s1.min_blocklength) & (m1 <= cap1)
-    ok2 = (m2 >= s2.min_blocklength) & (m2 <= cap2)
+    rows = np.flatnonzero((m1 >= s1.min_blocklength) & (m1 <= cap1))
+    cols = np.flatnonzero((m2 >= s2.min_blocklength) & (m2 <= cap2))
+    ax1, m1, ax2, m2 = ax1[rows], m1[rows], ax2[cols], m2[cols]
 
     best = np.inf
     arg = (-1, -1)
+    if not len(cols):
+        return best, arg
     chunk = 256
     for start in range(0, len(ax1), chunk):
         sl = slice(start, min(start + chunk, len(ax1)))
@@ -167,9 +184,7 @@ def _grid_pass(
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         feasible = (
-            ok1[sl][:, None]
-            & ok2[None, :]
-            & extra
+            extra
             & (p1 >= 0.0)
             & (p2 >= 0.0)
             & (p1 + p2 <= p_max)
@@ -179,7 +194,7 @@ def _grid_pass(
         idx = np.unravel_index(np.argmin(energy), energy.shape)
         if energy[idx] < best:
             best = float(energy[idx])
-            arg = (start + idx[0], int(idx[1]))
+            arg = (int(rows[start + idx[0]]), int(cols[idx[1]]))
     return best, arg
 
 
@@ -212,6 +227,46 @@ def grid_min_energy(
         fine_best, _ = _grid_pass(scheme, g1, g2, s1, s2, p_max, fine1, fine2)
         best = min(best, fine_best)
     return best
+
+
+def noma_reference(
+    scheme: str, g1: float, g2: float, s1: UserSpec, s2: UserSpec, p_max: float
+) -> tuple[InfeasibleReason | None, float, float]:
+    """One superposition formulation solved the plain way, one check at a
+    time: (verdict, energy, p1 + p2), verdict None when feasible.
+
+    Pins m1 = D1 and m2 = D2 (D1 for sic_rx1), as the paper does, reads
+    required_sinr and solves the formulation's SINR equations, linear in
+    the powers, with numpy.linalg.solve.  The checks run in the documented
+    order: user 2's blocklength window, rate reachability (gamma_k <=
+    p_max*g_k), tin's SINR-product wall (gamma1*gamma2 < 1), and the budget
+    (p1 + p2 <= p_max with a finite energy).  energy and p1 + p2 are NaN
+    when a check before the powers failed.
+    """
+    m1 = float(s1.deadline)
+    m2 = m1 if scheme == "sic_rx1" else float(s2.deadline)
+    if m2 < s2.min_blocklength:
+        return InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY, math.nan, math.nan
+    try:
+        gamma1, gamma2 = required_sinr(s1, m1), required_sinr(s2, m2)
+    except BracketError:
+        return InfeasibleReason.RATE_UNREACHABLE, math.nan, math.nan
+    if gamma1 > p_max * g1 or gamma2 > p_max * g2:
+        return InfeasibleReason.RATE_UNREACHABLE, math.nan, math.nan
+    if scheme == "tin" and gamma1 * gamma2 >= 1.0:
+        return InfeasibleReason.SIC_PRODUCT_GE_ONE, math.nan, math.nan
+    # Receiver k's constraint p_k*g_k = gamma_k*(1 + g_k*p_other), with the
+    # other codeword's power p_other heard unless receiver k cancels it,
+    # divided by g_k: p_k - gamma_k*p_other = gamma_k/g_k.
+    heard1 = 0.0 if scheme == "sic_rx1" else gamma1
+    heard2 = 0.0 if scheme == "sic_rx2" else gamma2
+    p1, p2 = np.linalg.solve(
+        [[1.0, -heard1], [-heard2, 1.0]], [gamma1 / g1, gamma2 / g2]
+    ).tolist()
+    energy = m1 * p1 + m2 * p2
+    if not (p1 + p2 <= p_max and energy < math.inf):
+        return InfeasibleReason.POWER_BUDGET_EXCEEDED, energy, p1 + p2
+    return None, energy, p1 + p2
 
 
 def tdma_split_energy(

@@ -202,8 +202,7 @@ _BOUNDED = settings(max_examples=60, derandomize=True, deadline=None, database=N
 
 
 def _cold_memos():
-    fbl._SINR_MEMO.clear()
-    fbl._required_sinr_table.cache_clear()
+    required_sinr.cache_clear()
 
 
 def _scalar_roots(payload_bits, error_target, ms):

@@ -22,7 +22,7 @@ import random
 
 import numpy as np
 
-from noma_fbl import BracketError, UserSpec, fbl, required_sinr, sinr_for_blocklength
+from noma_fbl import BracketError, UserSpec, required_sinr, sinr_for_blocklength
 from noma_fbl.cli import main
 from noma_fbl.fbl import required_sinr_table
 
@@ -87,8 +87,7 @@ def _random_user(rng):
 
 
 def test_sinr_root_bits_match_golden_sha256():
-    fbl._SINR_MEMO.clear()
-    fbl._required_sinr_table.cache_clear()
+    required_sinr.cache_clear()
     rng = random.Random(7)
     roots = []  # -1.0 marks a BracketError; every root is positive
     for _ in range(1500):
@@ -118,8 +117,7 @@ def test_golden_inputs_find_every_root_by_a_jump(tmp_path):
     # A root whose window cannot be certified falls back to the whole
     # bisection with the same bits, so only the counter shows an estimate
     # that stopped working.
-    fbl._SINR_MEMO.clear()
-    fbl._required_sinr_table.cache_clear()
+    required_sinr.cache_clear()
     before = required_sinr.root_info()
     test_sinr_root_bits_match_golden_sha256()
     test_default_montecarlo_matches_golden_sha256(tmp_path)
