@@ -5,7 +5,11 @@ outside the test paths, so the tier-1 suite does not run them.
 
 The import benchmark starts a fresh interpreter per round, so it also
 counts interpreter start-up; compare it with ``python -c pass`` to
-isolate the import.  The root-finding benchmarks start from cold memos.
+isolate the import.  The root-finding benchmarks start from a cold store
+(required_sinr.cache_clear()); the warm ones time a hit on a filled row:
+at an int m (the path of noma's pinned deadlines), at an integral float m
+(converted, then read) and a 100-entry table inside the row's known span
+(a read-only slice).
 
 Every cold root jumps into its bisection from a certified window around a
 Newton estimate.  A table of up to fbl._VECTOR_MIN_MISSES - 1 entries is
@@ -91,3 +95,19 @@ def test_cold_huge_required_sinr_table(benchmark):
 
 def test_cold_huge_required_sinr_miss(benchmark):
     _cold_miss(benchmark, HUGE)
+
+
+def _warm(benchmark, function, *args):
+    _cold()
+    function(*args)  # fills the row
+    # 200 rounds of 200 calls, as for q_inv.
+    return benchmark.pedantic(function, args=args, rounds=200, iterations=200)
+
+
+@pytest.mark.parametrize("m", [300, 300.0], ids=["int", "integral-float"])
+def test_warm_required_sinr_hit(benchmark, m):
+    assert _warm(benchmark, required_sinr, SPEC, m) > 0.0
+
+
+def test_warm_required_sinr_table_hit(benchmark):
+    assert len(_warm(benchmark, required_sinr_table, SPEC, 100, 199)) == 100

@@ -19,17 +19,19 @@ A Newton estimate of the root, a window around it that two closed-form
 evaluations certify, and the dyadic bracket the loop holds on entering the
 window take the place of the doubling and of some 30 bisection steps
 (_jump).  Larger table fills find those estimates, windows and brackets on
-numpy arrays.
+numpy arrays.  One store keeps the roots: a row over integer m per
+(payload_bits, error_target) (_Row), of which a table is a slice.
 
 Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 (symbols) and may be real-valued, rates are bits per channel use.
 """
 
 import math
+import threading
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,12 +54,10 @@ _SINR_STEP = 2.0 ** math.floor(math.log2(_SINR_TOL))
 
 
 class BracketError(Exception):
-    """The SINR needed for a blocklength exceeds the allowed search bracket.
-
-    Solvers map this onto a rate-unreachable infeasibility verdict: even the
-    largest admissible SINR cannot deliver the payload in the target number
-    of channel uses.
-    """
+    """The SINR needed for a blocklength exceeds the allowed search bracket:
+    even the largest admissible SINR cannot deliver the payload in the
+    target number of channel uses.  Solvers map this onto a rate-unreachable
+    infeasibility verdict."""
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,9 @@ def _q_ln2(error_target: float) -> float:
 
 
 def _blocklength(gamma, payload_bits, q, log2=math.log2, sqrt=math.sqrt):
-    """The closed form of blocklength_for_sinr with q = q_inv(eps)/ln 2.
-
-    Takes numpy arrays when given log2=np.log2 and sqrt=np.sqrt; the
-    operations and their order are the same either way.
-    """
+    """The closed form of blocklength_for_sinr with q = q_inv(eps)/ln 2; on
+    numpy arrays given log2=np.log2 and sqrt=np.sqrt, the operations and
+    their order are the same."""
     dispersion = 1.0 - 1.0 / (1.0 + gamma) ** 2
     log_term = log2(1.0 + gamma)
     root = (
@@ -172,14 +170,12 @@ def sinr_for_blocklength(m_star: float, spec: UserSpec, gamma_hi: float) -> floa
 
 
 def _bisect(payload_bits: int, q: float, m: float, lo: float, hi: float) -> float:
-    """SINR on [lo, hi] at which m uses fit the payload, q = q_inv(eps)/ln 2.
-
-    A midpoint whose blocklength is below m over-delivers and becomes the
+    """SINR on [lo, hi] at which m uses fit the payload, q = q_inv(eps)/ln 2:
+    a midpoint whose blocklength is below m over-delivers and becomes the
     new top.  Stops once the bracket is narrower than _SINR_TOL or its
     midpoint no longer splits it (the float spacing of large SINRs exceeds
     the tolerance), and returns the midpoint.  Every root is this loop's
-    from lo = 0; a bracket from _jump is one that loop passes through.
-    """
+    from lo = 0; a bracket from _jump is one that loop passes through."""
     evals = 0
     while hi - lo > _SINR_TOL:
         mid = 0.5 * (lo + hi)
@@ -199,24 +195,36 @@ def required_sinr(spec: UserSpec, m: float) -> float:
 
     Same root as sinr_for_blocklength but with an adaptive bracket (doubling
     from 1 until it encloses the root), so the result depends only on
-    (payload_bits, error_target, m) and is memoized on that key, whatever
-    the deadline.  Solvers compare it against their own power limit
-    p_max * gain, which is equivalent to bracketing at that limit.
+    (payload_bits, error_target, m), whatever the deadline, and the store
+    keeps it for an integral m below _ROW_BUDGET.  Solvers compare it with
+    their own power limit p_max * gain, which equals bracketing at it.
 
     Raises ValueError for m below the spec's minimum blocklength, and
     BracketError if the required SINR overflows any realistic range.
     """
     if m < spec.min_blocklength:
         raise _untrusted(spec, m)
-    key = (spec.payload_bits, spec.error_target, m)
-    gamma = _SINR_MEMO.get(key)
-    if gamma is None:
-        _sinr_counts[1] += 1
-        gamma = _SINR_MEMO[key] = _sinr_root(*key)
-        _trim_sinr_memo()
-    else:
+    key = spec.payload_bits, spec.error_target
+    row = _SINR_ROWS.get(key)
+    try:  # a hit on the most recently used row changes no order
+        gamma = row.gammas[m] if row is _last else math.nan
+    except (IndexError, TypeError):  # m past the row, or not an int
+        gamma = math.nan
+    if gamma == gamma:
         _sinr_counts[0] += 1
-    return gamma
+        return gamma
+    if type(m) is not int and float(m).is_integer():
+        m = int(m)
+    if type(m) is not int or m >= _ROW_BUDGET:
+        _sinr_counts[1] += 1
+        return _sinr_root(*key, m)
+    gammas = _row(key, m + 1).gammas
+    if gammas[m] == gammas[m]:
+        _sinr_counts[0] += 1
+    else:  # NaN: not yet known
+        _sinr_counts[1] += 1
+        gammas[m] = _sinr_root(*key, m)
+    return gammas[m]
 
 
 def _untrusted(spec: UserSpec, m: float) -> ValueError:
@@ -226,57 +234,64 @@ def _untrusted(spec: UserSpec, m: float) -> ValueError:
     )
 
 
-#: Required SINRs keyed on (payload_bits, error_target, m), oldest first:
-#: the one memo of required_sinr and required_sinr_table.  A plain dict,
-#: whose lookup costs what the lru_cache it replaces cost; an OrderedDict
-#: with least-recently-used refresh costs 0.13 us more per hit.
-_SINR_MEMO: dict[tuple, float] = {}
-_SINR_MEMO_SIZE = 8192
-#: Lookups of the memo that found their key, and that did not.
-_sinr_counts = [0, 0]
+class _Row:
+    """The required SINRs of one key at m = 0, 1, ... (NaN: not yet known),
+    all known on [lo, hi], and table, a read-only numpy view of them.  Only
+    NaN entries are written, so no slice of table changes; growth is a copy."""
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+    def __init__(self, gammas: array, lo: float = math.inf, hi: int = -1):
+        self.gammas, self.lo, self.hi = gammas, lo, hi
+        self.table = np.frombuffer(gammas)
+        self.table.flags.writeable = False
 
 
-def _sinr_cache_info() -> _CacheInfo:
-    return _CacheInfo(*_sinr_counts, _SINR_MEMO_SIZE, len(_SINR_MEMO))
+#: The store: rows by (payload_bits, error_target), least recently used
+#: first (_last is the most recent, _EMPTY no row), of at most _ROW_BUDGET
+#: entries (1 MiB of floats).  Its counts: entries read, computed and held.
+_SINR_ROWS: dict[tuple, _Row] = {}
+_ROW_BUDGET = 1 << 17
+_NAN = array("d", [math.nan])
+_sinr_counts = [0, 0, 0]
+_EMPTY = _last = _Row(_NAN[:0])
+_LOCK = threading.Lock()
+
+
+def _row(key: tuple, size: int) -> _Row:
+    """key's row, made the most recently used and grown to size (and by a
+    quarter) if shorter; then the least recently used rows go, if need be."""
+    global _last
+    with _LOCK:
+        row = _SINR_ROWS.pop(key, None) or _EMPTY
+        held = len(row.gammas)
+        if held < size:  # the span before the entries: a fill may be under way
+            lo, hi = row.lo, row.hi
+            gammas = _NAN * min(_ROW_BUDGET, max(size, held * 5 // 4))
+            gammas[:held] = row.gammas
+            row = _Row(gammas, lo, hi)
+            _sinr_counts[2] += len(gammas) - held
+        _SINR_ROWS[key] = _last = row
+        while _sinr_counts[2] > _ROW_BUDGET:
+            _sinr_counts[2] -= len(_SINR_ROWS.pop(next(iter(_SINR_ROWS))).gammas)
+    return row
 
 
 def _sinr_cache_clear() -> None:
-    _SINR_MEMO.clear()
-    _required_sinr_table.cache_clear()
-    _sinr_counts[:] = 0, 0
+    with _LOCK:
+        _SINR_ROWS.clear()
+        _sinr_counts[:] = 0, 0, 0
 
 
-# Hit and miss counts of the memo, and its clear, as on an lru_cache function.
-required_sinr.cache_info = _sinr_cache_info
-required_sinr.cache_clear = _sinr_cache_clear
-
-#: Work of the roots found since import: those found from a bracket of
-#: _jump, those whose window could not be certified (found by the whole
-#: bisection from [0, top]), and the closed-form evaluations of all of them,
-#: sinr_for_blocklength's included.  A root past the doubling's limit is
-#: neither: it raises BracketError.
+#: Roots found since import by a jump and by the whole bisection (no window
+#: certified; a root past the doubling's limit, which raises BracketError, is
+#: neither), and the closed-form evaluations of all, sinr_for_blocklength's.
 _root_counts = [0, 0, 0]
-
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 _RootInfo = namedtuple("RootInfo", "jumps fallbacks evals")
-
-
-def _root_info() -> _RootInfo:
-    return _RootInfo(*_root_counts)
-
-
-# Root-finding counts, read as cache_info is.
-required_sinr.root_info = _root_info
-
-
-def _trim_sinr_memo() -> None:
-    """Past its size, drop the oldest quarter of the memo in one pass
-    (deleting a dict's first key one at a time rescans the deleted ones)."""
-    if len(_SINR_MEMO) > _SINR_MEMO_SIZE:
-        excess = len(_SINR_MEMO) - _SINR_MEMO_SIZE * 3 // 4
-        for key in list(islice(_SINR_MEMO, excess)):
-            del _SINR_MEMO[key]
+required_sinr.cache_info = lambda: _CacheInfo(
+    *_sinr_counts[:2], _ROW_BUDGET, _sinr_counts[2]
+)
+required_sinr.cache_clear = _sinr_cache_clear
+required_sinr.root_info = lambda: _RootInfo(*_root_counts)
 
 
 #: The doubling bracket of a root gives up past this SINR.
@@ -306,7 +321,7 @@ def _doubling(payload_bits: int, q: float, m: float) -> float:
 
 
 def _sinr_root(payload_bits: int, error_target: float, m: float) -> float:
-    """required_sinr without the memo: _bisect on m's doubling bracket, from
+    """required_sinr without the store: _bisect on m's doubling bracket, from
     the bracket of _jump where it finds one."""
     q = _q_ln2(error_target)
     cell = _jump(payload_bits, q, m)
@@ -318,13 +333,10 @@ def _sinr_root(payload_bits: int, error_target: float, m: float) -> float:
     return _bisect(payload_bits, q, m, *cell)
 
 
-#: A table window with fewer roots missing from the memo than this finds
+#: A table window with fewer roots missing from the store than this finds
 #: them one by one with _sinr_root; from this many on, _sinr_roots finds
-#: them together.  Cold tables of n entries from m = 100 on a 2-vCPU Xeon
-#: VM, scalar / numpy, medians of 41: 600 bits at eps 1e-5, n = 16: 0.18 /
-#: 0.21 ms, n = 24: 0.28 / 0.23 ms; 160 bits at 1e-7, n = 16: 0.19 / 0.22
-#: ms, n = 24: 0.27 / 0.21 ms; 3000 bits at 1e-9, n = 16: 0.40 / 0.44 ms,
-#: n = 24: 0.57 / 0.55 ms.  They break even near 20 roots.
+#: them together.  They break even near 20 roots at 160, 600 and 3000 bits
+#: (cold tables from m = 100, 2-vCPU Xeon VM; benchmarks/test_fbl_layers.py).
 _VECTOR_MIN_MISSES = 20
 
 #: Relative error bound of the closed form _blocklength, scalar or numpy,
@@ -416,7 +428,6 @@ def _window(payload_bits, q, m, xp):
 def _certain(payload_bits, q, m, a, b, xp):
     """Whether the closed form is certainly at least m at every midpoint of
     the bisection up to a, and certainly below m at every one from b on.
-
     Take mu(g) = _margin(g) and B the closed form in exact arithmetic,
     strictly decreasing in g.  From b on, mu falls, so a value at b below
     m (1 - 4 mu(b)) puts B there below m (1 - 3 mu(b)), and every computed
@@ -424,8 +435,7 @@ def _certain(payload_bits, q, m, a, b, xp):
     of at least m (1 + 4 mu(a)) keeps every computed value at least m while
     mu(a) <= 1/8.  Below a/2, each halving of g raises B by more than 0.1%
     up to _BRACKET_TOP, while mu stays below 2e-5 on the midpoints, which
-    are at least _SINR_STEP.
-    """
+    are at least _SINR_STEP."""
     at_a = _blocklength(a, payload_bits, q, xp.log2, xp.sqrt)
     at_b = _blocklength(b, payload_bits, q, xp.log2, xp.sqrt)
     return at_a >= m * (1.0 + 4.0 * _margin(a)), at_b < m * (1.0 - 4.0 * _margin(b))
@@ -479,16 +489,14 @@ def _jump(payload_bits: int, q: float, m: float) -> tuple[float, float] | None:
     return (lo, hi) if top_certain else None
 
 
-def _sinr_roots(payload_bits: int, error_target: float, ms: list[int]) -> np.ndarray:
-    """_sinr_root for each m of ms (ascending), with numpy finding the
-    windows, their certification and the brackets of all of them.
-
-    A bracket with a midpoint left finishes in _bisect, and an entry numpy
-    cannot certify goes to _sinr_root, so each root has the scalar path's
-    bits.  Raises BracketError as _sinr_root(ms[0]) would.
-    """
+def _sinr_roots(payload_bits: int, error_target: float, ms: np.ndarray) -> np.ndarray:
+    """_sinr_root for each integer m of ms (ascending), with numpy finding the
+    windows, their certification and the brackets of all of them.  A bracket
+    with a midpoint left finishes in _bisect, and an entry numpy cannot
+    certify goes to _sinr_root, so each root has the scalar path's bits.
+    Raises BracketError as _sinr_root(ms[0]) would."""
     q = _q_ln2(error_target)
-    m = np.array(ms, dtype=float)
+    m, ms = ms.astype(float), ms.tolist()
     with np.errstate(all="ignore"):
         a, b = _window(payload_bits, q, m, _NUMPY)
         above, below = _certain(payload_bits, q, m, a, b, _NUMPY)
@@ -514,35 +522,30 @@ def _sinr_roots(payload_bits: int, error_target: float, ms: list[int]) -> np.nda
 def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
     """required_sinr evaluated on the integer blocklengths m_lo..m_hi.
 
-    Read-only array, memoized on (payload_bits, error_target, m_lo, m_hi);
-    index i holds the SINR for m = m_lo + i.  Bit for bit the values
-    required_sinr gives, which share its memo.
-    """
+    A read-only array; index i holds the SINR for m = m_lo + i, bit for bit
+    required_sinr's: a slice of the store's row (of a row of its own from
+    _ROW_BUDGET on) whose NaN entries, if any, are found and written at once."""
     if m_lo < spec.min_blocklength:
         raise _untrusted(spec, m_lo)
-    return _required_sinr_table(spec.payload_bits, spec.error_target, m_lo, m_hi)
-
-
-@lru_cache(maxsize=256)
-def _required_sinr_table(
-    payload_bits: int, error_target: float, m_lo: int, m_hi: int
-) -> np.ndarray:
-    keys = [(payload_bits, error_target, m) for m in range(m_lo, m_hi + 1)]
-    gammas = [_SINR_MEMO.get(key) for key in keys]
-    missing = [i for i, gamma in enumerate(gammas) if gamma is None]
-    ms = [m_lo + i for i in missing]
+    key = spec.payload_bits, spec.error_target
+    row = _SINR_ROWS.get(key)
+    if row is not _last or len(row.gammas) <= m_hi:
+        row = _row(key, m_hi + 1) if m_hi < _ROW_BUDGET else _Row(_NAN * (m_hi + 1))
+    if row.lo <= m_lo and m_hi <= row.hi:
+        _sinr_counts[0] += m_hi - m_lo + 1
+        return row.table[m_lo : m_hi + 1]
+    gammas = np.frombuffer(row.gammas)[m_lo : m_hi + 1]
+    missing = np.isnan(gammas).nonzero()[0]
     if len(missing) < _VECTOR_MIN_MISSES:
-        roots = [_sinr_root(payload_bits, error_target, m) for m in ms]
+        gammas[missing] = [_sinr_root(*key, m) for m in (missing + m_lo).tolist()]
     else:
-        roots = _sinr_roots(payload_bits, error_target, ms).tolist()
-    for i, gamma in zip(missing, roots):
-        gammas[i] = _SINR_MEMO[keys[i]] = gamma
-    _sinr_counts[0] += len(keys) - len(missing)
+        gammas[missing] = _sinr_roots(*key, missing + m_lo)
+    _sinr_counts[0] += len(gammas) - len(missing)
     _sinr_counts[1] += len(missing)
-    _trim_sinr_memo()
-    table = np.array(gammas, dtype=float)
-    table.flags.writeable = False
-    return table
+    gammas.flags.writeable = False
+    if row.lo > row.hi or (m_lo <= row.hi + 1 and row.lo <= m_hi + 1):
+        row.lo, row.hi = min(row.lo, m_lo), max(row.hi, m_hi)  # the spans meet
+    return gammas
 
 
 def energy_monotone(spec: UserSpec) -> bool:
@@ -558,9 +561,6 @@ def energy_monotone(spec: UserSpec) -> bool:
 
 
 def energy_curve(m: float, spec: UserSpec) -> float:
-    """Blocklength-energy product m * required_sinr(m) at unit channel gain.
-
-    Dividing by a channel power gain turns this into the actual codeword
-    energy m * p.
-    """
+    """Blocklength-energy product m * required_sinr(m) at unit channel gain;
+    divided by a channel power gain, the actual codeword energy m * p."""
     return m * required_sinr(spec, m)

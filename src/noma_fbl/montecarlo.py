@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fbl import UserSpec
-from .noma import _noma_columns, _noma_outcome
+from .noma import _noma_columns, _noma_outcome, _requirements
 from .tdma import _best_splits, _outcome, _pick_trials, _splits, _window
 from .types import ChannelPair, PowerBudget, SolveOutcome
 
@@ -161,6 +161,8 @@ class CellRecords(Sequence):
     for none; noma_codes: each formulation's verdict code; noma_energy)
     and tdma._best_splits (tdma_best: index into splits, -1 for none, as
     tdma._pick chooses it; tdma_energy); energies are NaN where infeasible.
+    The formulations' pinned blocklengths and required SINRs (noma_needs)
+    are read once per cell, so its rebuilt outcomes share those floats.
     """
 
     def __init__(
@@ -177,6 +179,10 @@ class CellRecords(Sequence):
         self.noma_winner, self.noma_codes, self.noma_energy = noma
         self.tdma_best, self.tdma_energy = tdma
 
+    @cached_property
+    def noma_needs(self) -> list:
+        return _requirements(self.s1, self.s2)
+
     @property
     def noma_feasible(self) -> np.ndarray:
         return self.noma_winner >= 0
@@ -191,7 +197,7 @@ class CellRecords(Sequence):
     def __getitem__(self, i: int) -> TrialRecord:
         ch = ChannelPair(float(self.g1[i]), float(self.g2[i]))
         winner, codes = int(self.noma_winner[i]), self.noma_codes[:, i].tolist()
-        noma = _noma_outcome(winner, codes, ch, self.s1, self.s2)
+        noma = _noma_outcome(winner, codes, ch, self.s1, self.s2, self.noma_needs)
         return TrialRecord(noma, _outcome(self.splits, int(self.tdma_best[i]), ch))
 
 

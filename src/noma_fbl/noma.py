@@ -37,6 +37,7 @@ apply the rule, and _noma_outcome rebuilds a trial's outcome from its codes.
 """
 
 import math
+import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -128,10 +129,25 @@ def _powers_sic_rx2(
 def _powers_tin(
     gamma1: float, gamma2: float, g1: float, g2: float
 ) -> tuple[float, float]:
-    """Invert the mutual-interference SINR maps; requires gamma1*gamma2 < 1."""
-    denom = g1 * g2 * (1.0 - gamma1 * gamma2)
-    p1 = (gamma1 * g2 + gamma1 * gamma2 * g1) / denom
-    p2 = (gamma2 * g1 + gamma1 * gamma2 * g2) / denom
+    """Invert the mutual-interference SINR maps; requires gamma1*gamma2 < 1.
+
+    The gains are one draw's floats or arrays of draws.  Where g1*g2 falls
+    below the normal float range it loses bits, so there, and only there,
+    each map is divided by its gain first:
+    p1 = (gamma1/g1 + gamma1*gamma2/g2) / (1 - gamma1*gamma2), p2 alike.
+    """
+    product = gamma1 * gamma2
+    wall = 1.0 - product
+    tiny = g1 * g2 < sys.float_info.min
+    columns = isinstance(tiny, np.ndarray)
+    if not columns and tiny:
+        return (gamma1 / g1 + product / g2) / wall, (gamma2 / g2 + product / g1) / wall
+    denom = g1 * g2 * wall
+    p1 = (gamma1 * g2 + product * g1) / denom
+    p2 = (gamma2 * g1 + product * g2) / denom
+    if columns and tiny.any():
+        p1 = np.where(tiny, (gamma1 / g1 + product / g2) / wall, p1)
+        p2 = np.where(tiny, (gamma2 / g2 + product / g1) / wall, p2)
     return p1, p2
 
 
@@ -186,15 +202,20 @@ def _requirement(
     (gamma1, gamma2) they need; or the code of the verdict that rules the
     formulation out whatever the channel: user 2's blocklength window is
     empty (m2 = D1 below its minimum), or a required SINR leaves any
-    realistic range."""
-    m1 = float(s1.deadline)
-    m2 = m1 if row.m2_at_d1 else float(s2.deadline)
+    realistic range.  The SINRs are read at the integer deadlines."""
+    m1 = s1.deadline
+    m2 = m1 if row.m2_at_d1 else s2.deadline
     if s2.min_blocklength > m2:
         return _WINDOW
     try:
-        return m1, m2, required_sinr(s1, m1), required_sinr(s2, m2)
+        return float(m1), float(m2), required_sinr(s1, m1), required_sinr(s2, m2)
     except BracketError:
         return _RATE
+
+
+def _requirements(s1: UserSpec, s2: UserSpec) -> list:
+    """_requirement of every row of _ROWS, in order."""
+    return [_requirement(row, s1, s2) for row in _ROWS]
 
 
 def _mark(code: np.ndarray, mask: np.ndarray, value: float) -> np.ndarray:
@@ -239,8 +260,8 @@ def _fold(row, m1, m2, gamma1, gamma2, g1, g2, p_max, xp):
         try:
             p1, p2 = row.powers(gamma1, gamma2, g1, g2)
         except ZeroDivisionError:
-            # g1*g2 underflowed to 0 in the tin denominator: the powers
-            # overflow, as numpy's IEEE division makes them.
+            # tin's denominator g1*g2*(1 - gamma1*gamma2) underflowed to 0:
+            # the powers overflow, as numpy's IEEE division makes them.
             p1 = p2 = math.inf
         energy = m1 * p1 + m2 * p2
         over = (p1 + p2 > p_max) | (energy == math.inf)
@@ -249,12 +270,11 @@ def _fold(row, m1, m2, gamma1, gamma2, g1, g2, p_max, xp):
     return code, xp.mark(energy, code != _FEASIBLE, math.nan), p1, p2
 
 
-def _run(row, g1, g2, s1, s2, p_max, xp):
-    """_fold of one formulation for users (s1, s2), after the verdicts that
-    need no gains: the code, the energy, and the run (m1, m2, gamma1,
-    gamma2, p1, p2) that _allocation takes, None when the verdict needed
-    no gains."""
-    need = _requirement(row, s1, s2)
+def _run(row, need, g1, g2, p_max, xp):
+    """_fold of one formulation after the verdicts that need no gains, from
+    its _requirement need: the code, the energy, and the run (m1, m2,
+    gamma1, gamma2, p1, p2) that _allocation takes, None when the verdict
+    needed no gains."""
     if isinstance(need, int):
         return xp.codes(g1, need), xp.nans(g1), None
     code, energy, p1, p2 = _fold(row, *need, g1, g2, p_max, xp)
@@ -281,7 +301,8 @@ def _solve(
     """Minimum-energy allocation of one formulation, from its table row:
     _run on one draw."""
     _require_deadline_order(s1, s2)
-    code, _, run = _run(row, ch.g1, ch.g2, s1, s2, budget.p_max, _FLOAT)
+    need = _requirement(row, s1, s2)
+    code, _, run = _run(row, need, ch.g1, ch.g2, budget.p_max, _FLOAT)
     if code != _FEASIBLE:
         return SolveOutcome(verdict=_VERDICT_PRECEDENCE[code])
     return SolveOutcome(allocation=_allocation(row, s1, s2, run))
@@ -389,8 +410,9 @@ def solve_noma(
     weak_first = ch.g1 <= ch.g2
     codes, energies, runs = [None] * 3, [math.nan] * 3, [None] * 3
     for k in _CANDIDATES[weak_first]:
+        need = _requirement(_ROWS[k], s1, s2)
         codes[k], energies[k], runs[k] = _run(
-            _ROWS[k], ch.g1, ch.g2, s1, s2, budget.p_max, _FLOAT
+            _ROWS[k], need, ch.g1, ch.g2, budget.p_max, _FLOAT
         )
     winner = _winner(weak_first, codes, energies, _FLOAT)
     return _outcome(winner, codes, runs, weak_first, s1, s2, relabeled)
@@ -413,10 +435,14 @@ def _noma_columns(
         # of a Monte-Carlo cell differ only in their deadlines, so on a tie
         # they are equal and only the gains swap.
         g1, g2 = np.minimum(g1, g2), np.maximum(g1, g2)
-    # Tiny gains overflow the powers and energies (tin divides by an
-    # underflowed g1*g2), as the scalar arithmetic does; huge ones p_max*g.
+    # Tiny gains overflow the powers and energies, as the scalar arithmetic
+    # does, and tin's product form divides by an underflowed g1*g2 where its
+    # divided form then takes over; huge gains overflow p_max*g.
     with np.errstate(divide="ignore", over="ignore"):
-        columns = [_run(row, g1, g2, s1, s2, p_max, _COLUMNS) for row in _ROWS]
+        columns = [
+            _run(row, need, g1, g2, p_max, _COLUMNS)
+            for row, need in zip(_ROWS, _requirements(s1, s2))
+        ]
     codes, energies, _ = zip(*columns)
     winner = _winner(g1 <= g2, codes, energies, _COLUMNS).astype(np.int8)
     energies = np.stack(energies)
@@ -425,14 +451,22 @@ def _noma_columns(
 
 
 def _noma_outcome(
-    winner: int, codes: list[int], ch: ChannelPair, s1: UserSpec, s2: UserSpec
+    winner: int,
+    codes: list[int],
+    ch: ChannelPair,
+    s1: UserSpec,
+    s2: UserSpec,
+    needs: list,
 ) -> SolveOutcome:
     """The outcome solve_noma gives for one trial of _noma_columns, rebuilt
-    from its winner and codes on its channel pair."""
+    from its winner and codes on its channel pair.  needs is
+    _requirements(s1, s2), which a whole cell shares: on a deadline tie
+    order_by_deadline swaps only the gains, as the specs are then equal."""
     ch, s1, s2, relabeled = order_by_deadline(ch, s1, s2)
     runs = [None] * 3
     if winner >= 0:
         # The winner passed every check under the cell's budget; without a
         # budget the kernel gives back its allocation, bit for bit.
-        runs[winner] = _run(_ROWS[winner], ch.g1, ch.g2, s1, s2, math.inf, _FLOAT)[2]
+        row = _ROWS[winner]
+        runs[winner] = _run(row, needs[winner], ch.g1, ch.g2, math.inf, _FLOAT)[2]
     return _outcome(winner, codes, runs, ch.g1 <= ch.g2, s1, s2, relabeled)

@@ -1,6 +1,9 @@
 """Finite-blocklength rate model: closed-form inverse, bisection, energy curve."""
 
 import math
+import random
+import sys
+import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -260,6 +263,122 @@ def test_roots_are_the_plain_bisections(
     assert fell_back == (2 * size if uncertified else 0)
 
 
+#: Every value the row-store property test reads, from the path without the store.
+_ROOTS: dict[tuple, float] = {}
+
+
+def _root(key, m):
+    if (*key, m) not in _ROOTS:
+        _ROOTS[(*key, m)] = fbl._sinr_root(*key, m)
+    return _ROOTS[(*key, m)]
+
+
+_STORE_SPECS = [
+    UserSpec(n, eps, 900, min_blocklength=1) for n, eps in [(1, 0.1), (16, 1e-3), (160, 1e-7)]
+]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["int", "integral float", "half", "table"]),
+            st.integers(0, len(_STORE_SPECS) - 1),
+            st.integers(1, 700),
+            st.integers(0, 120),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+# A table, its row grown by a scalar and another row's table evicting it,
+# then a table past the cap.
+@example(
+    [("table", 0, 100, 40), ("int", 0, 450, 0), ("table", 1, 300, 100), ("table", 2, 560, 60)]
+)
+# Two tables with a gap between them, then one in the gap.
+@example([("table", 0, 100, 10), ("table", 0, 200, 10), ("table", 0, 150, 10)])
+def test_row_store_keeps_the_roots(calls):
+    # On a store of 600 entries, scalar calls (int m, integral float m,
+    # non-integer m, m past the cap) and tables over three (N, eps) give the
+    # roots of the path without the store, count every entry, and leave
+    # every table taken earlier unchanged and read-only.
+    tables = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fbl, "_ROW_BUDGET", 600)
+        _cold_memos()
+        for kind, k, m, size in calls:
+            spec = _STORE_SPECS[k]
+            key = spec.payload_bits, spec.error_target
+            before = required_sinr.cache_info()
+            if kind == "table":
+                got = required_sinr_table(spec, m, m + size)
+                want = np.array([_root(key, i) for i in range(m, m + size + 1)])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                tables.append((got, want))
+                entries = size + 1
+            else:
+                x = {"int": m, "integral float": float(m), "half": m + 0.5}[kind]
+                got = required_sinr(spec, x)
+                assert type(got) is float and got.hex() == _root(key, x).hex()
+                entries = 1
+                if kind != "half" and m < 600:  # kept: read back as a hit
+                    hits = required_sinr.cache_info().hits
+                    assert required_sinr(spec, m) == got
+                    assert required_sinr.cache_info().hits == hits + 1
+                    entries += 1
+            info = required_sinr.cache_info()
+            assert info.maxsize == 600 and 0 <= info.currsize <= 600
+            assert info.hits + info.misses == before.hits + before.misses + entries
+            for table, want in tables:
+                assert not table.flags.writeable
+                assert np.array_equal(table.view(np.int64), want.view(np.int64))
+    _cold_memos()
+
+
+def test_row_store_under_threads():
+    # Four threads, twice the cores of a small runner, share a 600-entry
+    # store and switch every microsecond: every value keeps its bits, and the
+    # entries held stay those of the rows, within the budget.
+    keys = [(spec.payload_bits, spec.error_target) for spec in _STORE_SPECS]
+    want = {(*key, m): _root(key, m) for key in keys for m in range(1, 761)}
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(200):
+                spec, m = rng.choice(_STORE_SPECS), rng.randint(1, 700)
+                key = spec.payload_bits, spec.error_target
+                if rng.random() < 0.5:
+                    assert required_sinr(spec, m) == want[(*key, m)]
+                else:
+                    m_hi = m + rng.randint(0, 60)
+                    got = required_sinr_table(spec, m, m_hi).tolist()
+                    assert got == [want[(*key, i)] for i in range(m, m_hi + 1)]
+        except Exception as exc:  # raised again in the main thread
+            errors.append(exc)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fbl, "_ROW_BUDGET", 600)
+        _cold_memos()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        held = sum(len(row.gammas) for row in fbl._SINR_ROWS.values())
+        assert required_sinr.cache_info().currsize == held <= 600
+    _cold_memos()
+
+
 class TestRequiredSinrTable:
     """The table path, vectorised or not, gives the scalar roots bit for bit."""
 
@@ -332,16 +451,28 @@ class TestRequiredSinrTable:
     def test_memo_is_bounded(self):
         _cold_memos()
         spec = UserSpec(1, 0.1, 12_100, min_blocklength=1)
-        before = required_sinr.cache_info()
         required_sinr_table(spec, 1, 10_000)
         info = required_sinr.cache_info()
-        assert info.maxsize == 8192 and 0 < info.currsize <= 8192
-        assert (info.hits, info.misses) == (before.hits, before.misses + 10_000)
-        # The oldest roots went first.
-        assert (1, 0.1, 10_000) in fbl._SINR_MEMO and (1, 0.1, 1) not in fbl._SINR_MEMO
-        for m in range(10_001, 12_100):  # past the size again, one by one
+        assert info.maxsize == fbl._ROW_BUDGET and 0 < info.currsize <= info.maxsize
+        assert (info.hits, info.misses) == (0, 10_000)
+        for m in range(10_001, 12_100):  # 2,099 scalar misses, one by one
             required_sinr(spec, m)
-        assert required_sinr.cache_info().currsize <= 8192
+        info = required_sinr.cache_info()
+        assert (info.hits, info.misses) == (0, 12_099)
+        assert 0 < info.currsize <= info.maxsize
+        # Three rows of 50,011 entries overflow the 131,072: the least
+        # recently used one goes first.
+        a, b, c = (UserSpec(n, 0.1, 50_010, min_blocklength=1) for n in (2, 3, 4))
+        for s in (a, b):
+            required_sinr_table(s, 50_000, 50_010)
+        required_sinr(a, 50_000)  # a is now used after b
+        required_sinr_table(c, 50_000, 50_010)
+        assert set(fbl._SINR_ROWS) == {(2, 0.1), (4, 0.1)}
+        info = required_sinr.cache_info()
+        assert info.currsize == 2 * 50_011 <= info.maxsize
+        assert (info.hits, info.misses) == (1, 12_099 + 3 * 11)
+        required_sinr(b, 50_000)  # gone with its row: a miss
+        assert required_sinr.cache_info().misses == 12_099 + 3 * 11 + 1
 
     def test_numpy_closed_form_stays_well_inside_its_margin(self):
         # A root's window is certified with _CLOSED_FORM_MARGIN * (1 + 1/gamma),

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from noma_fbl import (
     UserSpec,
     required_sinr,
     solve_tdma,
+    tdma,
 )
 
 from oracles import tdma_golden_section
@@ -178,3 +180,27 @@ class TestSolveTdma:
             assert brute_force_best(ch, s1, s2, tight)[1] == pytest.approx(
                 a.energy, rel=1e-12
             )
+
+
+@pytest.mark.parametrize(
+    "s1,s2",
+    [
+        (spec(250), spec(300)),
+        # user 1's minimum above user 2's: m1 reaches past D2 - min m1
+        (spec(400, min_blocklength=200), spec(500)),
+        (spec(120), spec(1200, min_blocklength=110)),
+    ],
+)
+def test_splits_are_views_of_the_plain_ranges(monkeypatch, s1, s2):
+    # _splits takes m1 and m2 from one shared, grown-on-demand arange: the
+    # same values and dtype as building them per call, and read-only.
+    monkeypatch.setattr(tdma, "_M", np.arange(0))
+    for _ in range(2):  # grown, then reused
+        m1, m2, gamma1, gamma2 = tdma._splits(s1, s2)
+        m1_lo, m1_hi = tdma._window(s1, s2)
+        want = np.arange(m1_lo, m1_hi + 1)
+        assert m1.dtype == want.dtype and np.array_equal(m1, want)
+        assert m2.dtype == want.dtype and np.array_equal(m2, s2.deadline - want)
+        assert not (m1.flags.writeable or m2.flags.writeable)
+        assert np.array_equal(gamma1, [required_sinr(s1, m) for m in want.tolist()])
+        assert np.array_equal(gamma2, [required_sinr(s2, m) for m in m2.tolist()])
