@@ -20,7 +20,9 @@ evaluations certify, and the dyadic bracket the loop holds on entering the
 window take the place of the doubling and of some 30 bisection steps
 (_jump).  Larger table fills find those estimates, windows and brackets on
 numpy arrays.  One store keeps the roots: a row over integer m per
-(payload_bits, error_target) (_Row), of which a table is a slice.
+(payload_bits, error_target) (_Row), of which a table is a slice.  It is
+bounded, and so is the one range of integers that blocklength columns are
+slices of (_blocklengths); windows past that bound get arrays of their own.
 
 Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 (symbols) and may be real-valued, rates are bits per channel use.
@@ -54,10 +56,12 @@ _SINR_STEP = 2.0 ** math.floor(math.log2(_SINR_TOL))
 
 
 class BracketError(Exception):
-    """The SINR needed for a blocklength exceeds the allowed search bracket:
-    even the largest admissible SINR cannot deliver the payload in the
-    target number of channel uses.  Solvers map this onto a rate-unreachable
-    infeasibility verdict."""
+    """The SINR needed for a blocklength exceeds the allowed search bracket.
+
+    Solvers map this onto a rate-unreachable infeasibility verdict: even the
+    largest admissible SINR cannot deliver the payload in the target number
+    of channel uses.
+    """
 
 
 @dataclass(frozen=True)
@@ -138,9 +142,11 @@ def _q_ln2(error_target: float) -> float:
 
 
 def _blocklength(gamma, payload_bits, q, log2=math.log2, sqrt=math.sqrt):
-    """The closed form of blocklength_for_sinr with q = q_inv(eps)/ln 2; on
-    numpy arrays given log2=np.log2 and sqrt=np.sqrt, the operations and
-    their order are the same."""
+    """The closed form of blocklength_for_sinr with q = q_inv(eps)/ln 2.
+
+    Takes numpy arrays when given log2=np.log2 and sqrt=np.sqrt; the
+    operations and their order are the same either way.
+    """
     dispersion = 1.0 - 1.0 / (1.0 + gamma) ** 2
     log_term = log2(1.0 + gamma)
     root = (
@@ -170,12 +176,14 @@ def sinr_for_blocklength(m_star: float, spec: UserSpec, gamma_hi: float) -> floa
 
 
 def _bisect(payload_bits: int, q: float, m: float, lo: float, hi: float) -> float:
-    """SINR on [lo, hi] at which m uses fit the payload, q = q_inv(eps)/ln 2:
-    a midpoint whose blocklength is below m over-delivers and becomes the
+    """SINR on [lo, hi] at which m uses fit the payload, q = q_inv(eps)/ln 2.
+
+    A midpoint whose blocklength is below m over-delivers and becomes the
     new top.  Stops once the bracket is narrower than _SINR_TOL or its
     midpoint no longer splits it (the float spacing of large SINRs exceeds
     the tolerance), and returns the midpoint.  Every root is this loop's
-    from lo = 0; a bracket from _jump is one that loop passes through."""
+    from lo = 0; a bracket from _jump is one that loop passes through.
+    """
     evals = 0
     while hi - lo > _SINR_TOL:
         mid = 0.5 * (lo + hi)
@@ -281,9 +289,11 @@ def _sinr_cache_clear() -> None:
         _sinr_counts[:] = 0, 0, 0
 
 
-#: Roots found since import by a jump and by the whole bisection (no window
-#: certified; a root past the doubling's limit, which raises BracketError, is
-#: neither), and the closed-form evaluations of all, sinr_for_blocklength's.
+#: Work of the roots found since import: those found from a bracket of
+#: _jump, those whose window could not be certified (found by the whole
+#: bisection from [0, top]), and the closed-form evaluations of all of them,
+#: sinr_for_blocklength's included.  A root past the doubling's limit is
+#: neither: it raises BracketError.
 _root_counts = [0, 0, 0]
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 _RootInfo = namedtuple("RootInfo", "jumps fallbacks evals")
@@ -335,8 +345,11 @@ def _sinr_root(payload_bits: int, error_target: float, m: float) -> float:
 
 #: A table window with fewer roots missing from the store than this finds
 #: them one by one with _sinr_root; from this many on, _sinr_roots finds
-#: them together.  They break even near 20 roots at 160, 600 and 3000 bits
-#: (cold tables from m = 100, 2-vCPU Xeon VM; benchmarks/test_fbl_layers.py).
+#: them together.  Cold tables of n entries from m = 100 on a 2-vCPU Xeon
+#: VM, scalar / numpy, medians of 41: 600 bits at eps 1e-5, n = 16: 0.18 /
+#: 0.21 ms, n = 24: 0.28 / 0.23 ms; 160 bits at 1e-7, n = 16: 0.19 / 0.22
+#: ms, n = 24: 0.27 / 0.21 ms; 3000 bits at 1e-9, n = 16: 0.40 / 0.44 ms,
+#: n = 24: 0.57 / 0.55 ms.  They break even near 20 roots.
 _VECTOR_MIN_MISSES = 20
 
 #: Relative error bound of the closed form _blocklength, scalar or numpy,
@@ -428,6 +441,7 @@ def _window(payload_bits, q, m, xp):
 def _certain(payload_bits, q, m, a, b, xp):
     """Whether the closed form is certainly at least m at every midpoint of
     the bisection up to a, and certainly below m at every one from b on.
+
     Take mu(g) = _margin(g) and B the closed form in exact arithmetic,
     strictly decreasing in g.  From b on, mu falls, so a value at b below
     m (1 - 4 mu(b)) puts B there below m (1 - 3 mu(b)), and every computed
@@ -435,7 +449,8 @@ def _certain(payload_bits, q, m, a, b, xp):
     of at least m (1 + 4 mu(a)) keeps every computed value at least m while
     mu(a) <= 1/8.  Below a/2, each halving of g raises B by more than 0.1%
     up to _BRACKET_TOP, while mu stays below 2e-5 on the midpoints, which
-    are at least _SINR_STEP."""
+    are at least _SINR_STEP.
+    """
     at_a = _blocklength(a, payload_bits, q, xp.log2, xp.sqrt)
     at_b = _blocklength(b, payload_bits, q, xp.log2, xp.sqrt)
     return at_a >= m * (1.0 + 4.0 * _margin(a)), at_b < m * (1.0 - 4.0 * _margin(b))
@@ -490,11 +505,13 @@ def _jump(payload_bits: int, q: float, m: float) -> tuple[float, float] | None:
 
 
 def _sinr_roots(payload_bits: int, error_target: float, ms: np.ndarray) -> np.ndarray:
-    """_sinr_root for each integer m of ms (ascending), with numpy finding the
-    windows, their certification and the brackets of all of them.  A bracket
-    with a midpoint left finishes in _bisect, and an entry numpy cannot
-    certify goes to _sinr_root, so each root has the scalar path's bits.
-    Raises BracketError as _sinr_root(ms[0]) would."""
+    """_sinr_root for each integer m of ms (ascending), with numpy finding
+    the windows, their certification and the brackets of all of them.
+
+    A bracket with a midpoint left finishes in _bisect, and an entry numpy
+    cannot certify goes to _sinr_root, so each root has the scalar path's
+    bits.  Raises BracketError as _sinr_root(ms[0]) would.
+    """
     q = _q_ln2(error_target)
     m, ms = ms.astype(float), ms.tolist()
     with np.errstate(all="ignore"):
@@ -523,18 +540,33 @@ def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
     """required_sinr evaluated on the integer blocklengths m_lo..m_hi.
 
     A read-only array; index i holds the SINR for m = m_lo + i, bit for bit
-    required_sinr's: a slice of the store's row (of a row of its own from
-    _ROW_BUDGET on) whose NaN entries, if any, are found and written at once."""
+    required_sinr's: a slice of the store's row whose NaN entries, if any,
+    are found and written at once.  A window reaching _ROW_BUDGET gets an
+    array of its own, as long as the window.
+    """
     if m_lo < spec.min_blocklength:
         raise _untrusted(spec, m_lo)
+    if m_lo > m_hi:
+        return _EMPTY.table
     key = spec.payload_bits, spec.error_target
+    if m_hi >= _ROW_BUDGET:
+        return _fill(key, m_lo, np.full(m_hi - m_lo + 1, math.nan))
     row = _SINR_ROWS.get(key)
     if row is not _last or len(row.gammas) <= m_hi:
-        row = _row(key, m_hi + 1) if m_hi < _ROW_BUDGET else _Row(_NAN * (m_hi + 1))
+        row = _row(key, m_hi + 1)
     if row.lo <= m_lo and m_hi <= row.hi:
         _sinr_counts[0] += m_hi - m_lo + 1
         return row.table[m_lo : m_hi + 1]
-    gammas = np.frombuffer(row.gammas)[m_lo : m_hi + 1]
+    gammas = _fill(key, m_lo, np.frombuffer(row.gammas)[m_lo : m_hi + 1])
+    with _LOCK:  # a span that meets the window's grows over it
+        if row.lo > row.hi or (m_lo <= row.hi + 1 and row.lo <= m_hi + 1):
+            row.lo, row.hi = min(row.lo, m_lo), max(row.hi, m_hi)
+    return gammas
+
+
+def _fill(key: tuple, m_lo: int, gammas: np.ndarray) -> np.ndarray:
+    """gammas, the SINRs of key from m_lo on, with its NaN entries found and
+    written, made read-only."""
     missing = np.isnan(gammas).nonzero()[0]
     if len(missing) < _VECTOR_MIN_MISSES:
         gammas[missing] = [_sinr_root(*key, m) for m in (missing + m_lo).tolist()]
@@ -543,9 +575,26 @@ def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
     _sinr_counts[0] += len(gammas) - len(missing)
     _sinr_counts[1] += len(missing)
     gammas.flags.writeable = False
-    if row.lo > row.hi or (m_lo <= row.hi + 1 and row.lo <= m_hi + 1):
-        row.lo, row.hi = min(row.lo, m_lo), max(row.hi, m_hi)  # the spans meet
     return gammas
+
+
+#: 0, 1, 2, ... as int64, read-only and below _ROW_BUDGET; grown on demand
+#: by being replaced, like a row.
+_MS = np.arange(0)
+
+
+def _blocklengths(m_lo: int, m_hi: int) -> np.ndarray:
+    """np.arange(m_lo, m_hi + 1), read-only: a view of _MS below _ROW_BUDGET,
+    an array of its own from there on."""
+    global _MS
+    ms = _MS
+    if len(ms) <= m_hi:
+        ms = np.arange(m_lo if m_hi >= _ROW_BUDGET else 0, m_hi + 1)
+        ms.flags.writeable = False
+        if m_hi >= _ROW_BUDGET:
+            return ms
+        _MS = ms
+    return ms[m_lo : m_hi + 1]
 
 
 def energy_monotone(spec: UserSpec) -> bool:
@@ -561,6 +610,9 @@ def energy_monotone(spec: UserSpec) -> bool:
 
 
 def energy_curve(m: float, spec: UserSpec) -> float:
-    """Blocklength-energy product m * required_sinr(m) at unit channel gain;
-    divided by a channel power gain, the actual codeword energy m * p."""
+    """Blocklength-energy product m * required_sinr(m) at unit channel gain.
+
+    Dividing by a channel power gain turns this into the actual codeword
+    energy m * p.
+    """
     return m * required_sinr(spec, m)

@@ -126,6 +126,10 @@ def _powers_sic_rx2(
     return p1, p2
 
 
+#: The smallest normal float: below it a product of gains loses bits.
+_NORMAL_MIN = sys.float_info.min
+
+
 def _powers_tin(
     gamma1: float, gamma2: float, g1: float, g2: float
 ) -> tuple[float, float]:
@@ -138,14 +142,15 @@ def _powers_tin(
     """
     product = gamma1 * gamma2
     wall = 1.0 - product
-    tiny = g1 * g2 < sys.float_info.min
+    gains = g1 * g2
+    tiny = gains < _NORMAL_MIN
     columns = isinstance(tiny, np.ndarray)
     if not columns and tiny:
         return (gamma1 / g1 + product / g2) / wall, (gamma2 / g2 + product / g1) / wall
-    denom = g1 * g2 * wall
+    denom = gains * wall
     p1 = (gamma1 * g2 + product * g1) / denom
     p2 = (gamma2 * g1 + product * g2) / denom
-    if columns and tiny.any():
+    if columns and np.count_nonzero(tiny):
         p1 = np.where(tiny, (gamma1 / g1 + product / g2) / wall, p1)
         p2 = np.where(tiny, (gamma2 / g2 + product / g1) / wall, p2)
     return p1, p2

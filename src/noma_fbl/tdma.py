@@ -24,7 +24,7 @@ budget rules out; every other draw keeps that minimum.
 
 import numpy as np
 
-from .fbl import BracketError, UserSpec, required_sinr_table
+from .fbl import BracketError, UserSpec, _blocklengths, required_sinr_table
 from .noma import _require_deadline_order
 from .types import (
     Allocation,
@@ -44,10 +44,6 @@ _CHUNK_ELEMENTS = 1 << 18
 #: SINRs, index-aligned on m1 ascending.
 _Splits = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-#: 0, 1, 2, ..., read-only; _splits takes its m1 and m2 as views of it, and
-#: grows it by replacing it when a window reaches past its end.
-_M = np.arange(0)
-
 
 def _window(s1: UserSpec, s2: UserSpec) -> tuple[int, int]:
     """The lowest and highest m1 solve_tdma weighs (empty when lo > hi)."""
@@ -57,7 +53,6 @@ def _window(s1: UserSpec, s2: UserSpec) -> tuple[int, int]:
 def _splits(s1: UserSpec, s2: UserSpec) -> _Splits | InfeasibleReason:
     """Every time split solve_tdma weighs, or the verdict that rules out all
     of them whatever the channel."""
-    global _M
     _require_deadline_order(s1, s2)
     d2 = s2.deadline
     m1_lo, m1_hi = _window(s1, s2)
@@ -68,12 +63,9 @@ def _splits(s1: UserSpec, s2: UserSpec) -> _Splits | InfeasibleReason:
         gamma2 = required_sinr_table(s2, d2 - m1_hi, d2 - m1_lo)
     except BracketError:
         return InfeasibleReason.RATE_UNREACHABLE
-    if len(_M) <= max(m1_hi, d2 - m1_lo):
-        _M = np.arange(max(m1_hi, d2 - m1_lo) + 1)
-        _M.flags.writeable = False
     # m2 and gamma2 reversed so that index i matches m2 = d2 - m1[i]
-    m2 = _M[d2 - m1_hi : d2 - m1_lo + 1]
-    return _M[m1_lo : m1_hi + 1], m2[::-1], gamma1, gamma2[::-1]
+    m1, m2 = _blocklengths(m1_lo, m1_hi), _blocklengths(d2 - m1_hi, d2 - m1_lo)
+    return m1, m2[::-1], gamma1, gamma2[::-1]
 
 
 def _pick(splits: _Splits, g1, g2, p_max: float | None = None) -> np.ndarray:

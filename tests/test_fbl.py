@@ -285,7 +285,7 @@ _STORE_SPECS = [
             st.sampled_from(["int", "integral float", "half", "table"]),
             st.integers(0, len(_STORE_SPECS) - 1),
             st.integers(1, 700),
-            st.integers(0, 120),
+            st.integers(-200, 120),
         ),
         min_size=1,
         max_size=30,
@@ -298,11 +298,14 @@ _STORE_SPECS = [
 )
 # Two tables with a gap between them, then one in the gap.
 @example([("table", 0, 100, 10), ("table", 0, 200, 10), ("table", 0, 150, 10)])
+# An empty window (500..300) on a fresh row, then tables inside it.
+@example([("table", 0, 500, -200), ("table", 0, 100, 100), ("table", 0, 250, 50)])
 def test_row_store_keeps_the_roots(calls):
     # On a store of 600 entries, scalar calls (int m, integral float m,
-    # non-integer m, m past the cap) and tables over three (N, eps) give the
-    # roots of the path without the store, count every entry, and leave
-    # every table taken earlier unchanged and read-only.
+    # non-integer m, m past the cap) and tables over three (N, eps), empty
+    # windows (a negative size) among them, give the roots of the path
+    # without the store, count every entry, and leave every table taken
+    # earlier unchanged and read-only.
     tables = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fbl, "_ROW_BUDGET", 600)
@@ -313,10 +316,10 @@ def test_row_store_keeps_the_roots(calls):
             before = required_sinr.cache_info()
             if kind == "table":
                 got = required_sinr_table(spec, m, m + size)
-                want = np.array([_root(key, i) for i in range(m, m + size + 1)])
+                want = np.array([_root(key, i) for i in range(m, m + size + 1)], float)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
                 tables.append((got, want))
-                entries = size + 1
+                entries = max(size + 1, 0)
             else:
                 x = {"int": m, "integral float": float(m), "half": m + 0.5}[kind]
                 got = required_sinr(spec, x)
@@ -376,6 +379,35 @@ def test_row_store_under_threads():
         assert not errors, errors
         held = sum(len(row.gammas) for row in fbl._SINR_ROWS.values())
         assert required_sinr.cache_info().currsize == held <= 600
+    _cold_memos()
+
+
+def test_row_spans_grow_one_window_at_a_time(monkeypatch):
+    # One thread fills 100..200 of a row while another fills 500..600 of
+    # it: however the two span updates interleave, the row claims only
+    # entries that are known.  The second thread starts from inside the
+    # first's span update (its min) and gets 0.2 s to run there.
+    spec = _STORE_SPECS[2]
+    _cold_memos()
+    required_sinr(spec, 700)  # the row's entries reach past both windows
+    other = threading.Thread(target=required_sinr_table, args=(spec, 500, 600))
+
+    def interleaving_min(*args):
+        if 100 in args and other.ident is None:
+            other.start()
+            other.join(timeout=0.2)
+        return min(*args)
+
+    monkeypatch.setattr(fbl, "min", interleaving_min, raising=False)
+    required_sinr_table(spec, 100, 200)
+    other.join(timeout=60)
+    assert other.ident is not None and not other.is_alive()
+    row = fbl._SINR_ROWS[spec.payload_bits, spec.error_target]
+    assert not np.isnan(row.table[row.lo : row.hi + 1]).any()
+    key = spec.payload_bits, spec.error_target
+    want = np.array([_root(key, m) for m in range(250, 301)])
+    got = required_sinr_table(spec, 250, 300)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
     _cold_memos()
 
 

@@ -1,6 +1,7 @@
 """TDMA baseline: exhaustive split search vs continuous oracle, saturation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from noma_fbl import (
     solve_tdma,
     tdma,
 )
+from noma_fbl import fbl
 
 from oracles import tdma_golden_section
 
@@ -194,7 +196,7 @@ class TestSolveTdma:
 def test_splits_are_views_of_the_plain_ranges(monkeypatch, s1, s2):
     # _splits takes m1 and m2 from one shared, grown-on-demand arange: the
     # same values and dtype as building them per call, and read-only.
-    monkeypatch.setattr(tdma, "_M", np.arange(0))
+    monkeypatch.setattr(fbl, "_MS", np.arange(0))
     for _ in range(2):  # grown, then reused
         m1, m2, gamma1, gamma2 = tdma._splits(s1, s2)
         m1_lo, m1_hi = tdma._window(s1, s2)
@@ -204,3 +206,19 @@ def test_splits_are_views_of_the_plain_ranges(monkeypatch, s1, s2):
         assert not (m1.flags.writeable or m2.flags.writeable)
         assert np.array_equal(gamma1, [required_sinr(s1, m) for m in want.tolist()])
         assert np.array_equal(gamma2, [required_sinr(s2, m) for m in m2.tolist()])
+
+
+def test_windows_far_past_the_store_take_memory_for_themselves():
+    # D2 = 10**8 with D1 = 200: 101 splits, whose tables and blocklengths
+    # take memory for those entries, not for every m up to D2, and leave the
+    # shared arange as it was.
+    ms = fbl._MS
+    tracemalloc.start()
+    try:
+        out = solve_tdma(ChannelPair(1e4, 4e4), spec(200), spec(10**8), PowerBudget(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.allocation.m1 + out.allocation.m2 == 10**8
+    assert peak < 1 << 20
+    assert fbl._MS is ms
