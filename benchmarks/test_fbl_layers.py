@@ -1,15 +1,18 @@
-"""Micro-benchmarks of the import, q_inv and fbl root-finding layers.
+"""Micro-benchmarks of the import, q_inv and fbl root-finding layers, and
+of the two commands users run.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks``; these files sit
 outside the test paths, so the tier-1 suite does not run them.
 
-The import benchmark starts a fresh interpreter per round, so it also
-counts interpreter start-up; compare it with ``python -c pass`` to
-isolate the import.  The root-finding benchmarks start from a cold store
-(required_sinr.cache_clear()); the warm ones time a hit on a filled row:
-at an int m (the path of noma's pinned deadlines), at an integral float m
-(converted, then read) and a 100-entry table inside the row's known span
-(a read-only slice).
+The import benchmark and the two command benchmarks (`noma-fbl solve` on
+one instance, `noma-fbl montecarlo` on its default grid) start a fresh
+interpreter per round, so they also count interpreter start-up; compare
+them with ``python -c pass`` to isolate the rest.  The root-finding
+benchmarks start from a cold store (required_sinr.cache_clear()); the
+warm ones time a hit on a filled row: at an int m (the path of noma's
+pinned deadlines), at an integral float m and an np.int64 m (converted,
+then read) and a 100-entry table inside the row's known span (a
+read-only slice).
 
 Every cold root jumps into its bisection from a certified window around a
 Newton estimate.  A table of up to fbl._VECTOR_MIN_MISSES - 1 entries is
@@ -28,6 +31,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import noma_fbl
@@ -40,15 +44,31 @@ SPEC = UserSpec(600, 1e-5, deadline=1000)
 HUGE = UserSpec(3000, 1e-9, deadline=1000)
 
 
-def _fresh_import():
+#: What the `noma-fbl` console script runs.
+_CLI = "import sys; from noma_fbl.cli import main; sys.exit(main())"
+
+
+def _fresh(*argv):
+    """python argv in a fresh interpreter, with this package first on its path."""
     src = str(Path(noma_fbl.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", "import noma_fbl"], env=env, check=True)
+    subprocess.run([sys.executable, *argv], env=env, check=True)
 
 
 def test_fresh_interpreter_import(benchmark):
-    benchmark.pedantic(_fresh_import, rounds=10, iterations=1)
+    benchmark.pedantic(_fresh, args=("-c", "import noma_fbl"), rounds=10, iterations=1)
+
+
+def test_cli_solve(benchmark):
+    argv = ("-c", _CLI, *"solve --g1 1e4 --g2 4e4 --d1 200 --d2 300".split())
+    benchmark.pedantic(_fresh, args=argv, rounds=10, iterations=1)
+
+
+def test_cli_montecarlo_default(benchmark, tmp_path):
+    argv = ("-c", _CLI, "montecarlo", "--out-dir", str(tmp_path))
+    benchmark.pedantic(_fresh, args=argv, rounds=10, iterations=1)
+    assert len(list(tmp_path.iterdir())) == 3
 
 
 def test_warm_q_inv(benchmark):
@@ -104,7 +124,9 @@ def _warm(benchmark, function, *args):
     return benchmark.pedantic(function, args=args, rounds=200, iterations=200)
 
 
-@pytest.mark.parametrize("m", [300, 300.0], ids=["int", "integral-float"])
+@pytest.mark.parametrize(
+    "m", [300, 300.0, np.int64(300)], ids=["int", "integral-float", "int64"]
+)
 def test_warm_required_sinr_hit(benchmark, m):
     assert _warm(benchmark, required_sinr, SPEC, m) > 0.0
 

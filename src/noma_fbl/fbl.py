@@ -21,8 +21,10 @@ window take the place of the doubling and of some 30 bisection steps
 (_jump).  Larger table fills find those estimates, windows and brackets on
 numpy arrays.  One store keeps the roots: a row over integer m per
 (payload_bits, error_target) (_Row), of which a table is a slice.  It is
-bounded, and so is the one range of integers that blocklength columns are
-slices of (_blocklengths); windows past that bound get arrays of their own.
+bounded, the oldest grown rows going first, and so is the one range of
+integers that blocklength columns are slices of (_blocklengths); windows
+past that bound get arrays of their own.  Rows grow and go under a lock;
+reads take none.
 
 Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 (symbols) and may be real-valued, rates are bits per channel use.
@@ -212,26 +214,23 @@ def required_sinr(spec: UserSpec, m: float) -> float:
     """
     if m < spec.min_blocklength:
         raise _untrusted(spec, m)
-    key = spec.payload_bits, spec.error_target
-    row = _SINR_ROWS.get(key)
-    try:  # a hit on the most recently used row changes no order
-        gamma = row.gammas[m] if row is _last else math.nan
-    except (IndexError, TypeError):  # m past the row, or not an int
-        gamma = math.nan
-    if gamma == gamma:
-        _sinr_counts[0] += 1
-        return gamma
     if type(m) is not int and float(m).is_integer():
         m = int(m)
-    if type(m) is not int or m >= _ROW_BUDGET:
-        _sinr_counts[1] += 1
-        return _sinr_root(*key, m)
-    gammas = _row(key, m + 1).gammas
-    if gammas[m] == gammas[m]:
+    key = spec.payload_bits, spec.error_target
+    try:
+        gamma = _SINR_ROWS[key].gammas[m]
+    except (KeyError, IndexError, TypeError):  # no row, m past it, or not an int
+        gamma = math.nan
+    if gamma == gamma:  # not NaN: known
         _sinr_counts[0] += 1
-    else:  # NaN: not yet known
-        _sinr_counts[1] += 1
-        gammas[m] = _sinr_root(*key, m)
+        return gamma
+    _sinr_counts[1] += 1
+    if type(m) is not int or m >= _ROW_BUDGET:
+        return _sinr_root(*key, m)
+    gammas = _SINR_ROWS.get(key, _EMPTY).gammas
+    if len(gammas) <= m:
+        gammas = _row(key, m + 1).gammas
+    gammas[m] = _sinr_root(*key, m)
     return gammas[m]
 
 
@@ -253,31 +252,30 @@ class _Row:
         self.table.flags.writeable = False
 
 
-#: The store: rows by (payload_bits, error_target), least recently used
-#: first (_last is the most recent, _EMPTY no row), of at most _ROW_BUDGET
-#: entries (1 MiB of floats).  Its counts: entries read, computed and held.
+#: The store: rows by (payload_bits, error_target), oldest grown first, of
+#: at most _ROW_BUDGET entries (1 MiB of floats); _EMPTY is no row.  Its
+#: counts: entries read, computed and held.
 _SINR_ROWS: dict[tuple, _Row] = {}
 _ROW_BUDGET = 1 << 17
 _NAN = array("d", [math.nan])
 _sinr_counts = [0, 0, 0]
-_EMPTY = _last = _Row(_NAN[:0])
+_EMPTY = _Row(_NAN[:0])
 _LOCK = threading.Lock()
 
 
 def _row(key: tuple, size: int) -> _Row:
-    """key's row, made the most recently used and grown to size (and by a
-    quarter) if shorter; then the least recently used rows go, if need be."""
-    global _last
+    """key's row, grown to size (and by a quarter) if shorter and then the
+    newest; then the oldest grown rows go, if need be."""
     with _LOCK:
-        row = _SINR_ROWS.pop(key, None) or _EMPTY
+        row = _SINR_ROWS.get(key, _EMPTY)
         held = len(row.gammas)
         if held < size:  # the span before the entries: a fill may be under way
-            lo, hi = row.lo, row.hi
             gammas = _NAN * min(_ROW_BUDGET, max(size, held * 5 // 4))
             gammas[:held] = row.gammas
-            row = _Row(gammas, lo, hi)
+            row = _Row(gammas, row.lo, row.hi)
+            _SINR_ROWS.pop(key, None)
+            _SINR_ROWS[key] = row
             _sinr_counts[2] += len(gammas) - held
-        _SINR_ROWS[key] = _last = row
         while _sinr_counts[2] > _ROW_BUDGET:
             _sinr_counts[2] -= len(_SINR_ROWS.pop(next(iter(_SINR_ROWS))).gammas)
     return row
@@ -551,8 +549,8 @@ def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
     key = spec.payload_bits, spec.error_target
     if m_hi >= _ROW_BUDGET:
         return _fill(key, m_lo, np.full(m_hi - m_lo + 1, math.nan))
-    row = _SINR_ROWS.get(key)
-    if row is not _last or len(row.gammas) <= m_hi:
+    row = _SINR_ROWS.get(key, _EMPTY)
+    if len(row.gammas) <= m_hi:
         row = _row(key, m_hi + 1)
     if row.lo <= m_lo and m_hi <= row.hi:
         _sinr_counts[0] += m_hi - m_lo + 1

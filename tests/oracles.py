@@ -342,6 +342,33 @@ def tdma_golden_section(
     return m1, tdma_split_energy(m1, g1, g2, s1, s2)
 
 
+def tdma_integer_min_energy(
+    g1: float, g2: float, s1: UserSpec, s2: UserSpec, p_max: float
+) -> tuple[int, int, float]:
+    """TDMA minimum over every integer pair of slots, user 2's not pinned.
+
+    Enumerates m1 in [min blocklength 1, D1] and m2 in [min blocklength 2,
+    D2 - m1], with SINRs from sinr_by_bracketing, keeping the pairs whose
+    per-slot powers p_max allows.  Unlike solve_tdma it does not assume
+    that user 2 takes all the remaining time, so it holds outside the
+    energy-monotone regime too.  Returns (m1, m2, energy) of the first
+    lowest energy in that order; (-1, -1, inf) when no pair fits.
+    """
+    ms2 = range(s2.min_blocklength, s2.deadline - s1.min_blocklength + 1)
+    sinr2 = {m2: sinr_by_bracketing(s2, m2) for m2 in ms2}
+    best = (-1, -1, math.inf)
+    for m1 in range(s1.min_blocklength, s1.deadline + 1):
+        gamma1 = sinr_by_bracketing(s1, m1)
+        for m2 in range(s2.min_blocklength, s2.deadline - m1 + 1):
+            gamma2 = sinr2[m2]
+            if gamma1 > p_max * g1 or gamma2 > p_max * g2:
+                continue
+            energy = m1 * gamma1 / g1 + m2 * gamma2 / g2
+            if energy < best[2]:
+                best = (m1, m2, energy)
+    return best
+
+
 def random_feasible_instances(
     rng: np.random.Generator,
     regime: str,

@@ -14,15 +14,21 @@ from hypothesis import strategies as st
 from noma_fbl import (
     BracketError,
     ENERGY_MONOTONE_THRESHOLD,
+    ExperimentConfig,
+    PowerBudget,
     UserSpec,
     achievable_rate,
     blocklength_for_sinr,
+    dbm_to_watts,
+    draw_channels,
     energy_curve,
     energy_monotone,
     q_inv,
     rate_deficit,
     required_sinr,
     sinr_for_blocklength,
+    solve_noma,
+    solve_tdma,
 )
 from noma_fbl import fbl
 from noma_fbl.fbl import required_sinr_table
@@ -282,7 +288,7 @@ _STORE_SPECS = [
 @given(
     calls=st.lists(
         st.tuples(
-            st.sampled_from(["int", "integral float", "half", "table"]),
+            st.sampled_from(["int", "integral float", "int64", "half", "table"]),
             st.integers(0, len(_STORE_SPECS) - 1),
             st.integers(1, 700),
             st.integers(-200, 120),
@@ -302,10 +308,11 @@ _STORE_SPECS = [
 @example([("table", 0, 500, -200), ("table", 0, 100, 100), ("table", 0, 250, 50)])
 def test_row_store_keeps_the_roots(calls):
     # On a store of 600 entries, scalar calls (int m, integral float m,
-    # non-integer m, m past the cap) and tables over three (N, eps), empty
-    # windows (a negative size) among them, give the roots of the path
-    # without the store, count every entry, and leave every table taken
-    # earlier unchanged and read-only.
+    # np.int64 m, non-integer m, m past the cap) and tables over three
+    # (N, eps), empty windows (a negative size) among them, give the roots
+    # of the path without the store (an integral m's at the int m), count
+    # every entry, and leave every table taken earlier unchanged and
+    # read-only.
     tables = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fbl, "_ROW_BUDGET", 600)
@@ -321,9 +328,15 @@ def test_row_store_keeps_the_roots(calls):
                 tables.append((got, want))
                 entries = max(size + 1, 0)
             else:
-                x = {"int": m, "integral float": float(m), "half": m + 0.5}[kind]
+                x = {
+                    "int": m,
+                    "integral float": float(m),
+                    "int64": np.int64(m),
+                    "half": m + 0.5,
+                }[kind]
                 got = required_sinr(spec, x)
-                assert type(got) is float and got.hex() == _root(key, x).hex()
+                want = _root(key, x if kind == "half" else m)
+                assert type(got) is float and got.hex() == want.hex()
                 entries = 1
                 if kind != "half" and m < 600:  # kept: read back as a hit
                     hits = required_sinr.cache_info().hits
@@ -379,6 +392,52 @@ def test_row_store_under_threads():
         assert not errors, errors
         held = sum(len(row.gammas) for row in fbl._SINR_ROWS.values())
         assert required_sinr.cache_info().currsize == held <= 600
+    _cold_memos()
+
+
+class _CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self.lock, self.taken = threading.Lock(), 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_warm_reads_take_no_lock(monkeypatch):
+    # Once one solve has filled its rows, paper-protocol solves, and scalar
+    # reads at an int, an integral float and an np.int64 m, are hits that
+    # never take the store's lock.
+    cfg = ExperimentConfig()
+    s1, s2 = cfg.user1_spec(200), cfg.user2_spec()
+    budget = PowerBudget(dbm_to_watts(30.0))
+    rng = np.random.default_rng(7)
+    lock = _CountingLock()
+    monkeypatch.setattr(fbl, "_LOCK", lock)
+    _cold_memos()
+
+    def solve():
+        ch = draw_channels(rng, cfg.rayleigh_scale)
+        solve_noma(ch, s1, s2, budget)
+        solve_tdma(ch, s1, s2, budget)
+
+    solve()  # grows the rows, under the lock
+    assert lock.taken > 0
+    lock.taken, before = 0, required_sinr.cache_info()
+    for _ in range(100):
+        solve()
+    warm = required_sinr.cache_info()
+    assert warm.misses == before.misses and warm.hits > before.hits
+    gammas = [required_sinr(s2, m) for m in (300, 300.0, np.int64(300))]
+    assert all(type(g) is float and g == gammas[0] for g in gammas)
+    after = required_sinr.cache_info()
+    assert (after.hits, after.misses) == (warm.hits + 3, warm.misses)
+    assert lock.taken == 0
     _cold_memos()
 
 
@@ -492,18 +551,18 @@ class TestRequiredSinrTable:
         info = required_sinr.cache_info()
         assert (info.hits, info.misses) == (0, 12_099)
         assert 0 < info.currsize <= info.maxsize
-        # Three rows of 50,011 entries overflow the 131,072: the least
-        # recently used one goes first.
+        # Three rows of 50,011 entries overflow the 131,072: the oldest
+        # grown one goes first, and a hit does not make a row newer.
         a, b, c = (UserSpec(n, 0.1, 50_010, min_blocklength=1) for n in (2, 3, 4))
         for s in (a, b):
             required_sinr_table(s, 50_000, 50_010)
-        required_sinr(a, 50_000)  # a is now used after b
+        required_sinr(a, 50_000)  # a hit: a stays older than b
         required_sinr_table(c, 50_000, 50_010)
-        assert set(fbl._SINR_ROWS) == {(2, 0.1), (4, 0.1)}
+        assert set(fbl._SINR_ROWS) == {(3, 0.1), (4, 0.1)}
         info = required_sinr.cache_info()
         assert info.currsize == 2 * 50_011 <= info.maxsize
         assert (info.hits, info.misses) == (1, 12_099 + 3 * 11)
-        required_sinr(b, 50_000)  # gone with its row: a miss
+        required_sinr(a, 50_000)  # gone with its row: a miss
         assert required_sinr.cache_info().misses == 12_099 + 3 * 11 + 1
 
     def test_numpy_closed_form_stays_well_inside_its_margin(self):

@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 from noma_fbl import (
     BracketError,
     ChannelPair,
+    ExperimentConfig,
     InfeasibleReason,
     PowerBudget,
     UserSpec,
+    dbm_to_watts,
+    draw_channels,
     required_sinr,
     solve_tdma,
     tdma,
 )
 from noma_fbl import fbl
 
-from oracles import tdma_golden_section
+from oracles import tdma_golden_section, tdma_integer_min_energy
 
 S160 = dict(payload_bits=160, error_target=1e-7)
 
@@ -222,3 +225,38 @@ def test_windows_far_past_the_store_take_memory_for_themselves():
     assert out.allocation.m1 + out.allocation.m2 == 10**8
     assert peak < 1 << 20
     assert fbl._MS is ms
+
+
+@pytest.mark.parametrize("d1", [150, 200, 250])
+def test_matches_integer_oracle_in_the_monotone_regime(d1):
+    # The paper's protocol is energy-monotone, so user 2 taking all the
+    # remaining time loses nothing against every integer pair of slots.
+    cfg = ExperimentConfig()
+    s1, s2 = cfg.user1_spec(d1), cfg.user2_spec()
+    assert fbl.energy_monotone(s1) and fbl.energy_monotone(s2)
+    rng = np.random.default_rng(d1)
+    for p_max_dbm in cfg.p_max_dbm_grid:
+        ch = draw_channels(rng, cfg.rayleigh_scale)
+        p_max = dbm_to_watts(p_max_dbm)
+        m1, m2, energy = tdma_integer_min_energy(ch.g1, ch.g2, s1, s2, p_max)
+        out = solve_tdma(ch, s1, s2, PowerBudget(p_max))
+        assert out.feasible == (m1 >= 0)
+        if out.feasible:
+            assert m2 == s2.deadline - m1
+            assert out.allocation.energy == pytest.approx(energy, rel=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="outside the energy-monotone regime m2 = D2 - m1 is not optimal "
+    "(ROADMAP open item 3)",
+)
+def test_matches_integer_oracle_outside_the_monotone_regime():
+    # m * required_sinr(m) rises with m here: solve_tdma returns 91.468 at
+    # (100, 300), while (100, 100) takes 90.321.
+    s1, s2 = (spec(d, payload_bits=8, error_target=1e-9) for d in (100, 400))
+    assert not fbl.energy_monotone(s2)
+    m1, m2, energy = tdma_integer_min_energy(1.0, 4.0, s1, s2, 1e3)
+    assert (m1, m2) == (100, 100) and energy == pytest.approx(90.321, rel=1e-5)
+    out = solve_tdma(ChannelPair(1.0, 4.0), s1, s2, PowerBudget(1e3))
+    assert out.allocation.energy == pytest.approx(energy, rel=1e-9)
