@@ -4,10 +4,14 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks``; these files sit
 outside the test paths, so the tier-1 suite does not run them.
 
 The grid is `noma-fbl montecarlo`'s default: seed 1, 1000 trials, d1 in
-100..290 step 10, d2 = 300 and budgets of 20, 25 and 30 dBm.  The SINR
-memo and tables are warm after the first round, as they are for every
-cell after the first in a run; `run_trials` is timed warm too.  Rounds
-are fixed so that the raw timings --benchmark-json stores stay small.
+100..290 step 10, d2 = 300 and budgets of 20, 25 and 30 dBm.  There the
+budgets rule out almost no budget-free TDMA split, so the TDMA column is
+also timed on a binding-budget grid (seed 9, budgets of -5, 0 and 5 dBm),
+where they rule out a large share and the re-pick under the budget does
+real work.  The SINR memo and tables are warm after the first round, as
+they are for every cell after the first in a run; `run_trials` is timed
+warm too.  Rounds are fixed so that the raw timings --benchmark-json
+stores stay small.
 """
 
 import pytest
@@ -15,10 +19,13 @@ import pytest
 from noma_fbl import ExperimentConfig, cli, dbm_to_watts, run_trials
 from noma_fbl.montecarlo import ENERGY_COLUMNS, _aggregate
 from noma_fbl.noma import _noma_columns
-from noma_fbl.tdma import _best_splits, _pick_trials, _splits
+from noma_fbl.tdma import _columns
 
 CFG = ExperimentConfig()
-#: A d1 whose split window is the widest of the grid, m1 in [100, 200].
+BINDING = ExperimentConfig(
+    seed=9, d1_grid=(100, 160, 220, 290), p_max_dbm_grid=(-5.0, 0.0, 5.0)
+)
+#: A d1 whose split window, m1 in [100, 200], is the widest of both grids.
 D1 = 200
 
 
@@ -32,19 +39,15 @@ def gains(batch):
     return batch.g1, batch.g2
 
 
-def _tdma_column(g1, g2):
-    """TDMA for one d1 at every budget of the grid, as run_trials does."""
-    splits = _splits(CFG.user1_spec(D1), CFG.user2_spec())
-    free = _pick_trials(splits, g1, g2)
-    return [
-        _best_splits(splits, g1, g2, dbm_to_watts(p), free)
-        for p in CFG.p_max_dbm_grid
-    ]
-
-
-def test_tdma_one_d1_column(benchmark, gains):
-    columns = benchmark.pedantic(_tdma_column, args=gains, rounds=200)
-    assert len(columns) == len(CFG.p_max_dbm_grid)
+@pytest.mark.parametrize("cfg", [CFG, BINDING], ids=["default", "binding-budget"])
+def test_tdma_one_d1_column(benchmark, cfg):
+    # TDMA for one d1 at every budget of the grid, as run_trials runs it.
+    batch = run_trials(cfg)
+    s1, s2 = cfg.user1_spec(D1), cfg.user2_spec()
+    p_maxes = [dbm_to_watts(p) for p in cfg.p_max_dbm_grid]
+    args = (s1, s2, batch.g1, batch.g2, p_maxes)
+    _, columns = benchmark.pedantic(_columns, args=args, rounds=200)
+    assert len(columns) == len(cfg.p_max_dbm_grid)
 
 
 def test_noma_columns_one_cell(benchmark, gains):

@@ -31,6 +31,7 @@ Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 """
 
 import math
+import numbers
 import threading
 from array import array
 from collections import namedtuple
@@ -86,6 +87,14 @@ class UserSpec:
     min_blocklength: int = 100
 
     def __post_init__(self):
+        # An integral float or numpy integer becomes an int, so blocklengths
+        # index and slice as ints everywhere.
+        for name in ("deadline", "min_blocklength"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+                    raise ValueError(f"{name} must be a whole number, got {value!r}")
+                object.__setattr__(self, name, int(value))
         if self.payload_bits < 1:
             raise ValueError(f"payload_bits must be >= 1, got {self.payload_bits}")
         if not 0.0 < self.error_target < 1.0:

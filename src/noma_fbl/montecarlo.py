@@ -25,10 +25,8 @@ average.
 Each cell is solved as array expressions over all the draws (the column
 forms in noma and tdma), with the scalar solvers' checks and arithmetic;
 noma's also relabels the users on a deadline tie, as solve_noma does.  TDMA
-picks its splits through solve_tdma's own picker (tdma._pick): the
-budget-free minimum once per split window (tdma._window), which cells whose
-d1 values give the same window share, and then, per budget, again for only
-the draws whose free minimum that budget rules out.
+reads d1 only through its split window (tdma._window), so tdma._columns
+solves every budget of a window at once, for all the cells that share it.
 A cell keeps compact per-trial columns (energies, winner and verdict
 codes, the chosen TDMA split), from which TrialBatch.records rebuilds any
 trial's outcomes on access, equal to solve_noma's and solve_tdma's; so
@@ -36,6 +34,7 @@ every aggregate can be recomputed.
 """
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,7 +44,7 @@ import numpy as np
 
 from .fbl import UserSpec
 from .noma import _noma_columns, _noma_outcome, _requirements
-from .tdma import _best_splits, _outcome, _pick_trials, _splits, _window
+from .tdma import _columns, _outcome, _window
 from .types import ChannelPair, PowerBudget, SolveOutcome
 
 __all__ = [
@@ -93,8 +92,7 @@ class ExperimentConfig:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.rayleigh_scale <= 0.0:
-            raise ValueError(f"rayleigh_scale must be positive, got {self.rayleigh_scale}")
+        _check_scale(self.rayleigh_scale)
         if not self.d1_grid:
             raise ValueError("d1_grid must be non-empty")
         if not self.p_max_dbm_grid:
@@ -125,14 +123,28 @@ class ExperimentConfig:
         )
 
 
+def _check_scale(scale: float) -> None:
+    """Raise ValueError unless scale is positive and every gain drawn with it
+    is a normal float: from about 2**-52 * scale**2 (u = 2**-53) up to
+    106 ln 2 * scale**2 (u = 1 - 2**-53)."""
+    square = scale * scale
+    if not (
+        scale > 0.0
+        and 2.0**-52 * square >= sys.float_info.min
+        and 106.0 * math.log(2.0) * square < math.inf
+    ):
+        raise ValueError(
+            f"rayleigh scale must be positive and draw normal floats, got {scale}"
+        )
+
+
 def draw_channel_batch(rng: np.random.Generator, scale: float, n: int) -> np.ndarray:
     """n i.i.d. squared Rayleigh magnitudes per user, shape (n, 2).
 
     Inverse-CDF transform of Philox uniforms: |h| = scale*sqrt(-2 ln(1-u)),
     returned squared.  Consumes exactly 2n uniforms in row order.
     """
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    _check_scale(scale)
     u = rng.random((n, 2))
     magnitudes = scale * np.sqrt(-2.0 * np.log1p(-u))
     return magnitudes**2
@@ -159,7 +171,7 @@ class CellRecords(Sequence):
     cell's specs and budget.  Nothing rebuilt is kept.  The columns come from
     noma._noma_columns (noma_winner: index of the winning formulation, -1
     for none; noma_codes: each formulation's verdict code; noma_energy)
-    and tdma._best_splits (tdma_best: index into splits, -1 for none, as
+    and tdma._columns (tdma_best: index into splits, -1 for none, as
     tdma._pick chooses it; tdma_energy); energies are NaN where infeasible.
     The formulations' pinned blocklengths and required SINRs (noma_needs)
     are read once per cell, so its rebuilt outcomes share those floats.
@@ -337,24 +349,18 @@ def run_trials(
         g1, g2 = np.array([(ch.g1, ch.g2) for ch in channels], dtype=float).T.copy()
 
     s2 = cfg.user2_spec()
-    # TDMA reads d1 only through its split window, so the budget-free step
-    # runs once per distinct window.
-    windows = {}
-    for d1 in cfg.d1_grid:
-        s1 = cfg.user1_spec(d1)
-        window = _window(s1, s2)
-        if window not in windows:
-            splits = _splits(s1, s2)
-            windows[window] = splits, _pick_trials(splits, g1, g2)
+    p_maxes = [dbm_to_watts(p_max_dbm) for p_max_dbm in cfg.p_max_dbm_grid]
+    windows = {}  # tdma._columns per split window
     records: dict[tuple[int, float], CellRecords] = {}
-    for p_max_dbm in cfg.p_max_dbm_grid:
-        p_max = dbm_to_watts(p_max_dbm)
+    for k, (p_max_dbm, p_max) in enumerate(zip(cfg.p_max_dbm_grid, p_maxes)):
         for d1 in cfg.d1_grid:
             s1 = cfg.user1_spec(d1)
+            window = _window(s1, s2)
+            if window not in windows:
+                windows[window] = _columns(s1, s2, g1, g2, p_maxes)
+            splits, tdma = windows[window]
             noma = _noma_columns(g1, g2, s1, s2, p_max)
-            splits, free = windows[_window(s1, s2)]
-            tdma = _best_splits(splits, g1, g2, p_max, free)
-            records[(d1, p_max_dbm)] = CellRecords(g1, g2, s1, s2, splits, noma, tdma)
+            records[(d1, p_max_dbm)] = CellRecords(g1, g2, s1, s2, splits, noma, tdma[k])
 
     batch = TrialBatch(config=cfg, g1=g1, g2=g2, records=records)
     _aggregate(batch)

@@ -15,11 +15,9 @@ single integer decision variable, which is minimized exhaustively:
 
 over the splits the budget allows; an energy that overflows a float is
 over any budget too.  One picker, _pick, computes these energies and makes
-this choice everywhere, for one draw or for arrays of draws.  For many draws
-sharing (s1, s2), _pick_trials runs it over chunks of draws, and the column
-form uses it twice: once per split window (_window) with the budget ignored,
-and then, in _best_splits, only for the draws whose budget-free minimum a
-budget rules out; every other draw keeps that minimum.
+this choice everywhere, for one draw or for arrays of draws.  _columns, the
+column form for many draws sharing (s1, s2) under several budgets, is the
+one place that decides on which draws and budgets it runs.
 """
 
 import numpy as np
@@ -37,7 +35,7 @@ from .types import (
 
 __all__ = ["solve_tdma"]
 
-#: Energy-matrix elements per chunk of trials in _pick_trials (8 bytes each).
+#: Energy-matrix elements per chunk of draws in _columns (8 bytes each).
 _CHUNK_ELEMENTS = 1 << 18
 
 #: The candidate splits of one (s1, s2): m1, m2 = D2 - m1 and their required
@@ -133,54 +131,45 @@ def solve_tdma(
     return _outcome(splits, best, ch)
 
 
-def _pick_trials(
-    splits: _Splits | InfeasibleReason,
-    g1: np.ndarray,
-    g2: np.ndarray,
-    p_max: float | None = None,
-) -> np.ndarray:
-    """_pick per trial for arrays of gains (-1: no split), on (trials x
-    splits) energy matrices in chunks of trials that bound their size.
+def _columns(
+    s1: UserSpec, s2: UserSpec, g1: np.ndarray, g2: np.ndarray, p_maxes: list[float]
+) -> tuple[_Splits | InfeasibleReason, list[tuple[np.ndarray, np.ndarray]]]:
+    """solve_tdma's choice for arrays of gains under each budget of p_maxes:
+    the splits, and per budget each draw's split index (-1: none) and energy
+    (NaN for none).
 
-    The budget only rules splits out, so one budget-free call (p_max None)
-    serves every budget of a split window (see _best_splits).
+    A budget only rules splits out, so one budget-free pick serves every
+    budget: where a draw's budget-free split exists (a finite energy) and
+    the budget allows it, it is also the first allowed minimum and stays;
+    every other draw is picked again under the budget.  Both picks run
+    _pick on (draws x 1) columns, in chunks of draws that bound the
+    (draws x splits) energy matrices.
     """
-    best = np.full(len(g1), -1, np.int32)
-    if isinstance(splits, InfeasibleReason):
-        return best
-    step = max(1, _CHUNK_ELEMENTS // len(splits[0]))
-    for lo in range(0, len(g1), step):
-        rows = slice(lo, lo + step)
-        best[rows] = _pick(splits, g1[rows, None], g2[rows, None], p_max)
-    return best
-
-
-def _best_splits(
-    splits: _Splits | InfeasibleReason,
-    g1: np.ndarray,
-    g2: np.ndarray,
-    p_max: float,
-    free: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """solve_tdma's choice for arrays of gains: per trial, the split index
-    (-1: none) and its energy (NaN for none).
-
-    free is _pick_trials(splits, g1, g2), the budget-free choice.  A trial
-    keeps its free split when it has one (a finite energy) and the budget
-    allows it: the first global minimum is then also the first allowed one.
-    Only the other trials are picked again, under the budget.
-    """
+    splits = _splits(s1, s2)
     n = len(g1)
     if isinstance(splits, InfeasibleReason):
-        return np.full(n, -1, np.int32), np.full(n, np.nan)
+        return splits, [(np.full(n, -1, np.int32), np.full(n, np.nan)) for _ in p_maxes]
     m1, m2, gamma1, gamma2 = splits
-    # Tiny gains overflow the energies, huge ones p_max * g.
-    with np.errstate(over="ignore"):
-        allowed = (gamma1[free] <= p_max * g1) & (gamma2[free] <= p_max * g2)
-        rows = np.flatnonzero((free < 0) | ~allowed)
-        best = free.copy()
-        best[rows] = _pick_trials(splits, g1[rows], g2[rows], p_max)
-        chosen = np.maximum(best, 0)
-        energy = m1[chosen] * (gamma1[chosen] / g1) + m2[chosen] * (gamma2[chosen] / g2)
-    best[energy == np.inf] = -1  # as in _outcome
-    return best, np.where(best >= 0, energy, np.nan)
+
+    def pick(g1, g2, p_max=None):
+        best = np.empty(len(g1), np.int32)
+        step = max(1, _CHUNK_ELEMENTS // len(m1))
+        for lo in range(0, len(g1), step):
+            rows = slice(lo, lo + step)
+            best[rows] = _pick(splits, g1[rows, None], g2[rows, None], p_max)
+        return best
+
+    free = pick(g1, g2)
+    columns = []
+    for p_max in p_maxes:
+        # Tiny gains overflow the energies, huge ones p_max * g.
+        with np.errstate(over="ignore"):
+            allowed = (gamma1[free] <= p_max * g1) & (gamma2[free] <= p_max * g2)
+            rows = np.flatnonzero((free < 0) | ~allowed)
+            best = free.copy()
+            best[rows] = pick(g1[rows], g2[rows], p_max)
+            chosen = np.maximum(best, 0)
+            energy = m1[chosen] * (gamma1[chosen] / g1) + m2[chosen] * (gamma2[chosen] / g2)
+        best[energy == np.inf] = -1  # as in _outcome
+        columns.append((best, np.where(best >= 0, energy, np.nan)))
+    return splits, columns

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import re
+import shlex
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +185,40 @@ class TestSweep:
             "--d1-grid", "100-290-10", "--out", "x.csv",
         ]
         assert run_cli(capsys, *argv)[0] == 1
+
+
+class TestReadmeExamples:
+    """The README's solve and sweep commands, run as written there, give
+    the results its text states."""
+
+    README = (Path(__file__).parents[1] / "README.md").read_text()
+
+    def command(self, name):
+        blocks = re.findall(r"^```\n(noma-fbl .*?)^```", self.README, re.M | re.S)
+        (block,) = [b for b in blocks if b.startswith(f"noma-fbl {name} ")]
+        return shlex.split(block.replace("\\\n", " "))[1:]
+
+    def test_solve(self, capsys):
+        code, out, _ = run_cli(capsys, *self.command("solve"))
+        assert code == 0
+        results = json.loads(out)["results"]
+        tdma, noma = results["tdma"]["allocation"], results["noma"]["allocation"]
+        assert (tdma["m1"], tdma["m2"]) == (188, 112)
+        assert f"{tdma['energy']:.6f}" == "0.038633"
+        assert noma["scheme"] == "sic-rx2"
+        assert f"{noma['energy']:.6f}" == "0.041374"
+        assert "TDMA (energy 0.038633 at\nm = (188, 112))" in self.README
+        assert "(0.041374)" in self.README
+
+    def test_sweep(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *self.command("sweep"))[0] == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        feasible = lines[1].split(",").index("feasible")
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == 40
+        assert all(row[feasible] == "1" for row in rows)
+        assert "which writes 40 rows, one per scheme and d1, all feasible." in self.README
 
 
 class TestMonteCarlo:

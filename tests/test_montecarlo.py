@@ -87,6 +87,37 @@ class TestConfigValidation:
         cfg = ExperimentConfig(d1_grid=(200, 300), d2=300, n_trials=2)
         assert cfg.d1_grid == (200, 300)
 
+    # NaN passes a plain sign check; inf and 1e160 overflow the drawn gains,
+    # and at 1e-200 they underflow to zero.
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 1e160, 1e-200])
+    def test_rayleigh_scale_must_draw_normal_floats(self, scale):
+        with pytest.raises(ValueError):
+            ExperimentConfig(rayleigh_scale=scale)
+
+
+class TestWholeNumberDeadlines:
+    @pytest.mark.parametrize("d1", [200.0, np.int64(200)])
+    def test_same_outcomes_as_an_int(self, d1):
+        ch, budget = ChannelPair(1e4, 4e4), PowerBudget(1.0)
+        specs = UserSpec(160, 1e-7, 200), UserSpec(160, 1e-7, 300)
+        specs_d1 = UserSpec(160, 1e-7, d1), UserSpec(160, 1e-7, d1 + 100, 100.0)
+        assert specs_d1 == specs
+        for solve in (solve_noma, solve_tdma):
+            assert solve(ch, *specs_d1, budget) == solve(ch, *specs, budget)
+        cfg = ExperimentConfig(n_trials=40, d1_grid=(200,), p_max_dbm_grid=(10.0, 30.0))
+        cfg_d1 = ExperimentConfig(
+            n_trials=40, d1_grid=(d1,), d2=d1 + 100, p_max_dbm_grid=(10.0, 30.0)
+        )
+        batch, batch_d1 = run_trials(cfg), run_trials(cfg_d1)
+        for key, records in batch.records.items():
+            assert list(batch_d1.records[key]) == list(records)
+        assert batch_d1.cells == batch.cells
+
+    @pytest.mark.parametrize("field", ["deadline", "min_blocklength"])
+    def test_fractional_blocklength_rejected(self, field):
+        with pytest.raises(ValueError):
+            UserSpec(160, 1e-7, **{"deadline": 200, field: 100.5})
+
 
 class TestHarness:
     def test_single_trial_passthrough(self):
@@ -379,7 +410,7 @@ class TestBatchMatchesScalar:
         shares, moved = [], 0
         for (d1, pmax), records in batch.records.items():
             _, _, gamma1, gamma2 = records.splits
-            free = tdma._pick_trials(records.splits, g1, g2)
+            free = tdma._pick(records.splits, g1[:, None], g2[:, None])
             p_max = dbm_to_watts(pmax)
             ruled_out = (gamma1[free] > p_max * g1) | (gamma2[free] > p_max * g2)
             shares.append(np.mean(ruled_out))
@@ -410,39 +441,41 @@ class TestBatchMatchesScalar:
     @given(
         g1=st.floats(-307.0, 6.0).map(lambda x: 10.0**x),
         g2=st.floats(-307.0, 6.0).map(lambda x: 10.0**x),
-        pmax_dbm=st.floats(-50.0, 3100.0),
+        pmax_dbms=st.lists(st.floats(-50.0, 3100.0), min_size=1, max_size=3, unique=True),
         bits=st.tuples(st.integers(1, 3000), st.integers(1, 3000)),
         eps=st.tuples(*[st.floats(-12.0, math.log10(0.4)).map(lambda x: 10.0**x)] * 2),
         d1=st.integers(100, 600),
         extra=st.integers(0, 400),
     )
-    @example(1e-306, 2e-306, 3100.0, (160, 160), (1e-7, 1e-7), 200, 300)
-    @example(3e-307, 2e-307, 3100.0, (160, 160), (1e-7, 1e-7), 200, 300)
+    @example(1e-306, 2e-306, [3100.0], (160, 160), (1e-7, 1e-7), 200, 300)
+    @example(3e-307, 2e-307, [3100.0], (160, 160), (1e-7, 1e-7), 200, 300)
     # TDMA's split energy rounds to the largest float when compared and
     # overflows as reported.
     @example(
-        3.3957641274877783e-305, 2.4106225536608306e-306, 3110.0, (160, 160), (1e-7, 1e-7), 100, 100
+        3.3957641274877783e-305, 2.4106225536608306e-306, [3110.0], (160, 160), (1e-7, 1e-7), 100, 100
     )
     def test_feasible_energy_is_finite_and_exact(
-        self, g1, g2, pmax_dbm, bits, eps, d1, extra
+        self, g1, g2, pmax_dbms, bits, eps, d1, extra
     ):
         # Gains and budgets out to the ends of the float range, where the
         # powers and energies overflow.
         s1 = UserSpec(bits[0], eps[0], d1)
         s2 = UserSpec(bits[1], eps[1], d1 + extra)
-        budget = PowerBudget(dbm_to_watts(pmax_dbm))
-        for solve in (solve_noma, solve_tdma):
-            a = solve(ChannelPair(g1, g2), s1, s2, budget).allocation
-            if a is not None:
-                assert math.isfinite(a.energy)
-                assert a.energy == a.m1 * a.p1 + a.m2 * a.p2
+        for pmax_dbm in pmax_dbms:
+            budget = PowerBudget(dbm_to_watts(pmax_dbm))
+            for solve in (solve_noma, solve_tdma):
+                a = solve(ChannelPair(g1, g2), s1, s2, budget).allocation
+                if a is not None:
+                    assert math.isfinite(a.energy)
+                    assert a.energy == a.m1 * a.p1 + a.m2 * a.p2
         # The column kernel on the same draw and its mirror image, with
-        # user 1's payload and target for both users.
+        # user 1's payload and target for both users; its one split window
+        # shares a budget-free pick between the budgets.
         cfg = ExperimentConfig(
             n_trials=2,
             d1_grid=(d1,),
             d2=d1 + extra,
-            p_max_dbm_grid=(pmax_dbm,),
+            p_max_dbm_grid=tuple(pmax_dbms),
             payload_bits=bits[0],
             error_target=eps[0],
         )
