@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the scalar solvers, one cached call at a time.
+"""Micro-benchmarks of the scalar solvers, one cached call at a time, and
+of the split columns every TDMA solve starts from (tdma._splits).
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks``; these files sit
 outside the test paths, so the tier-1 suite does not run them.
@@ -24,6 +25,7 @@ from noma_fbl import (
     dbm_to_watts,
     solve_noma,
     solve_tdma,
+    tdma,
 )
 from noma_fbl.montecarlo import draw_channel_batch
 
@@ -53,4 +55,14 @@ def test_cached_solve_per_call(benchmark, solve):
     instances = itertools.cycle(INSTANCES)
     benchmark.pedantic(
         lambda: solve(*next(instances)), rounds=300, iterations=CALLS_PER_ROUND
+    )
+
+
+def test_warm_splits(benchmark):
+    # d1 = 200 weighs m1 in [100, 200]; both SINR tables are in the store.
+    s1, s2 = CFG.user1_spec(200), CFG.user2_spec()
+    assert tdma._window(s1, s2) == (100, 200)
+    tdma._splits(s1, s2)
+    benchmark.pedantic(
+        tdma._splits, args=(s1, s2), rounds=300, iterations=CALLS_PER_ROUND
     )

@@ -21,10 +21,8 @@ window take the place of the doubling and of some 30 bisection steps
 (_jump).  Larger table fills find those estimates, windows and brackets on
 numpy arrays.  One store keeps the roots: a row over integer m per
 (payload_bits, error_target) (_Row), of which a table is a slice.  It is
-bounded, the oldest grown rows going first, and so is the one range of
-integers that blocklength columns are slices of (_blocklengths); windows
-past that bound get arrays of their own.  Rows grow and go under a lock;
-reads take none.
+bounded, the oldest grown rows going first; windows past that bound get
+arrays of their own.  Rows grow and go under a lock; reads take none.
 
 Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 (symbols) and may be real-valued, rates are bits per channel use.
@@ -71,7 +69,7 @@ class BracketError(Exception):
 class UserSpec:
     """Per-receiver transmission requirement.
 
-    payload_bits: message size N in bits (>= 1).
+    payload_bits: message size N in whole bits (>= 1).
     error_target: block-error probability of the codeword decode, in (0, 1).
         For a receiver that decodes behind an SIC stage this is the error
         conditioned on successful cancellation; see noma.overall_sic_error
@@ -88,8 +86,8 @@ class UserSpec:
 
     def __post_init__(self):
         # An integral float or numpy integer becomes an int, so blocklengths
-        # index and slice as ints everywhere.
-        for name in ("deadline", "min_blocklength"):
+        # index and slice as ints everywhere, and a payload is whole bits.
+        for name in ("payload_bits", "deadline", "min_blocklength"):
             value = getattr(self, name)
             if not isinstance(value, int):
                 if not (isinstance(value, numbers.Real) and float(value).is_integer()):
@@ -583,25 +581,6 @@ def _fill(key: tuple, m_lo: int, gammas: np.ndarray) -> np.ndarray:
     _sinr_counts[1] += len(missing)
     gammas.flags.writeable = False
     return gammas
-
-
-#: 0, 1, 2, ... as int64, read-only and below _ROW_BUDGET; grown on demand
-#: by being replaced, like a row.
-_MS = np.arange(0)
-
-
-def _blocklengths(m_lo: int, m_hi: int) -> np.ndarray:
-    """np.arange(m_lo, m_hi + 1), read-only: a view of _MS below _ROW_BUDGET,
-    an array of its own from there on."""
-    global _MS
-    ms = _MS
-    if len(ms) <= m_hi:
-        ms = np.arange(m_lo if m_hi >= _ROW_BUDGET else 0, m_hi + 1)
-        ms.flags.writeable = False
-        if m_hi >= _ROW_BUDGET:
-            return ms
-        _MS = ms
-    return ms[m_lo : m_hi + 1]
 
 
 def energy_monotone(spec: UserSpec) -> bool:

@@ -34,6 +34,7 @@ every aggregate can be recomputed.
 """
 
 import math
+import numbers
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -88,31 +89,25 @@ class ExperimentConfig:
     min_blocklength: int = 100
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.n_trials, numbers.Integral) or self.n_trials < 1:
+            raise ValueError(f"n_trials must be an integer >= 1, got {self.n_trials!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         _check_scale(self.rayleigh_scale)
-        if not self.d1_grid:
-            raise ValueError("d1_grid must be non-empty")
-        if not self.p_max_dbm_grid:
-            raise ValueError("p_max_dbm_grid must be non-empty")
+        # A repeated value would repeat its cells in every table.
+        for name in ("d1_grid", "p_max_dbm_grid"):
+            grid = getattr(self, name)
+            if not grid or len(set(grid)) < len(grid):
+                raise ValueError(f"{name} must be non-empty and distinct, got {grid}")
         for p_max_dbm in self.p_max_dbm_grid:
             PowerBudget(dbm_to_watts(p_max_dbm))  # finite and positive
         if any(d1 > self.d2 for d1 in self.d1_grid):
             raise ValueError(f"every d1 must be <= d2={self.d2}, got {self.d1_grid}")
-        if min(self.d1_grid) < self.min_blocklength:
-            raise ValueError(
-                f"every d1 must be >= min_blocklength={self.min_blocklength}"
-            )
+        for deadline in (*self.d1_grid, self.d2):  # UserSpec's rules
+            self.user1_spec(deadline)
 
     def user2_spec(self) -> UserSpec:
-        return UserSpec(
-            payload_bits=self.payload_bits,
-            error_target=self.error_target,
-            deadline=self.d2,
-            min_blocklength=self.min_blocklength,
-        )
+        return self.user1_spec(self.d2)
 
     def user1_spec(self, d1: int) -> UserSpec:
         return UserSpec(

@@ -22,7 +22,7 @@ one place that decides on which draws and budgets it runs.
 
 import numpy as np
 
-from .fbl import BracketError, UserSpec, _blocklengths, required_sinr_table
+from .fbl import BracketError, UserSpec, required_sinr_table
 from .noma import _require_deadline_order
 from .types import (
     Allocation,
@@ -61,9 +61,9 @@ def _splits(s1: UserSpec, s2: UserSpec) -> _Splits | InfeasibleReason:
         gamma2 = required_sinr_table(s2, d2 - m1_hi, d2 - m1_lo)
     except BracketError:
         return InfeasibleReason.RATE_UNREACHABLE
-    # m2 and gamma2 reversed so that index i matches m2 = d2 - m1[i]
-    m1, m2 = _blocklengths(m1_lo, m1_hi), _blocklengths(d2 - m1_hi, d2 - m1_lo)
-    return m1, m2[::-1], gamma1, gamma2[::-1]
+    m1 = np.arange(m1_lo, m1_hi + 1)
+    # gamma2 reversed so that index i matches m2 = d2 - m1[i]
+    return m1, d2 - m1, gamma1, gamma2[::-1]
 
 
 def _pick(splits: _Splits, g1, g2, p_max: float | None = None) -> np.ndarray:

@@ -308,6 +308,7 @@ class TestBadNumbersExitOne:
             ["montecarlo", "--pmax-dbm-grid", "nan"],
             ["montecarlo", "--pmax-dbm-grid=-1e10"],
             ["montecarlo", "--pmax-dbm-grid", "1e10"],
+            ["montecarlo", "--pmax-dbm-grid", "30,30"],  # each cell twice
             ["montecarlo", "--seed", "-1"],
             ["solve", "--pmax-dbm", "1e10", "--g1", "1", "--g2", "4", *INSTANCE],
             ["solve", "--g1", "nan", "--g2", "1", *INSTANCE],

@@ -83,6 +83,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(p_max_dbm_grid=(30.0, dbm))
 
+    # Every spec rule is UserSpec's, checked on each d1 and d2 at
+    # construction, not on the first run; and a repeated grid value would
+    # repeat its cells in every table.
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("payload_bits", 160.5),
+            ("error_target", 2.0),
+            ("min_blocklength", 0),
+            ("d2", 300.5),
+            ("d1_grid", (100.5,)),
+            ("d1_grid", (100, 110, 100.0)),
+            ("p_max_dbm_grid", (30.0, 30.0)),
+            ("p_max_dbm_grid", (0.0, -0.0)),
+            ("n_trials", 2.5),
+            ("seed", 1.5),
+        ],
+    )
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{field: value})
+
     def test_tie_d1_equal_d2_allowed(self):
         cfg = ExperimentConfig(d1_grid=(200, 300), d2=300, n_trials=2)
         assert cfg.d1_grid == (200, 300)
@@ -113,10 +135,17 @@ class TestWholeNumberDeadlines:
             assert list(batch_d1.records[key]) == list(records)
         assert batch_d1.cells == batch.cells
 
-    @pytest.mark.parametrize("field", ["deadline", "min_blocklength"])
+    @pytest.mark.parametrize("field", ["deadline", "min_blocklength", "payload_bits"])
     def test_fractional_blocklength_rejected(self, field):
-        with pytest.raises(ValueError):
-            UserSpec(160, 1e-7, **{"deadline": 200, field: 100.5})
+        whole = {"payload_bits": 160, "error_target": 1e-7, "deadline": 200}
+        for value in (100.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                UserSpec(**{**whole, field: value})
+
+    @pytest.mark.parametrize("bits", [160.0, np.int64(160)])
+    def test_whole_payload_becomes_an_int(self, bits):
+        spec = UserSpec(payload_bits=bits, error_target=1e-7, deadline=200)
+        assert type(spec.payload_bits) is int and spec.payload_bits == 160
 
 
 class TestHarness:

@@ -196,26 +196,23 @@ class TestSolveTdma:
         (spec(120), spec(1200, min_blocklength=110)),
     ],
 )
-def test_splits_are_views_of_the_plain_ranges(monkeypatch, s1, s2):
-    # _splits takes m1 and m2 from one shared, grown-on-demand arange: the
-    # same values and dtype as building them per call, and read-only.
-    monkeypatch.setattr(fbl, "_MS", np.arange(0))
-    for _ in range(2):  # grown, then reused
+def test_splits_are_views_of_the_plain_ranges(s1, s2):
+    # _splits builds m1 and m2 = D2 - m1 as plain integer ranges, index-aligned
+    # with their required SINRs, which are read-only views of the store.
+    for _ in range(2):  # cold, then warm
         m1, m2, gamma1, gamma2 = tdma._splits(s1, s2)
         m1_lo, m1_hi = tdma._window(s1, s2)
         want = np.arange(m1_lo, m1_hi + 1)
         assert m1.dtype == want.dtype and np.array_equal(m1, want)
         assert m2.dtype == want.dtype and np.array_equal(m2, s2.deadline - want)
-        assert not (m1.flags.writeable or m2.flags.writeable)
+        assert not (gamma1.flags.writeable or gamma2.flags.writeable)
         assert np.array_equal(gamma1, [required_sinr(s1, m) for m in want.tolist()])
         assert np.array_equal(gamma2, [required_sinr(s2, m) for m in m2.tolist()])
 
 
 def test_windows_far_past_the_store_take_memory_for_themselves():
     # D2 = 10**8 with D1 = 200: 101 splits, whose tables and blocklengths
-    # take memory for those entries, not for every m up to D2, and leave the
-    # shared arange as it was.
-    ms = fbl._MS
+    # take memory for those entries, not for every m up to D2.
     tracemalloc.start()
     try:
         out = solve_tdma(ChannelPair(1e4, 4e4), spec(200), spec(10**8), PowerBudget(1.0))
@@ -224,7 +221,6 @@ def test_windows_far_past_the_store_take_memory_for_themselves():
         tracemalloc.stop()
     assert out.allocation.m1 + out.allocation.m2 == 10**8
     assert peak < 1 << 20
-    assert fbl._MS is ms
 
 
 @pytest.mark.parametrize("d1", [150, 200, 250])
