@@ -1,5 +1,6 @@
-"""Micro-benchmarks of the scalar solvers, one cached call at a time, and
-of the split columns every TDMA solve starts from (tdma._splits).
+"""Micro-benchmarks of the scalar solvers, one cached call at a time, of
+the split columns a TDMA solve on a filled store starts from
+(tdma._splits), and of one TDMA solve on an empty store.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks``; these files sit
 outside the test paths, so the tier-1 suite does not run them.
@@ -22,7 +23,9 @@ from noma_fbl import (
     ChannelPair,
     ExperimentConfig,
     PowerBudget,
+    UserSpec,
     dbm_to_watts,
+    required_sinr,
     solve_noma,
     solve_tdma,
     tdma,
@@ -66,3 +69,21 @@ def test_warm_splits(benchmark):
     benchmark.pedantic(
         tdma._splits, args=(s1, s2), rounds=300, iterations=CALLS_PER_ROUND
     )
+
+
+def test_cold_tdma_solve(benchmark):
+    # 600 bits at eps 1e-5, D1 = 400 and D2 = 900: 301 splits, every SINR
+    # unknown; the store is emptied before each round.
+    args = (
+        ChannelPair(1e4, 4e4),
+        UserSpec(600, 1e-5, 400),
+        UserSpec(600, 1e-5, 900),
+        PowerBudget(1.0),
+    )
+    assert solve_tdma(*args).feasible
+
+    def cold():
+        required_sinr.cache_clear()
+        return args, {}
+
+    benchmark.pedantic(solve_tdma, setup=cold, rounds=200)

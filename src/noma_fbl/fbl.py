@@ -24,6 +24,13 @@ numpy arrays.  One store keeps the roots: a row over integer m per
 bounded, the oldest grown rows going first; windows past that bound get
 arrays of their own.  Rows grow and go under a lock; reads take none.
 
+A key's first TDMA solve fills no table.  One numpy pass of the estimates
+and their certified windows, over entries of any payload and error target,
+encloses each root in [below, above] (_enclosures), with no bracket and no
+store; the solver finds exact roots only where those bounds leave its
+choice open.  Its rows are marked, so the key's next solve fills tables
+(_first_enclosure).
+
 Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 (symbols) and may be real-valued, rates are bits per channel use.
 """
@@ -251,10 +258,14 @@ def _untrusted(spec: UserSpec, m: float) -> ValueError:
 class _Row:
     """The required SINRs of one key at m = 0, 1, ... (NaN: not yet known),
     all known on [lo, hi], and table, a read-only numpy view of them.  Only
-    NaN entries are written, so no slice of table changes; growth is a copy."""
+    NaN entries are written, so no slice of table changes; growth is a copy.
+    enclosed: a solve has picked from enclosures of the key's roots
+    (_first_enclosure)."""
 
-    def __init__(self, gammas: array, lo: float = math.inf, hi: int = -1):
-        self.gammas, self.lo, self.hi = gammas, lo, hi
+    def __init__(
+        self, gammas: array, lo: float = math.inf, hi: int = -1, enclosed: bool = False
+    ):
+        self.gammas, self.lo, self.hi, self.enclosed = gammas, lo, hi, enclosed
         self.table = np.frombuffer(gammas)
         self.table.flags.writeable = False
 
@@ -279,7 +290,7 @@ def _row(key: tuple, size: int) -> _Row:
         if held < size:  # the span before the entries: a fill may be under way
             gammas = _NAN * min(_ROW_BUDGET, max(size, held * 5 // 4))
             gammas[:held] = row.gammas
-            row = _Row(gammas, row.lo, row.hi)
+            row = _Row(gammas, row.lo, row.hi, row.enclosed)
             _SINR_ROWS.pop(key, None)
             _SINR_ROWS[key] = row
             _sinr_counts[2] += len(gammas) - held
@@ -324,7 +335,11 @@ def _unreachable(payload_bits: int, m: float) -> BracketError:
 
 def _doubling(payload_bits: int, q: float, m: float) -> float:
     """The top of m's bracket: the first power of two from 1 on whose
-    blocklength is at most m.  Raises BracketError past _BRACKET_LIMIT."""
+    blocklength is at most m.  Raises BracketError past _BRACKET_LIMIT.
+
+    It raises at m when every power's computed blocklength is above m, and
+    then above every smaller m too: so a window's roots raise exactly when
+    the one at its smallest m does."""
     top = 1.0
     while True:
         _root_counts[2] += 1
@@ -420,17 +435,16 @@ def _window(payload_bits, q, m, xp):
     on that side.  The window's half-width is 8 error margins of the closed
     form at the estimate, over its elasticity -d ln B / d ln gamma there:
     the blocklength at either end lies about 8 margins from m, which leaves
-    _certain's 4 and the estimate's own error room.
+    _certain's 4 and the estimate's own error room.  With numpy, payload_bits
+    and q may vary per entry, and each entry takes the start of its q's sign.
     """
     r = payload_bits / m
     c = q / xp.sqrt(m)
     s = xp.sqrt(2.0 * c * c + 4.0 * r / LN2)
-    if q >= 0.0:
-        u = 0.5 * LN2 * (_SQRT2 * c + s)
-        t = xp.minimum(LN2 * (r + c), u * u)
+    if isinstance(q, float):
+        t = _start(r, c, s, q >= 0.0, xp)
     else:
-        u = 2.0 * r / (s - _SQRT2 * c)  # the same root, without cancellation
-        t = xp.maximum(LN2 * (r + c), u * u)
+        t = np.where(q >= 0.0, _start(r, c, s, True, xp), _start(r, c, s, False, xp))
     for _ in range(_NEWTON_STEPS):
         v = -xp.expm1(-2.0 * t)
         w = xp.sqrt(v)
@@ -441,6 +455,15 @@ def _window(payload_bits, q, m, xp):
     elasticity = slope / (0.5 * c * w + r) * gamma / (1.0 + gamma)
     half = 8.0 * _margin(gamma) / elasticity * gamma
     return gamma - half, gamma + half
+
+
+def _start(r, c, s, convex, xp):
+    """_window's Newton start in t, for q >= 0 (convex) or q < 0."""
+    if convex:
+        u = 0.5 * LN2 * (_SQRT2 * c + s)
+        return xp.minimum(LN2 * (r + c), u * u)
+    u = 2.0 * r / (s - _SQRT2 * c)  # the same root, without cancellation
+    return xp.maximum(LN2 * (r + c), u * u)
 
 
 def _certain(payload_bits, q, m, a, b, xp):
@@ -455,10 +478,41 @@ def _certain(payload_bits, q, m, a, b, xp):
     mu(a) <= 1/8.  Below a/2, each halving of g raises B by more than 0.1%
     up to _BRACKET_TOP, while mu stays below 2e-5 on the midpoints, which
     are at least _SINR_STEP.
+
+    Both certain, the root lies in [a - w, b + w] (_enclosures).  The
+    bisection's bracket [lo, hi] only ever takes midpoints: one at or below
+    a moves lo, one at or above b moves hi.  So lo stays 0 or a midpoint
+    below b, and hi a midpoint above a or top, which is above a too: the
+    doubling passes every power of two up to a.  Its last bracket therefore
+    meets [a, b], and the root, that bracket's midpoint, lies within the
+    bracket's width of [a, b].  The doubling stops at the first power of two
+    p >= b at the latest (at 1 if b < 1), so that width is _SINR_STEP or at
+    most the float spacing p * 2**-53 < b * 2**-52: at most w.
     """
     at_a = _blocklength(a, payload_bits, q, xp.log2, xp.sqrt)
     at_b = _blocklength(b, payload_bits, q, xp.log2, xp.sqrt)
     return at_a >= m * (1.0 + 4.0 * _margin(a)), at_b < m * (1.0 - 4.0 * _margin(b))
+
+
+def _enclosures(payload_bits, q, m):
+    """Bounds below <= required_sinr <= above, stacked, for broadcast arrays
+    of payload_bits, q = q_inv(eps)/ln 2 and integer m, entry by entry, from
+    one numpy pass of _window and _certain: no bracket, no finish, no store.
+
+    Where _certain holds, [a - w, b + w] with w = max(_SINR_STEP, b * 2**-52)
+    (see _certain); rounding is monotone, so the float ends still enclose
+    the root, a float.  b <= _BRACKET_TOP also keeps the doubling from
+    giving up, so a finite above means no BracketError.  Every other entry
+    gets [0, inf].
+    """
+    with np.errstate(all="ignore"):
+        a, b = _window(payload_bits, q, m, _NUMPY)
+        at_a, at_b = _certain(payload_bits, q, m, a, b, _NUMPY)
+        # NaN compares false: an estimate that failed is not certain.
+        sure = at_a & at_b & (b <= _BRACKET_TOP)
+        w = np.maximum(_SINR_STEP, b * 2.0**-52)
+        below = np.where(sure, np.maximum(a - w, 0.0), 0.0)
+        return np.stack((below, np.where(sure, b + w, math.inf)))
 
 
 def _cell(a, b, xp):
@@ -567,6 +621,26 @@ def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
         if row.lo > row.hi or (m_lo <= row.hi + 1 and row.lo <= m_hi + 1):
             row.lo, row.hi = min(row.lo, m_lo), max(row.hi, m_hi)
     return gammas
+
+
+def _first_enclosure(windows: tuple[tuple[UserSpec, int, int], ...]) -> bool:
+    """Whether a solve over windows, (spec, m_lo, m_hi) each, is to pick from
+    _enclosures: when the store does not span all of them and none of their
+    keys has had such a solve.  If so, marks their rows (a row of one entry
+    where there is none), so the next solve on any of them fills tables.
+    A row grown meanwhile may lose the mark: that costs one more such solve,
+    which gives the same outcome."""
+    spanned = True
+    for spec, m_lo, m_hi in windows:
+        row = _SINR_ROWS.get((spec.payload_bits, spec.error_target), _EMPTY)
+        if row.enclosed:
+            return False
+        spanned = spanned and row.lo <= m_lo and m_hi <= row.hi
+    if spanned:
+        return False
+    for spec, _, _ in windows:
+        _row((spec.payload_bits, spec.error_target), 1).enclosed = True
+    return True
 
 
 def _fill(key: tuple, m_lo: int, gammas: np.ndarray) -> np.ndarray:

@@ -103,8 +103,12 @@ class ExperimentConfig:
             PowerBudget(dbm_to_watts(p_max_dbm))  # finite and positive
         if any(d1 > self.d2 for d1 in self.d1_grid):
             raise ValueError(f"every d1 must be <= d2={self.d2}, got {self.d1_grid}")
-        for deadline in (*self.d1_grid, self.d2):  # UserSpec's rules
-            self.user1_spec(deadline)
+        # UserSpec's rules.  The grids keep the CLI's types, whole deadlines
+        # as ints and budgets as floats, so the rows read the same.
+        d1_grid = tuple(self.user1_spec(d1).deadline for d1 in self.d1_grid)
+        object.__setattr__(self, "d1_grid", d1_grid)
+        object.__setattr__(self, "d2", self.user1_spec(self.d2).deadline)
+        object.__setattr__(self, "p_max_dbm_grid", tuple(map(float, self.p_max_dbm_grid)))
 
     def user2_spec(self) -> UserSpec:
         return self.user1_spec(self.d2)

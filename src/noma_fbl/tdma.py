@@ -8,21 +8,29 @@ per active slot (only one user transmits at a time).
 
 Because a longer codeword never costs energy (fbl.energy_monotone regime),
 user 2 always takes all the remaining time, m2 = D2 - m1.  That leaves a
-single integer decision variable, which is minimized exhaustively:
+single integer decision variable: the split of least energy
 
     E(m1) = m1 * required_sinr(s1, m1) / g1
           + (D2 - m1) * required_sinr(s2, D2 - m1) / g2
 
-over the splits the budget allows; an energy that overflows a float is
-over any budget too.  One picker, _pick, computes these energies and makes
-this choice everywhere, for one draw or for arrays of draws.  _columns, the
-column form for many draws sharing (s1, s2) under several budgets, is the
-one place that decides on which draws and budgets it runs.
+among those the budget allows, the smallest m1 on a tie; an energy that
+overflows a float is over any budget too.  One picker, _pick, computes these
+energies and makes this choice everywhere, for one draw or for arrays of
+draws.  It weighs every split, except on a key's first solve: there the
+SINRs of all splits are only bounded, in one numpy pass, and _pick weighs
+just the splits whose energy at the lower bounds is at most the least
+energy at the upper bounds among the splits the budget surely allows
+(_enclosed_splits).  Every other split costs more than one _pick may take,
+so the choice is the same, from a couple of exact roots instead of two full
+tables.  _columns, the column form for many draws sharing (s1, s2) under
+several budgets, is the one place that decides on which draws and budgets
+it runs.
 """
 
 import numpy as np
 
-from .fbl import BracketError, UserSpec, required_sinr_table
+from . import fbl
+from .fbl import BracketError, UserSpec, required_sinr, required_sinr_table
 from .noma import _require_deadline_order
 from .types import (
     Allocation,
@@ -118,17 +126,80 @@ def solve_tdma(
 ) -> SolveOutcome:
     """Exact minimum-energy time split between the two users.
 
-    Enumerates every integer m1 in [min_blocklength_1, min(D1, D2 -
-    min_blocklength_2)], keeping the lowest-energy split whose per-slot
-    powers respect the budget (ties go to the smallest m1) and whose energy
-    does not overflow.  Requires s1.deadline <= s2.deadline; callers order
-    users first.
+    Of every integer m1 in [min_blocklength_1, min(D1, D2 -
+    min_blocklength_2)], the lowest-energy split whose per-slot powers
+    respect the budget (ties go to the smallest m1) and whose energy does
+    not overflow; on a key's first solve, from the splits that enclosures
+    of their SINRs cannot rule out.  Requires s1.deadline <= s2.deadline;
+    callers order users first.
     """
-    splits = _splits(s1, s2)
+    splits = _enclosed_splits(ch, s1, s2, budget.p_max)
+    if splits is None:
+        splits = _splits(s1, s2)
     best = -1
     if not isinstance(splits, InfeasibleReason):
         best = int(_pick(splits, ch.g1, ch.g2, budget.p_max))
     return _outcome(splits, best, ch)
+
+
+def _enclosed_splits(
+    ch: ChannelPair, s1: UserSpec, s2: UserSpec, p_max: float
+) -> _Splits | InfeasibleReason | None:
+    """On a key's first solve (fbl._first_enclosure), the splits that may
+    be _pick's choice under p_max, with their exact SINRs, or the verdict;
+    None for _splits instead.  That is also the answer where the two
+    windows hold fewer than fbl._VECTOR_MIN_MISSES entries, whose roots one
+    by one cost less than a numpy pass, or where the splits to weigh number
+    that many, whose roots a table fill finds faster.
+
+    fbl._enclosures bounds every SINR of both windows in one numpy pass,
+    below <= gamma <= above.  An energy never falls as gamma1 or gamma2
+    grows, and rounding is monotone, so the energies at below and at above
+    bound the exact one, overflow included.  Take T, the least energy at
+    above over the splits the budget surely allows (above <= p_max * g for
+    both users); a split whose energy at below exceeds T, or that the budget
+    surely rules out, or whose energy at below overflows, costs more than a
+    split _pick may take, so _pick on the rest makes _pick's choice.
+    """
+    _require_deadline_order(s1, s2)
+    d2 = s2.deadline
+    m1_lo, m1_hi = _window(s1, s2)
+    windows = (s1, m1_lo, m1_hi), (s2, d2 - m1_hi, d2 - m1_lo)
+    n = m1_hi - m1_lo + 1
+    if 2 * n < fbl._VECTOR_MIN_MISSES or not fbl._first_enclosure(windows):
+        return None
+    m1 = np.arange(m1_lo, m1_hi + 1)
+    m2 = d2 - m1
+    # below and above, by user, split by split
+    bounds = fbl._enclosures(
+        np.array([[s1.payload_bits], [s2.payload_bits]]),
+        np.array([[fbl._q_ln2(s1.error_target)], [fbl._q_ln2(s2.error_target)]]),
+        np.stack((m1, m2)),
+    )
+    # A window's tables raise BracketError exactly when its root at its
+    # smallest m does (fbl._doubling); a finite above there rules that out.
+    try:
+        if not bounds[1, 0, 0] < np.inf:
+            required_sinr(s1, m1_lo)
+        if not bounds[1, 1, -1] < np.inf:
+            required_sinr(s2, d2 - m1_hi)
+    except BracketError:
+        return InfeasibleReason.RATE_UNREACHABLE
+    gamma1, gamma2 = bounds[:, 0], bounds[:, 1]
+    g1, g2 = ch.g1, ch.g2
+    # _pick's arithmetic on the bounds.
+    with np.errstate(over="ignore"):
+        low, high = m1 * gamma1 / g1 + m2 * gamma2 / g2
+        may, sure = (gamma1 <= p_max * g1) & (gamma2 <= p_max * g2)
+    keep = np.flatnonzero(may & (low <= high[sure].min(initial=np.inf)) & (low < np.inf))
+    if not len(keep):
+        return InfeasibleReason.POWER_BUDGET_EXCEEDED
+    if len(keep) >= fbl._VECTOR_MIN_MISSES:
+        return None
+    m1, m2 = m1[keep], m2[keep]
+    gamma1 = np.array([required_sinr(s1, m) for m in m1.tolist()])
+    gamma2 = np.array([required_sinr(s2, m) for m in m2.tolist()])
+    return m1, m2, gamma1, gamma2
 
 
 def _columns(

@@ -269,6 +269,72 @@ def test_roots_are_the_plain_bisections(
     assert fell_back == (2 * size if uncertified else 0)
 
 
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.integers(1, 3000),
+            # Past eps = 0.5, q_inv(eps) < 0: the other Newton start.
+            st.floats(-12.0, math.log10(0.999)).map(lambda x: 10.0**x),
+            st.integers(100, 20_000),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@example([(3000, 1e-9, 100), (1, 1e-3, 20_000), (40, 0.9, 300), (160, 1e-7, 300)])
+@example([(1, 0.999, 20_000), (3000, 1e-12, 100), (1, 0.999, 100)])
+def test_enclosures_hold_the_roots(entries):
+    # One pass over entries of mixed N, eps and sign of q: every root lies
+    # in its enclosure.
+    payload_bits, error_target, ms = (list(column) for column in zip(*entries))
+    below, above = fbl._enclosures(
+        np.array(payload_bits), np.array([fbl._q_ln2(e) for e in error_target]), np.array(ms)
+    )
+    _cold_memos()
+    for n, eps, m, lo, hi in zip(payload_bits, error_target, ms, below.tolist(), above.tolist()):
+        gamma = required_sinr(UserSpec(n, eps, m), m)
+        assert 0.0 <= lo <= gamma <= hi
+        # certified, and about as tight as the closed form's error margin
+        assert hi - lo <= 1e-6 * gamma + 4e-9
+    _cold_memos()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    payload_bits=st.integers(1, 3000),
+    error_target=st.floats(-12.0, math.log10(0.999)).map(lambda x: 10.0**x),
+    m_lo=st.integers(1, 60),
+    size=st.integers(1, 40),
+)
+@example(2970, 1e-9, 1, 40)  # raises up to m = 5
+@example(3000, 1e-12, 1, 40)
+def test_a_window_raises_when_its_smallest_m_does(payload_bits, error_target, m_lo, size):
+    # The doubling gives up at m when every power of two's blocklength is
+    # above m, and so above every smaller m: the roots that raise are those
+    # at the smallest m, and a table raises exactly when its first root does.
+    ms = range(m_lo, m_lo + size)
+    spec = UserSpec(payload_bits, error_target, ms[-1], min_blocklength=1)
+    raised = []
+    for m in ms:
+        _cold_memos()
+        try:
+            required_sinr(spec, m)
+        except BracketError:
+            raised.append(True)
+        else:
+            raised.append(False)
+    assert raised == sorted(raised, reverse=True)
+    _cold_memos()
+    try:
+        required_sinr_table(spec, ms[0], ms[-1])
+    except BracketError:
+        assert raised[0]
+    else:
+        assert not raised[0]
+    _cold_memos()
+
+
 #: Every value the row-store property test reads, from the path without the store.
 _ROOTS: dict[tuple, float] = {}
 
@@ -410,9 +476,10 @@ class _CountingLock:
 
 
 def test_warm_reads_take_no_lock(monkeypatch):
-    # Once one solve has filled its rows, paper-protocol solves, and scalar
-    # reads at an int, an integral float and an np.int64 m, are hits that
-    # never take the store's lock.
+    # Once two solves have filled its rows (the first picks its TDMA split
+    # from enclosures, the second fills the tables), paper-protocol solves,
+    # and scalar reads at an int, an integral float and an np.int64 m, are
+    # hits that never take the store's lock.
     cfg = ExperimentConfig()
     s1, s2 = cfg.user1_spec(200), cfg.user2_spec()
     budget = PowerBudget(dbm_to_watts(30.0))
@@ -427,6 +494,7 @@ def test_warm_reads_take_no_lock(monkeypatch):
         solve_tdma(ch, s1, s2, budget)
 
     solve()  # grows the rows, under the lock
+    solve()
     assert lock.taken > 0
     lock.taken, before = 0, required_sinr.cache_info()
     for _ in range(100):

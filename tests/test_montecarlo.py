@@ -147,6 +147,20 @@ class TestWholeNumberDeadlines:
         spec = UserSpec(payload_bits=bits, error_target=1e-7, deadline=200)
         assert type(spec.payload_bits) is int and spec.payload_bits == 160
 
+    def test_grids_keep_the_cli_types(self):
+        # A float d1 and d2 and an int budget give the rows of the CLI's
+        # types: whole deadlines as ints, budgets as floats.
+        def config(d1, d2, dbm):
+            return ExperimentConfig(n_trials=3, d1_grid=(d1,), d2=d2, p_max_dbm_grid=(dbm,))
+
+        cfg, want = config(200.0, 300.0, 30), config(200, 300, 30.0)
+        assert (cfg.d1_grid, cfg.d2, cfg.p_max_dbm_grid) == ((200,), 300, (30.0,))
+        assert (type(cfg.d1_grid[0]), type(cfg.d2), type(cfg.p_max_dbm_grid[0])) == (
+            int, int, float,
+        )
+        got, want = run_trials(cfg).energy_rows(), run_trials(want).energy_rows()
+        assert repr(got) == repr(want)  # values and their types
+
 
 class TestHarness:
     def test_single_trial_passthrough(self):

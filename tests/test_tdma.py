@@ -256,3 +256,123 @@ def test_matches_integer_oracle_outside_the_monotone_regime():
     assert (m1, m2) == (100, 100) and energy == pytest.approx(90.321, rel=1e-5)
     out = solve_tdma(ChannelPair(1.0, 4.0), s1, s2, PowerBudget(1e3))
     assert out.allocation.energy == pytest.approx(energy, rel=1e-9)
+
+
+def _table_outcome(ch, s1, s2, budget):
+    """solve_tdma's outcome from full tables: _pick over every split."""
+    splits = tdma._splits(s1, s2)
+    best = -1
+    if not isinstance(splits, InfeasibleReason):
+        best = int(tdma._pick(splits, ch.g1, ch.g2, budget.p_max))
+    return tdma._outcome(splits, best, ch)
+
+
+def _enclosed(spec):
+    row = fbl._SINR_ROWS.get((spec.payload_bits, spec.error_target), fbl._EMPTY)
+    return row.enclosed
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    g1=st.floats(-307.0, 6.0).map(lambda x: 10.0**x),
+    g2=st.floats(-307.0, 6.0).map(lambda x: 10.0**x),
+    p_max=st.floats(-8.0, 307.0).map(lambda x: 10.0**x),
+    bits=st.tuples(st.integers(1, 3000), st.integers(1, 3000)),
+    # Past eps = 0.5, q_inv(eps) < 0: the other Newton start.
+    eps=st.tuples(*[st.floats(-12.0, math.log10(0.999)).map(lambda x: 10.0**x)] * 2),
+    m_hat=st.tuples(st.integers(1, 100), st.integers(1, 100)),
+    d1=st.integers(0, 500),
+    extra=st.integers(0, 400),
+    split=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+)
+# Every split energy overflows: none is within the budget.
+@example(
+    3.3957641274877783e-305, 2.4106225536608306e-306, dbm_to_watts(3110.0),
+    (160, 160), (1e-7, 1e-7), (100, 100), 0, 100, None,
+)
+# One split, which the tables weigh, one user's q < 0, and a budget that
+# binds there.
+@example(1e4, 4e4, 1.0, (160, 40), (1e-7, 0.9), (100, 100), 100, 0, (0.0, 0.0))
+# The fewest splits the enclosures weigh, and a budget that binds.
+@example(1e4, 4e4, 1.0, (160, 40), (1e-7, 0.9), (100, 100), 9, 100, (0.5, 0.0))
+# Rate unreachable: 3000 bits need SINRs past 1e150 from m1 = 1 on.
+@example(1.0, 1.0, 1.0, (3000, 3000), (1e-12, 1e-12), (1, 1), 20, 100, None)
+@example(1.0, 1.0, 1.0, (16, 3000), (1e-3, 1e-12), (1, 1), 50, 3, None)
+def test_first_solve_picks_what_full_tables_pick(
+    g1, g2, p_max, bits, eps, m_hat, d1, extra, split
+):
+    # On a fresh store, solve_tdma picks from enclosures of the SINRs where
+    # the two windows hold _VECTOR_MIN_MISSES entries or more: the outcome
+    # is _pick's over full tables, bit for bit.
+    s1 = UserSpec(bits[0], eps[0], m_hat[0] + d1, m_hat[0])
+    s2 = UserSpec(bits[1], eps[1], max(s1.deadline, m_hat[1]) + extra, m_hat[1])
+    lo, hi = tdma._window(s1, s2)
+    if split is not None and lo <= hi:
+        # A split, user 2's power there within a decade of user 1's, and the
+        # larger of the two as the budget: it binds at that split.
+        at, decades = split
+        m1 = lo + round(at * (hi - lo))
+        try:
+            p1 = required_sinr(s1, m1) / g1
+            gamma2 = required_sinr(s2, s2.deadline - m1)
+        except BracketError:
+            pass
+        else:
+            g2 = min(max(gamma2 / (p1 * 10.0**decades), 1e-307), 1e6)
+            p_max = min(max(p1, gamma2 / g2, 1e-8), 1e307)
+    ch, budget = ChannelPair(g1, g2), PowerBudget(p_max)
+    required_sinr.cache_clear()
+    got = solve_tdma(ch, s1, s2, budget)
+    assert _enclosed(s1) == _enclosed(s2) == (2 * (hi - lo + 1) >= fbl._VECTOR_MIN_MISSES)
+    assert repr(got) == repr(_table_outcome(ch, s1, s2, budget))
+    required_sinr.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "ch,s1,s2,p_max",
+    [
+        (ChannelPair(1e4, 4e4), spec(200), spec(300), 1.0),
+        # q < 0 for both users
+        (ChannelPair(1e4, 4e4), spec(200, error_target=0.9), spec(300, error_target=0.6), 1.0),
+        # a budget that binds near the budget-free split
+        (ChannelPair(0.9, 4.0), spec(200), spec(300), 1.6),
+        (ChannelPair(3.3957641274877783e-305, 2.4106225536608306e-306), spec(200), spec(300), 1e308),
+        # every split within the budget, every energy overflowing
+        (ChannelPair(1e-307, 1e-307), spec(200), spec(300), 1e308),
+        # a window past the store's cap
+        (ChannelPair(1e4, 4e4), spec(200), spec(10**8), 1.0),
+    ],
+)
+def test_both_paths_give_one_outcome(ch, s1, s2, p_max):
+    # The first solve on a key picks from enclosures, finding the roots of
+    # at most two splits; the second fills the tables and picks over them.
+    required_sinr.cache_clear()
+    first = solve_tdma(ch, s1, s2, PowerBudget(p_max))
+    assert _enclosed(s1) and _enclosed(s2)
+    assert required_sinr.cache_info().misses <= 4
+    hits = required_sinr.cache_info().hits
+    second = solve_tdma(ch, s1, s2, PowerBudget(p_max))
+    if s2.deadline < fbl._ROW_BUDGET:  # the tables are in the store now
+        third = solve_tdma(ch, s1, s2, PowerBudget(p_max))
+        assert required_sinr.cache_info().hits > hits
+        assert repr(third) == repr(second)
+    assert repr(first) == repr(second)
+    required_sinr.cache_clear()
+
+
+@pytest.mark.parametrize("d1", [115, 200])
+def test_open_enclosures_still_pick_what_full_tables_pick(monkeypatch, d1):
+    # Enclosures that say nothing, [0, inf]: the verdict takes the roots at
+    # the windows' smallest m, and every split is a candidate.  Sixteen are
+    # found one by one; 101, past fbl._VECTOR_MIN_MISSES, fill the tables.
+    def nothing(payload_bits, q, m):
+        return np.stack((np.zeros(m.shape), np.full(m.shape, np.inf)))
+
+    ch, s1, s2, budget = ChannelPair(0.9, 4.0), spec(d1), spec(300), PowerBudget(1.6)
+    want = _table_outcome(ch, s1, s2, budget)
+    monkeypatch.setattr(fbl, "_enclosures", nothing)
+    required_sinr.cache_clear()
+    assert repr(solve_tdma(ch, s1, s2, budget)) == repr(want)
+    row = fbl._SINR_ROWS[S160["payload_bits"], S160["error_target"]]
+    assert row.enclosed and (row.lo <= 100 and 200 <= row.hi) is (d1 == 200)
+    required_sinr.cache_clear()
