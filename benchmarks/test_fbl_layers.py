@@ -15,12 +15,10 @@ then read) and a 100-entry table inside the row's known span (a
 read-only slice).
 
 Every cold root jumps into its bisection from a certified window around a
-Newton estimate.  A table of up to fbl._VECTOR_MIN_MISSES - 1 entries is
-filled one scalar root at a time; a larger one finds every window and jump
-with numpy, and finishes in the scalar bisection only the entries whose
-window still holds a midpoint.  To re-check that crossover on another
-machine, compare the cold table times with the cold scalar miss times the
-number of entries: the crossover sits where the two are equal.  The
+Newton estimate.  A cold table is filled one scalar root at a time, so its
+time is about the cold scalar miss's times the number of entries; a key's
+first TDMA solve fills none (benchmarks/test_solver_layers.py times it),
+but its later solves on windows the store does not span do.  The
 3000-bit rows are the huge-SINR end (about 2**30 at m = 100), where float
 spacing rather than the tolerance ends the bisection and the windows are
 widest: solve-cold's slowest instances.

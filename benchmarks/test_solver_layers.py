@@ -65,9 +65,9 @@ def test_warm_splits(benchmark):
     # d1 = 200 weighs m1 in [100, 200]; both SINR tables are in the store.
     s1, s2 = CFG.user1_spec(200), CFG.user2_spec()
     assert tdma._window(s1, s2) == (100, 200)
-    tdma._splits(s1, s2)
+    tdma._splits(s1, s2, 100, 200)
     benchmark.pedantic(
-        tdma._splits, args=(s1, s2), rounds=300, iterations=CALLS_PER_ROUND
+        tdma._splits, args=(s1, s2, 100, 200), rounds=300, iterations=CALLS_PER_ROUND
     )
 
 

@@ -18,8 +18,7 @@ where it would stand just before its first comparison that is not certain.
 A Newton estimate of the root, a window around it that two closed-form
 evaluations certify, and the dyadic bracket the loop holds on entering the
 window take the place of the doubling and of some 30 bisection steps
-(_jump).  Larger table fills find those estimates, windows and brackets on
-numpy arrays.  One store keeps the roots: a row over integer m per
+(_jump).  One store keeps the roots: a row over integer m per
 (payload_bits, error_target) (_Row), of which a table is a slice.  It is
 bounded, the oldest grown rows going first; windows past that bound get
 arrays of their own.  Rows grow and go under a lock; reads take none.
@@ -363,15 +362,6 @@ def _sinr_root(payload_bits: int, error_target: float, m: float) -> float:
     return _bisect(payload_bits, q, m, *cell)
 
 
-#: A table window with fewer roots missing from the store than this finds
-#: them one by one with _sinr_root; from this many on, _sinr_roots finds
-#: them together.  Cold tables of n entries from m = 100 on a 2-vCPU Xeon
-#: VM, scalar / numpy, medians of 41: 600 bits at eps 1e-5, n = 16: 0.18 /
-#: 0.21 ms, n = 24: 0.28 / 0.23 ms; 160 bits at 1e-7, n = 16: 0.19 / 0.22
-#: ms, n = 24: 0.27 / 0.21 ms; 3000 bits at 1e-9, n = 16: 0.40 / 0.44 ms,
-#: n = 24: 0.57 / 0.55 ms.  They break even near 20 roots.
-_VECTOR_MIN_MISSES = 20
-
 #: Relative error bound of the closed form _blocklength, scalar or numpy,
 #: against exact arithmetic on the same float inputs, per unit of
 #: 1 + 1/gamma, with 1 ulp = 2**-52.  + - * / and sqrt round to nearest
@@ -403,18 +393,13 @@ _NEWTON_STEPS = 4
 #: the doubling tries, with room for a window below it.
 _T_CAP = math.log(4.0 * _BRACKET_TOP)
 
-#: The functions _window, _certain and _cell take from math for one root,
-#: and from numpy for a table's.
+#: The functions _window and _certain take from math for one root, and
+#: from numpy for the enclosure pass.
 _MATH = SimpleNamespace(
-    sqrt=math.sqrt, expm1=math.expm1, log2=math.log2, frexp=math.frexp,
-    ldexp=math.ldexp, ceil=math.ceil, floor=math.floor, minimum=min,
-    maximum=max, index=int, float=float,
+    sqrt=math.sqrt, expm1=math.expm1, log2=math.log2, minimum=min, maximum=max
 )
 _NUMPY = SimpleNamespace(
-    sqrt=np.sqrt, expm1=np.expm1, log2=np.log2, frexp=np.frexp,
-    ldexp=np.ldexp, ceil=np.ceil, floor=np.floor, minimum=np.minimum,
-    maximum=np.maximum, index=lambda x: x.astype(np.int64),
-    float=lambda x: x.astype(float),
+    sqrt=np.sqrt, expm1=np.expm1, log2=np.log2, minimum=np.minimum, maximum=np.maximum
 )
 
 
@@ -515,7 +500,7 @@ def _enclosures(payload_bits, q, m):
         return np.stack((below, np.where(sure, b + w, math.inf)))
 
 
-def _cell(a, b, xp):
+def _cell(a: float, b: float) -> tuple[float, float, bool]:
     """The bracket that the bisection of m's doubling bracket [0, top] holds
     just before its first midpoint in a certain window [a, b], and whether
     top is certain.
@@ -532,17 +517,17 @@ def _cell(a, b, xp):
     bits; the cell around that point is the bracket.  With no grid point in
     [a, b], it is the last cell, from which the loop evaluates nothing.
     """
-    frac, e = xp.frexp(b)
-    p = xp.ldexp(1.0, e - (frac == 0.5))  # the first power of two >= b
-    top = xp.maximum(p, 1.0)
-    s = xp.maximum(_SINR_STEP, top * 2.0**-53)
+    frac, e = math.frexp(b)
+    p = math.ldexp(1.0, e - (frac == 0.5))  # the first power of two >= b
+    top = max(p, 1.0)
+    s = max(_SINR_STEP, top * 2.0**-53)
     # The grid indices of the last point below a and the last midpoint up to b.
-    lo = xp.index(xp.ceil(a / s) - 1.0)
-    hi = xp.index(xp.minimum(xp.floor(b / s), top / s - 1.0))
+    lo = math.ceil(a / s) - 1
+    hi = min(math.floor(b / s), int(top / s) - 1)
     # The cell's width in grid steps: 2 to the bit length of lo ^ hi.
-    k = xp.frexp(xp.float(lo ^ hi))[1]
+    k = (lo ^ hi).bit_length()
     lo = (hi >> k << k) * s
-    return lo, lo + xp.ldexp(s, k), (p <= 1.0) | (0.5 * p <= a)
+    return lo, lo + math.ldexp(s, k), p <= 1.0 or 0.5 * p <= a
 
 
 def _jump(payload_bits: int, q: float, m: float) -> tuple[float, float] | None:
@@ -559,40 +544,8 @@ def _jump(payload_bits: int, q: float, m: float) -> tuple[float, float] | None:
         raise _unreachable(payload_bits, m)
     if not (above and below):
         return None
-    lo, hi, top_certain = _cell(a, b, _MATH)
+    lo, hi, top_certain = _cell(a, b)
     return (lo, hi) if top_certain else None
-
-
-def _sinr_roots(payload_bits: int, error_target: float, ms: np.ndarray) -> np.ndarray:
-    """_sinr_root for each integer m of ms (ascending), with numpy finding
-    the windows, their certification and the brackets of all of them.
-
-    A bracket with a midpoint left finishes in _bisect, and an entry numpy
-    cannot certify goes to _sinr_root, so each root has the scalar path's
-    bits.  Raises BracketError as _sinr_root(ms[0]) would.
-    """
-    q = _q_ln2(error_target)
-    m, ms = ms.astype(float), ms.tolist()
-    with np.errstate(all="ignore"):
-        a, b = _window(payload_bits, q, m, _NUMPY)
-        above, below = _certain(payload_bits, q, m, a, b, _NUMPY)
-        # NaN compares false: an estimate that failed is not certain.
-        sure = above & below & (a < _BRACKET_TOP)
-        lo, hi, top_certain = _cell(
-            np.where(sure, a, 1.0), np.where(sure, b, 1.0), _NUMPY
-        )
-    sure &= top_certain
-    # _bisect's return, and its test for a midpoint left, on every bracket.
-    mid = 0.5 * (lo + hi)
-    open_ = (hi - lo > _SINR_TOL) & (lo < mid) & (mid < hi)
-    _root_counts[0] += int(np.count_nonzero(sure))
-    _root_counts[2] += 2 * len(ms)
-    for i in np.flatnonzero(~sure | open_).tolist():
-        if sure[i]:
-            mid[i] = _bisect(payload_bits, q, ms[i], float(lo[i]), float(hi[i]))
-        else:
-            mid[i] = _sinr_root(payload_bits, error_target, ms[i])
-    return mid
 
 
 def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
@@ -600,8 +553,8 @@ def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
 
     A read-only array; index i holds the SINR for m = m_lo + i, bit for bit
     required_sinr's: a slice of the store's row whose NaN entries, if any,
-    are found and written at once.  A window reaching _ROW_BUDGET gets an
-    array of its own, as long as the window.
+    are found by _sinr_root and written.  A window reaching _ROW_BUDGET gets
+    an array of its own, as long as the window.
     """
     if m_lo < spec.min_blocklength:
         raise _untrusted(spec, m_lo)
@@ -644,13 +597,10 @@ def _first_enclosure(windows: tuple[tuple[UserSpec, int, int], ...]) -> bool:
 
 
 def _fill(key: tuple, m_lo: int, gammas: np.ndarray) -> np.ndarray:
-    """gammas, the SINRs of key from m_lo on, with its NaN entries found and
-    written, made read-only."""
+    """gammas, the SINRs of key from m_lo on, with its NaN entries found one
+    by one and written, made read-only."""
     missing = np.isnan(gammas).nonzero()[0]
-    if len(missing) < _VECTOR_MIN_MISSES:
-        gammas[missing] = [_sinr_root(*key, m) for m in (missing + m_lo).tolist()]
-    else:
-        gammas[missing] = _sinr_roots(*key, missing + m_lo)
+    gammas[missing] = [_sinr_root(*key, m) for m in (missing + m_lo).tolist()]
     _sinr_counts[0] += len(gammas) - len(missing)
     _sinr_counts[1] += len(missing)
     gammas.flags.writeable = False

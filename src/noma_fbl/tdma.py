@@ -56,14 +56,12 @@ def _window(s1: UserSpec, s2: UserSpec) -> tuple[int, int]:
     return s1.min_blocklength, min(s1.deadline, s2.deadline - s2.min_blocklength)
 
 
-def _splits(s1: UserSpec, s2: UserSpec) -> _Splits | InfeasibleReason:
-    """Every time split solve_tdma weighs, or the verdict that rules out all
-    of them whatever the channel."""
-    _require_deadline_order(s1, s2)
+def _splits(
+    s1: UserSpec, s2: UserSpec, m1_lo: int, m1_hi: int
+) -> _Splits | InfeasibleReason:
+    """Every time split of the non-empty window m1_lo..m1_hi, or the verdict
+    that rules out all of them whatever the channel."""
     d2 = s2.deadline
-    m1_lo, m1_hi = _window(s1, s2)
-    if m1_lo > m1_hi:
-        return InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY
     try:
         gamma1 = required_sinr_table(s1, m1_lo, m1_hi)
         gamma2 = required_sinr_table(s2, d2 - m1_hi, d2 - m1_lo)
@@ -133,9 +131,13 @@ def solve_tdma(
     of their SINRs cannot rule out.  Requires s1.deadline <= s2.deadline;
     callers order users first.
     """
-    splits = _enclosed_splits(ch, s1, s2, budget.p_max)
+    _require_deadline_order(s1, s2)
+    m1_lo, m1_hi = _window(s1, s2)
+    if m1_lo > m1_hi:
+        return SolveOutcome(verdict=InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY)
+    splits = _enclosed_splits(ch, s1, s2, m1_lo, m1_hi, budget.p_max)
     if splits is None:
-        splits = _splits(s1, s2)
+        splits = _splits(s1, s2, m1_lo, m1_hi)
     best = -1
     if not isinstance(splits, InfeasibleReason):
         best = int(_pick(splits, ch.g1, ch.g2, budget.p_max))
@@ -143,14 +145,11 @@ def solve_tdma(
 
 
 def _enclosed_splits(
-    ch: ChannelPair, s1: UserSpec, s2: UserSpec, p_max: float
+    ch: ChannelPair, s1: UserSpec, s2: UserSpec, m1_lo: int, m1_hi: int, p_max: float
 ) -> _Splits | InfeasibleReason | None:
-    """On a key's first solve (fbl._first_enclosure), the splits that may
-    be _pick's choice under p_max, with their exact SINRs, or the verdict;
-    None for _splits instead.  That is also the answer where the two
-    windows hold fewer than fbl._VECTOR_MIN_MISSES entries, whose roots one
-    by one cost less than a numpy pass, or where the splits to weigh number
-    that many, whose roots a table fill finds faster.
+    """On a key's first solve (fbl._first_enclosure), the splits of the
+    non-empty window m1_lo..m1_hi that may be _pick's choice under p_max,
+    with their exact SINRs, or the verdict; None for _splits instead.
 
     fbl._enclosures bounds every SINR of both windows in one numpy pass,
     below <= gamma <= above.  An energy never falls as gamma1 or gamma2
@@ -161,12 +160,9 @@ def _enclosed_splits(
     surely rules out, or whose energy at below overflows, costs more than a
     split _pick may take, so _pick on the rest makes _pick's choice.
     """
-    _require_deadline_order(s1, s2)
     d2 = s2.deadline
-    m1_lo, m1_hi = _window(s1, s2)
     windows = (s1, m1_lo, m1_hi), (s2, d2 - m1_hi, d2 - m1_lo)
-    n = m1_hi - m1_lo + 1
-    if 2 * n < fbl._VECTOR_MIN_MISSES or not fbl._first_enclosure(windows):
+    if not fbl._first_enclosure(windows):
         return None
     m1 = np.arange(m1_lo, m1_hi + 1)
     m2 = d2 - m1
@@ -194,8 +190,6 @@ def _enclosed_splits(
     keep = np.flatnonzero(may & (low <= high[sure].min(initial=np.inf)) & (low < np.inf))
     if not len(keep):
         return InfeasibleReason.POWER_BUDGET_EXCEEDED
-    if len(keep) >= fbl._VECTOR_MIN_MISSES:
-        return None
     m1, m2 = m1[keep], m2[keep]
     gamma1 = np.array([required_sinr(s1, m) for m in m1.tolist()])
     gamma2 = np.array([required_sinr(s2, m) for m in m2.tolist()])
@@ -216,7 +210,11 @@ def _columns(
     _pick on (draws x 1) columns, in chunks of draws that bound the
     (draws x splits) energy matrices.
     """
-    splits = _splits(s1, s2)
+    _require_deadline_order(s1, s2)
+    m1_lo, m1_hi = _window(s1, s2)
+    splits = InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY
+    if m1_lo <= m1_hi:
+        splits = _splits(s1, s2, m1_lo, m1_hi)
     n = len(g1)
     if isinstance(splits, InfeasibleReason):
         return splits, [(np.full(n, -1, np.int32), np.full(n, np.nan)) for _ in p_maxes]

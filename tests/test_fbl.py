@@ -539,7 +539,7 @@ def test_row_spans_grow_one_window_at_a_time(monkeypatch):
 
 
 class TestRequiredSinrTable:
-    """The table path, vectorised or not, gives the scalar roots bit for bit."""
+    """The table path gives the scalar roots bit for bit."""
 
     @_BOUNDED
     @given(
@@ -555,9 +555,9 @@ class TestRequiredSinrTable:
     @example(2970, 1e-9, 6, 40, set())  # m = 6 needs the first doubling past it
     # numpy alone would decide one step at m = 142 wrongly: a few ulp off
     @example(2845, 2.7765660567406283e-09, 120, 40, set())
-    # one miss short of the crossover, and at it
-    @example(160, 1e-7, 100, fbl._VECTOR_MIN_MISSES - 1, set())
-    @example(160, 1e-7, 100, fbl._VECTOR_MIN_MISSES, set())
+    # 19 and 20 misses in one fill
+    @example(160, 1e-7, 100, 19, set())
+    @example(160, 1e-7, 100, 20, set())
     @example(160, 1e-7, 100, 60, set(range(0, 60, 2)))  # 30 misses
     @example(160, 1e-7, 100, 120, set(range(0, 120, 3)))  # 80 misses
     def test_equals_uncached_scalar_roots(
@@ -585,27 +585,15 @@ class TestRequiredSinrTable:
         assert required_sinr.cache_info().hits == hits + size
         assert np.array_equal(np.array(again).view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize(
-        "size,vectorised",
-        [(fbl._VECTOR_MIN_MISSES - 1, False), (fbl._VECTOR_MIN_MISSES, True)],
-    )
-    def test_crossover_on_missing_roots(self, monkeypatch, size, vectorised):
+    def test_fill_counts_known_entries_as_hits(self):
+        # A table of 21 entries, one of them known: 1 hit and 20 misses.
         _cold_memos()
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return roots(*args)
-
-        roots = fbl._sinr_roots
-        monkeypatch.setattr(fbl, "_sinr_roots", spy)
         spec = UserSpec(160, 1e-7, 1000)
         required_sinr(spec, 100)  # in the memo: not a miss
         before = required_sinr.cache_info()
-        required_sinr_table(spec, 100, 100 + size)
+        required_sinr_table(spec, 100, 120)
         after = required_sinr.cache_info()
-        assert bool(calls) is vectorised
-        assert (after.hits - before.hits, after.misses - before.misses) == (1, size)
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 20)
 
     def test_memo_is_bounded(self):
         _cold_memos()

@@ -105,7 +105,7 @@ def test_sinr_root_bits_match_golden_sha256():
             roots.append(sinr_for_blocklength(m_star, spec, 10.0 ** rng.uniform(-3.0, 20.0)))
         except BracketError:
             roots.append(-1.0)
-    # Two tables whose 31 and 200 roots missing from the memo are found together.
+    # Two tables, of 31 and 200 roots missing from the memo.
     roots += required_sinr_table(UserSpec(600, 1e-5, deadline=130), 100, 130).tolist()
     spec = UserSpec(2845, 2.7765660567406283e-09, deadline=319)
     roots += required_sinr_table(spec, 120, 319).tolist()

@@ -14,6 +14,7 @@ from noma_fbl import (
     ExperimentConfig,
     InfeasibleReason,
     PowerBudget,
+    SolveOutcome,
     UserSpec,
     dbm_to_watts,
     draw_channels,
@@ -200,8 +201,8 @@ def test_splits_are_views_of_the_plain_ranges(s1, s2):
     # _splits builds m1 and m2 = D2 - m1 as plain integer ranges, index-aligned
     # with their required SINRs, which are read-only views of the store.
     for _ in range(2):  # cold, then warm
-        m1, m2, gamma1, gamma2 = tdma._splits(s1, s2)
         m1_lo, m1_hi = tdma._window(s1, s2)
+        m1, m2, gamma1, gamma2 = tdma._splits(s1, s2, m1_lo, m1_hi)
         want = np.arange(m1_lo, m1_hi + 1)
         assert m1.dtype == want.dtype and np.array_equal(m1, want)
         assert m2.dtype == want.dtype and np.array_equal(m2, s2.deadline - want)
@@ -260,7 +261,10 @@ def test_matches_integer_oracle_outside_the_monotone_regime():
 
 def _table_outcome(ch, s1, s2, budget):
     """solve_tdma's outcome from full tables: _pick over every split."""
-    splits = tdma._splits(s1, s2)
+    lo, hi = tdma._window(s1, s2)
+    if lo > hi:
+        return SolveOutcome(verdict=InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY)
+    splits = tdma._splits(s1, s2, lo, hi)
     best = -1
     if not isinstance(splits, InfeasibleReason):
         best = int(tdma._pick(splits, ch.g1, ch.g2, budget.p_max))
@@ -290,10 +294,9 @@ def _enclosed(spec):
     3.3957641274877783e-305, 2.4106225536608306e-306, dbm_to_watts(3110.0),
     (160, 160), (1e-7, 1e-7), (100, 100), 0, 100, None,
 )
-# One split, which the tables weigh, one user's q < 0, and a budget that
-# binds there.
+# One split, one user's q < 0, and a budget that binds there.
 @example(1e4, 4e4, 1.0, (160, 40), (1e-7, 0.9), (100, 100), 100, 0, (0.0, 0.0))
-# The fewest splits the enclosures weigh, and a budget that binds.
+# Ten splits and a budget that binds.
 @example(1e4, 4e4, 1.0, (160, 40), (1e-7, 0.9), (100, 100), 9, 100, (0.5, 0.0))
 # Rate unreachable: 3000 bits need SINRs past 1e150 from m1 = 1 on.
 @example(1.0, 1.0, 1.0, (3000, 3000), (1e-12, 1e-12), (1, 1), 20, 100, None)
@@ -301,9 +304,9 @@ def _enclosed(spec):
 def test_first_solve_picks_what_full_tables_pick(
     g1, g2, p_max, bits, eps, m_hat, d1, extra, split
 ):
-    # On a fresh store, solve_tdma picks from enclosures of the SINRs where
-    # the two windows hold _VECTOR_MIN_MISSES entries or more: the outcome
-    # is _pick's over full tables, bit for bit.
+    # On a fresh store, solve_tdma picks from enclosures of the SINRs
+    # wherever the window is not empty: the outcome is _pick's over full
+    # tables, bit for bit.
     s1 = UserSpec(bits[0], eps[0], m_hat[0] + d1, m_hat[0])
     s2 = UserSpec(bits[1], eps[1], max(s1.deadline, m_hat[1]) + extra, m_hat[1])
     lo, hi = tdma._window(s1, s2)
@@ -323,7 +326,7 @@ def test_first_solve_picks_what_full_tables_pick(
     ch, budget = ChannelPair(g1, g2), PowerBudget(p_max)
     required_sinr.cache_clear()
     got = solve_tdma(ch, s1, s2, budget)
-    assert _enclosed(s1) == _enclosed(s2) == (2 * (hi - lo + 1) >= fbl._VECTOR_MIN_MISSES)
+    assert _enclosed(s1) == _enclosed(s2) == (lo <= hi)
     assert repr(got) == repr(_table_outcome(ch, s1, s2, budget))
     required_sinr.cache_clear()
 
@@ -363,8 +366,8 @@ def test_both_paths_give_one_outcome(ch, s1, s2, p_max):
 @pytest.mark.parametrize("d1", [115, 200])
 def test_open_enclosures_still_pick_what_full_tables_pick(monkeypatch, d1):
     # Enclosures that say nothing, [0, inf]: the verdict takes the roots at
-    # the windows' smallest m, and every split is a candidate.  Sixteen are
-    # found one by one; 101, past fbl._VECTOR_MIN_MISSES, fill the tables.
+    # the windows' smallest m, and every split is a candidate, whose roots
+    # are found one by one and fill no table.  Both users share one key.
     def nothing(payload_bits, q, m):
         return np.stack((np.zeros(m.shape), np.full(m.shape, np.inf)))
 
@@ -374,5 +377,8 @@ def test_open_enclosures_still_pick_what_full_tables_pick(monkeypatch, d1):
     required_sinr.cache_clear()
     assert repr(solve_tdma(ch, s1, s2, budget)) == repr(want)
     row = fbl._SINR_ROWS[S160["payload_bits"], S160["error_target"]]
-    assert row.enclosed and (row.lo <= 100 and 200 <= row.hi) is (d1 == 200)
+    assert row.enclosed and row.lo > row.hi
+    # m1 in 100..d1 and m2 = 300 - m1 in 300 - d1..200
+    candidates = set(range(100, d1 + 1)) | set(range(300 - d1, 201))
+    assert required_sinr.cache_info().misses == len(candidates)
     required_sinr.cache_clear()
