@@ -585,15 +585,30 @@ class TestRequiredSinrTable:
         assert required_sinr.cache_info().hits == hits + size
         assert np.array_equal(np.array(again).view(np.int64), want.view(np.int64))
 
-    def test_fill_counts_known_entries_as_hits(self):
-        # A table of 21 entries, one of them known: 1 hit and 20 misses.
+    @pytest.mark.parametrize("size,known_last", [(19, False), (20, True)])
+    def test_crossover_on_missing_roots(self, monkeypatch, size, known_last):
+        # A table of size + 1 entries, its first or last one known: 1 hit and
+        # `size` misses, each found by the scalar root on either side of the
+        # 20 misses where a vectorised fill once took over.
         _cold_memos()
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return root(*args)
+
+        root = fbl._sinr_root
+        monkeypatch.setattr(fbl, "_sinr_root", spy)
         spec = UserSpec(160, 1e-7, 1000)
-        required_sinr(spec, 100)  # in the memo: not a miss
+        known = 100 + size if known_last else 100
+        required_sinr(spec, known)  # in the memo: not a miss
+        calls.clear()
         before = required_sinr.cache_info()
-        required_sinr_table(spec, 100, 120)
+        required_sinr_table(spec, 100, 100 + size)
         after = required_sinr.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == (1, 20)
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, size)
+        missing = [m for m in range(100, 101 + size) if m != known]
+        assert [args[-1] for args in calls] == missing
 
     def test_memo_is_bounded(self):
         _cold_memos()
