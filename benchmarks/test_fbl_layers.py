@@ -14,17 +14,22 @@ pinned deadlines), at an integral float m and an np.int64 m (converted,
 then read) and a 100-entry table inside the row's known span (a
 read-only slice).
 
-Every cold root jumps into its bisection from a certified window around a
-Newton estimate.  A cold table is filled one scalar root at a time, so its
-time is about the cold scalar miss's times the number of entries; a key's
-first TDMA solve fills none (benchmarks/test_solver_layers.py times it),
-but its later solves on windows the store does not span do.  The
-3000-bit rows are the huge-SINR end (about 2**30 at m = 100), where float
-spacing rather than the tolerance ends the bisection and the windows are
-widest: solve-cold's slowest instances.
+Every cold root skips the comparisons of its doubling and bisection that a
+certified window around a Newton estimate decides, and so does
+sinr_for_blocklength on the caller's bracket (timed on 200 seeded calls a
+round, across its input range).  A cold table is filled one scalar root at
+a time, so its time is about the cold scalar miss's times the number of
+entries; a key's first TDMA solve fills none
+(benchmarks/test_solver_layers.py times it), but its later solves on
+windows the store does not span do.  The 3000-bit rows are the huge-SINR
+end (about 2**30 at m = 100), where float spacing rather than the
+tolerance ends the bisection and the windows are widest: solve-cold's
+slowest instances.
 """
 
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +38,7 @@ import numpy as np
 import pytest
 
 import noma_fbl
-from noma_fbl import UserSpec, q_inv, required_sinr
+from noma_fbl import BracketError, UserSpec, q_inv, required_sinr, sinr_for_blocklength
 from noma_fbl.fbl import required_sinr_table
 
 # A solve-cold-like user: 600 bits at eps 1e-5, windows from m = 100 up.
@@ -113,6 +118,37 @@ def test_cold_huge_required_sinr_table(benchmark):
 
 def test_cold_huge_required_sinr_miss(benchmark):
     _cold_miss(benchmark, HUGE)
+
+
+def _sinr_for_blocklength_calls(n=200, seed=7):
+    """Seeded calls over the whole input range: N 1-3000, eps 1e-12-0.3,
+    m_star 1-20,000 and gamma_hi 1e-3-1e20, some of which raise BracketError."""
+    rng = random.Random(seed)
+    calls = []
+    for _ in range(n):
+        payload_bits = rng.randint(1, 3000)
+        error_target = 10.0 ** rng.uniform(-12.0, math.log10(0.3))
+        spec = UserSpec(payload_bits, error_target, deadline=20_000, min_blocklength=1)
+        calls.append((rng.uniform(1.0, 20_000.0), spec, 10.0 ** rng.uniform(-3.0, 20.0)))
+    return calls
+
+
+def _roots(calls):
+    roots = 0
+    for m_star, spec, gamma_hi in calls:
+        try:
+            sinr_for_blocklength(m_star, spec, gamma_hi)
+        except BracketError:
+            continue
+        roots += 1
+    return roots
+
+
+def test_cold_sinr_for_blocklength(benchmark):
+    # 200 calls a round; sinr_for_blocklength keeps no store, so every call
+    # finds its root.
+    calls = _sinr_for_blocklength_calls()
+    assert benchmark.pedantic(_roots, args=(calls,), rounds=20) > 0
 
 
 def _warm(benchmark, function, *args):

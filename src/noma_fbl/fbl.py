@@ -13,15 +13,18 @@ blocklength (bisection, since no closed form exists in that direction).
 
 Every SINR root comes from one bisection, _bisect.  sinr_for_blocklength
 runs it on [0, hi] with the caller's hi; required_sinr and its tables run it
-on [0, top], top doubled from 1 until it encloses the root, but start it
-where it would stand just before its first comparison that is not certain.
-A Newton estimate of the root, a window around it that two closed-form
-evaluations certify, and the dyadic bracket the loop holds on entering the
-window take the place of the doubling and of some 30 bisection steps
-(_jump).  One store keeps the roots: a row over integer m per
-(payload_bits, error_target) (_Row), of which a table is a slice.  It is
-bounded, the oldest grown rows going first; windows past that bound get
-arrays of their own.  Rows grow and go under a lock; reads take none.
+on [0, top], top doubled from 1 until it encloses the root.  Both skip the
+comparisons they would make outside a window around a Newton estimate of
+the root, whose ends two closed-form evaluations certify (_certified): a
+point at or below its lower end moves the bracket's bottom, one at or
+above its upper end the top, and only the points between are evaluated,
+so the root takes the bits of the whole loop from a few evaluations
+instead of some 30 to 60.
+
+One store keeps the roots: a row over integer m per (payload_bits,
+error_target) (_Row), of which a table is a slice.  It is bounded, the
+oldest grown rows going first; windows past that bound get arrays of their
+own.  Rows grow and go under a lock; reads take none.
 
 A key's first TDMA solve fills no table.  One numpy pass of the estimates
 and their certified windows, over entries of any payload and error target,
@@ -173,42 +176,64 @@ def _blocklength(gamma, payload_bits, q, log2=math.log2, sqrt=math.sqrt):
 def sinr_for_blocklength(m_star: float, spec: UserSpec, gamma_hi: float) -> float:
     """SINR at which the payload exactly fits in m_star channel uses.
 
-    Bisection on [0, gamma_hi] (see _bisect).  Raises BracketError when
-    even gamma_hi cannot deliver the payload in m_star uses
+    Bisection on [0, gamma_hi] (see _bisect), skipping the comparisons that
+    m_star's certified window decides.  Raises BracketError when even
+    gamma_hi cannot deliver the payload in m_star uses
     (blocklength_for_sinr(gamma_hi) > m_star); callers typically pass
     gamma_hi = p_max * channel_gain so that this signals infeasibility.
+    Raises ValueError for a gamma_hi that is not positive and finite, or at
+    which the closed form overflows.
     """
     if m_star < spec.min_blocklength:
         raise _untrusted(spec, m_star)
-    if gamma_hi <= 0.0:
-        raise ValueError(f"gamma_hi must be positive, got {gamma_hi}")
-    if blocklength_for_sinr(gamma_hi, spec) > m_star:
+    if not 0.0 < gamma_hi < math.inf:
+        raise ValueError(f"gamma_hi must be positive and finite, got {gamma_hi}")
+    try:
+        at_hi = blocklength_for_sinr(gamma_hi, spec)
+    except OverflowError:
+        raise ValueError(f"the rate relation overflows at gamma_hi {gamma_hi}") from None
+    if at_hi > m_star:
         raise BracketError(
             f"payload {spec.payload_bits} bits does not fit in {m_star} uses "
             f"even at SINR {gamma_hi}"
         )
-    return _bisect(spec.payload_bits, _q_ln2(spec.error_target), m_star, 0.0, gamma_hi)
+    payload_bits, q = spec.payload_bits, _q_ln2(spec.error_target)
+    window = _certified(payload_bits, q, m_star)
+    return _bisect(payload_bits, q, m_star, 0.0, gamma_hi, *window)
 
 
-def _bisect(payload_bits: int, q: float, m: float, lo: float, hi: float) -> float:
+def _bisect(
+    payload_bits: int, q: float, m: float, lo: float, hi: float, a=0.0, b=math.inf
+) -> float:
     """SINR on [lo, hi] at which m uses fit the payload, q = q_inv(eps)/ln 2.
 
     A midpoint whose blocklength is below m over-delivers and becomes the
     new top.  Stops once the bracket is narrower than _SINR_TOL or its
     midpoint no longer splits it (the float spacing of large SINRs exceeds
-    the tolerance), and returns the midpoint.  Every root is this loop's
-    from lo = 0; a bracket from _jump is one that loop passes through.
+    the tolerance), and returns the midpoint.  A midpoint at or below a
+    moves lo, and one at or above b moves hi, without an evaluation: with
+    a and b from _certified, those are the comparisons _certain proves the
+    loop would make.  So every root is this loop's with a = 0, b = inf.
     """
     evals = 0
     while hi - lo > _SINR_TOL:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        evals += 1
-        if _blocklength(mid, payload_bits, q) < m:
+        if mid <= a:
+            if mid <= lo:
+                break
+            lo = mid
+        elif mid >= b:
+            if mid >= hi:
+                break
             hi = mid
         else:
-            lo = mid
+            if mid <= lo or mid >= hi:
+                break
+            evals += 1
+            if _blocklength(mid, payload_bits, q) < m:
+                hi = mid
+            else:
+                lo = mid
     _root_counts[2] += evals
     return 0.5 * (lo + hi)
 
@@ -304,11 +329,11 @@ def _sinr_cache_clear() -> None:
         _sinr_counts[:] = 0, 0, 0
 
 
-#: Work of the roots found since import: those found from a bracket of
-#: _jump, those whose window could not be certified (found by the whole
-#: bisection from [0, top]), and the closed-form evaluations of all of them,
-#: sinr_for_blocklength's included.  A root past the doubling's limit is
-#: neither: it raises BracketError.
+#: Work of the roots found since import: those whose window _certified
+#: certifies at both ends (jumps), those with an end it leaves open, which
+#: skip fewer comparisons or none (fallbacks), and the closed-form
+#: evaluations of all of them, sinr_for_blocklength's included.  A root
+#: past the doubling's limit is neither: it raises BracketError.
 _root_counts = [0, 0, 0]
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 _RootInfo = namedtuple("RootInfo", "jumps fallbacks evals")
@@ -332,34 +357,36 @@ def _unreachable(payload_bits: int, m: float) -> BracketError:
     )
 
 
-def _doubling(payload_bits: int, q: float, m: float) -> float:
+def _doubling(payload_bits: int, q: float, m: float, a=0.0, b=math.inf) -> float:
     """The top of m's bracket: the first power of two from 1 on whose
     blocklength is at most m.  Raises BracketError past _BRACKET_LIMIT.
+    As in _bisect, a power at or below a is passed, and one at or above b
+    taken, without an evaluation.
 
     It raises at m when every power's computed blocklength is above m, and
     then above every smaller m too: so a window's roots raise exactly when
     the one at its smallest m does."""
     top = 1.0
     while True:
-        _root_counts[2] += 1
-        if _blocklength(top, payload_bits, q) <= m:
+        if top >= b:
             return top
+        if top > a:
+            _root_counts[2] += 1
+            if _blocklength(top, payload_bits, q) <= m:
+                return top
         top *= 2.0
         if top > _BRACKET_LIMIT:
             raise _unreachable(payload_bits, m)
 
 
 def _sinr_root(payload_bits: int, error_target: float, m: float) -> float:
-    """required_sinr without the store: _bisect on m's doubling bracket, from
-    the bracket of _jump where it finds one."""
+    """required_sinr without the store: _bisect on m's doubling bracket,
+    both evaluating only the points inside m's certified window."""
     q = _q_ln2(error_target)
-    cell = _jump(payload_bits, q, m)
-    if cell is None:
-        _root_counts[1] += 1
-        cell = 0.0, _doubling(payload_bits, q, m)
-    else:
-        _root_counts[0] += 1
-    return _bisect(payload_bits, q, m, *cell)
+    a, b = _certified(payload_bits, q, m)
+    top = _doubling(payload_bits, q, m, a, b)
+    _root_counts[0 if a > 0.0 and b < math.inf else 1] += 1
+    return _bisect(payload_bits, q, m, 0.0, top, a, b)
 
 
 #: Relative error bound of the closed form _blocklength, scalar or numpy,
@@ -452,17 +479,19 @@ def _start(r, c, s, convex, xp):
 
 
 def _certain(payload_bits, q, m, a, b, xp):
-    """Whether the closed form is certainly at least m at every midpoint of
-    the bisection up to a, and certainly below m at every one from b on.
+    """Whether the closed form is certainly above m at every point that
+    _bisect or _doubling compares up to a, and certainly below m at every
+    one from b on.  Each claim holds alone, whatever the other end's.
 
     Take mu(g) = _margin(g) and B the closed form in exact arithmetic,
     strictly decreasing in g.  From b on, mu falls, so a value at b below
     m (1 - 4 mu(b)) puts B there below m (1 - 3 mu(b)), and every computed
     value beyond below m.  On [a/2, a], mu at most doubles, and a value at a
-    of at least m (1 + 4 mu(a)) keeps every computed value at least m while
-    mu(a) <= 1/8.  Below a/2, each halving of g raises B by more than 0.1%
-    up to _BRACKET_TOP, while mu stays below 2e-5 on the midpoints, which
-    are at least _SINR_STEP.
+    of at least m (1 + 4 mu(a)) keeps every computed value above m while
+    mu(a) < 1/8.  Below a/2, each halving of g raises B by more than 0.1%
+    up to 4 * _BRACKET_TOP, past every window, while mu stays below 3e-5 on
+    the points compared: midpoints of brackets wider than _SINR_TOL, and
+    powers of two from 1.
 
     Both certain, the root lies in [a - w, b + w] (_enclosures).  The
     bisection's bracket [lo, hi] only ever takes midpoints: one at or below
@@ -477,6 +506,17 @@ def _certain(payload_bits, q, m, a, b, xp):
     at_a = _blocklength(a, payload_bits, q, xp.log2, xp.sqrt)
     at_b = _blocklength(b, payload_bits, q, xp.log2, xp.sqrt)
     return at_a >= m * (1.0 + 4.0 * _margin(a)), at_b < m * (1.0 - 4.0 * _margin(b))
+
+
+def _certified(payload_bits: int, q: float, m: float) -> tuple[float, float]:
+    """The ends a < b of m's window (_window) that _certain certifies, for
+    _bisect and _doubling; a = 0 or b = inf where it does not."""
+    a, b = _window(payload_bits, q, m, _MATH)
+    if not a > 0.0:  # the closed form fails at a <= 0
+        return 0.0, math.inf
+    _root_counts[2] += 2
+    at_a, at_b = _certain(payload_bits, q, m, a, b, _MATH)
+    return a if at_a else 0.0, b if at_b else math.inf
 
 
 def _enclosures(payload_bits, q, m):
@@ -498,54 +538,6 @@ def _enclosures(payload_bits, q, m):
         w = np.maximum(_SINR_STEP, b * 2.0**-52)
         below = np.where(sure, np.maximum(a - w, 0.0), 0.0)
         return np.stack((below, np.where(sure, b + w, math.inf)))
-
-
-def _cell(a: float, b: float) -> tuple[float, float, bool]:
-    """The bracket that the bisection of m's doubling bracket [0, top] holds
-    just before its first midpoint in a certain window [a, b], and whether
-    top is certain.
-
-    top is the first power of two from 1 on at or above b: the doubling
-    passes every power up to a and stops at every one from b on, so top is
-    certain unless a power above 1 lies between.  The loop's brackets are
-    dyadic cells of [0, top], and its midpoints multiples of s, the width of
-    its last bracket: _SINR_STEP where the tolerance stops it, or the float
-    spacing top * 2**-53 of [top/2, top), where the root lies, when that
-    stops it first.  On that grid, of fewer than 2**53 points, every sum and
-    midpoint of the loop is exact.  It keeps the cell that holds [a, b]
-    until it evaluates the grid point in [a, b] with the most trailing zero
-    bits; the cell around that point is the bracket.  With no grid point in
-    [a, b], it is the last cell, from which the loop evaluates nothing.
-    """
-    frac, e = math.frexp(b)
-    p = math.ldexp(1.0, e - (frac == 0.5))  # the first power of two >= b
-    top = max(p, 1.0)
-    s = max(_SINR_STEP, top * 2.0**-53)
-    # The grid indices of the last point below a and the last midpoint up to b.
-    lo = math.ceil(a / s) - 1
-    hi = min(math.floor(b / s), int(top / s) - 1)
-    # The cell's width in grid steps: 2 to the bit length of lo ^ hi.
-    k = (lo ^ hi).bit_length()
-    lo = (hi >> k << k) * s
-    return lo, lo + math.ldexp(s, k), p <= 1.0 or 0.5 * p <= a
-
-
-def _jump(payload_bits: int, q: float, m: float) -> tuple[float, float] | None:
-    """The bracket _bisect holds on m's doubling bracket [0, top] just
-    before its first comparison that is not certain, or None when no window
-    around the root can be certified.  Raises BracketError where the window
-    shows that the doubling would."""
-    a, b = _window(payload_bits, q, m, _MATH)
-    if not a > 0.0:
-        return None
-    above, below = _certain(payload_bits, q, m, a, b, _MATH)
-    _root_counts[2] += 2
-    if above and a >= _BRACKET_TOP:
-        raise _unreachable(payload_bits, m)
-    if not (above and below):
-        return None
-    lo, hi, top_certain = _cell(a, b)
-    return (lo, hi) if top_certain else None
 
 
 def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:

@@ -82,11 +82,16 @@ def sinr_by_bracketing(spec: UserSpec, m: float) -> float:
     )
 
 
-def sinr_by_plain_bisection(payload_bits: int, error_target: float, m: float) -> float:
+def sinr_by_plain_bisection(
+    payload_bits: int, error_target: float, m: float, hi: float | None = None
+) -> float:
     """required_sinr's root, every step taken: double the top from 1 until
     the closed-form blocklength is at most m, then halve [0, top] until it
     is no wider than 1e-9 or float spacing stops the halving, and return
-    the last midpoint.  Bit for bit the root's definition."""
+    the last midpoint.  Bit for bit the root's definition.
+
+    Given hi, sinr_for_blocklength's root instead: no doubling, the halving
+    of [0, hi], and BracketError if the blocklength at hi is above m."""
     q = q_inv(error_target) / LN2
 
     def blocklength(gamma):  # the closed form, in the library's operation order
@@ -98,11 +103,14 @@ def sinr_by_plain_bisection(payload_bits: int, error_target: float, m: float) ->
         ) / (2.0 * log_term)
         return root * root
 
-    hi = 1.0
-    while blocklength(hi) > m:
-        hi *= 2.0
-        if hi > 1e150:
-            raise BracketError(f"{payload_bits} bits in {m} uses")
+    if hi is None:
+        hi = 1.0
+        while blocklength(hi) > m:
+            hi *= 2.0
+            if hi > 1e150:
+                raise BracketError(f"{payload_bits} bits in {m} uses")
+    elif blocklength(hi) > m:
+        raise BracketError(f"{payload_bits} bits in {m} uses at SINR {hi}")
     lo = 0.0
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)

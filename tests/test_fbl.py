@@ -140,6 +140,12 @@ class TestSinrForBlocklength:
         with pytest.raises(BracketError):
             sinr_for_blocklength(100.0, SPEC_160, gamma_hi=1.0)
 
+    @pytest.mark.parametrize("gamma_hi", [math.inf, math.nan, 1e308])
+    def test_value_error_without_a_finite_closed_form(self, gamma_hi):
+        # (1 + 1e308)**2 overflows; inf and nan have no bracket at all
+        with pytest.raises(ValueError):
+            sinr_for_blocklength(200.0, SPEC_160, gamma_hi=gamma_hi)
+
     def test_monotone_in_blocklength(self):
         g1 = sinr_for_blocklength(150.0, SPEC_160, gamma_hi=1e4)
         g2 = sinr_for_blocklength(200.0, SPEC_160, gamma_hi=1e4)
@@ -219,7 +225,7 @@ def _scalar_roots(payload_bits, error_target, ms):
 
 
 def _off_by_half(window):
-    """_window with its ends moved to half the root: never certified."""
+    """_window with its ends moved to half the root: never both certified."""
 
     def moved(payload_bits, q, m, xp):
         a, b = window(payload_bits, q, m, xp)
@@ -228,23 +234,46 @@ def _off_by_half(window):
     return moved
 
 
+def _uncertified(mode):
+    """(name, stand-in) of an fbl function that leaves every window open at
+    one end at least: _window off by half, or _certain keeping only its
+    lower end, only its upper end, or neither."""
+    if mode == "off by half":
+        return "_window", _off_by_half(fbl._window)
+    certain = fbl._certain
+
+    def one_end(payload_bits, q, m, a, b, xp):
+        at_a, at_b = certain(payload_bits, q, m, a, b, xp)
+        return at_a and mode == "lower only", at_b and mode == "upper only"
+
+    return "_certain", one_end
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(
     payload_bits=st.integers(1, 3000),
     error_target=st.floats(-12.0, math.log10(0.9)).map(lambda x: 10.0**x),
     m_lo=st.integers(1, 5000),
     size=st.integers(1, 80),
-    uncertified=st.just(False),
+    uncertified=st.just(None),
 )
-@example(3000, 1e-9, 100, 80, False)  # huge roots: float spacing ends the loop
-@example(1, 1e-3, 5000, 80, False)  # tiny roots
-@example(40, 0.8, 300, 80, False)  # eps > 0.5: q_inv < 0
-@example(600, 1e-5, 100, 80, True)  # every window fails: the whole loop
+@example(3000, 1e-9, 100, 80, None)  # huge roots: float spacing ends the loop
+@example(1, 1e-3, 5000, 80, None)  # tiny roots
+@example(40, 0.8, 300, 80, None)  # eps > 0.5: q_inv < 0
+@example(600, 1e-5, 100, 80, "off by half")  # only the lower end holds
+@example(600, 1e-5, 100, 80, "neither")  # the whole loop
+@example(600, 1e-5, 100, 80, "lower only")
+@example(3000, 1e-9, 100, 80, "lower only")
+@example(40, 0.8, 300, 80, "lower only")
+@example(600, 1e-5, 100, 80, "upper only")
+@example(3000, 1e-9, 100, 80, "upper only")
+@example(40, 0.8, 300, 80, "upper only")
 def test_roots_are_the_plain_bisections(
     payload_bits, error_target, m_lo, size, uncertified
 ):
-    # required_sinr and its tables start the bisection deep inside; the roots,
-    # and their BracketError, are those of the loop from [0, top].
+    # required_sinr and its tables skip the comparisons their window
+    # decides, at either end alone; the roots, and their BracketError, are
+    # those of the loop from [0, top].
     ms = range(m_lo, m_lo + size)
     try:
         want = [sinr_by_plain_bisection(payload_bits, error_target, m) for m in ms]
@@ -254,7 +283,7 @@ def test_roots_are_the_plain_bisections(
     fallbacks = required_sinr.root_info().fallbacks
     with pytest.MonkeyPatch.context() as patch:
         if uncertified:
-            patch.setattr(fbl, "_window", _off_by_half(fbl._window))
+            patch.setattr(fbl, *_uncertified(uncertified))
         for by_table in (True, False):
             _cold_memos()
             try:
@@ -267,6 +296,49 @@ def test_roots_are_the_plain_bisections(
             assert got == want
     fell_back = required_sinr.root_info().fallbacks - fallbacks
     assert fell_back == (2 * size if uncertified else 0)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    payload_bits=st.integers(1, 3000),
+    error_target=st.one_of(
+        st.floats(-12.0, math.log10(0.5)).map(lambda x: 10.0**x), st.floats(0.5, 0.9)
+    ),
+    m_star=st.floats(1.0, 20_000.0),
+    gamma_hi=st.floats(-3.0, 20.0).map(lambda x: 10.0**x),
+    off_by_half=st.booleans(),
+)
+@example(3000, 1e-9, 100.0, 1e20, False)  # a huge root: float spacing ends the loop
+@example(600, 1e-5, 100.0, 1e6, False)
+@example(40, 0.8, 300.5, 1e3, False)  # eps > 0.5: q_inv < 0
+@example(600, 1e-5, 100.0, 1e6, True)
+def test_sinr_for_blocklength_is_the_plain_bisection(
+    payload_bits, error_target, m_star, gamma_hi, off_by_half
+):
+    # The loop on [0, gamma_hi] with the comparisons outside the certified
+    # window skipped: the plain loop's root and BracketError.
+    try:
+        want = sinr_by_plain_bisection(payload_bits, error_target, m_star, hi=gamma_hi)
+    except BracketError:
+        want = None
+    spec = UserSpec(payload_bits, error_target, deadline=20_000, min_blocklength=1)
+    a, b = fbl._certified(payload_bits, fbl._q_ln2(error_target), m_star)
+    evals = required_sinr.root_info().evals
+    with pytest.MonkeyPatch.context() as patch:
+        if off_by_half:
+            patch.setattr(fbl, *_uncertified("off by half"))
+        try:
+            got = sinr_for_blocklength(m_star, spec, gamma_hi)
+        except BracketError:
+            got = None
+    assert got == want
+    if want is not None and not off_by_half and a > 0.0 and b < math.inf:
+        # _certain's two, the first midpoint inside (a, b), and then at most
+        # one per halving of the bracket from 2 (b - a) down to the
+        # tolerance or the float spacing: 4 for a window narrower than that.
+        floor = max(fbl._SINR_TOL, math.ulp(a))
+        bound = 4.0 + max(0.0, math.log2(4.0 * (b - a) / floor))
+        assert required_sinr.root_info().evals - evals <= bound
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
