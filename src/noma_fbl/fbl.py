@@ -30,8 +30,8 @@ A key's first TDMA solve fills no table.  One numpy pass of the estimates
 and their certified windows, over entries of any payload and error target,
 encloses each root in [below, above] (_enclosures), with no bracket and no
 store; the solver finds exact roots only where those bounds leave its
-choice open.  Its rows are marked, so the key's next solve fills tables
-(_first_enclosure).
+choice open.  Its rows are marked, and the mark alone sends the key's next
+solve to the tables, whatever the store holds (_first_enclosure).
 
 Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 (symbols) and may be real-valued, rates are bits per channel use.
@@ -120,12 +120,13 @@ def achievable_rate(m: float, gamma: float, eps: float) -> float:
 
     Shannon capacity log2(1+gamma) minus the dispersion penalty
     sqrt((1/m)(1 - 1/(1+gamma)^2)) * q_inv(eps)/ln 2.  May be negative for
-    very small m; callers decide what a negative rate means.
+    very small m; callers decide what a negative rate means.  m and gamma
+    must be positive and finite.
     """
-    if m <= 0.0:
-        raise ValueError(f"blocklength must be positive, got {m}")
-    if gamma <= 0.0:
-        raise ValueError(f"SINR must be positive, got {gamma}")
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"blocklength must be positive and finite, got {m}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"SINR must be positive and finite, got {gamma}")
     dispersion = 1.0 - 1.0 / (1.0 + gamma) ** 2
     return math.log2(1.0 + gamma) - math.sqrt(dispersion / m) * q_inv(eps) / LN2
 
@@ -145,11 +146,16 @@ def blocklength_for_sinr(gamma: float, spec: UserSpec) -> float:
 
     The rate relation is a quadratic in sqrt(m); this returns the square of
     its positive root, so rate_deficit(result, gamma, spec) == 0 to float
-    precision.  Strictly decreasing in gamma.
+    precision.  Strictly decreasing in gamma.  Raises ValueError unless
+    1 < 1 + gamma < inf (gamma above about 1.1e-16 and finite) and the
+    result does not overflow.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"SINR must be positive, got {gamma}")
-    return _blocklength(gamma, spec.payload_bits, _q_ln2(spec.error_target))
+    if not 1.0 < 1.0 + gamma < math.inf:
+        raise ValueError(f"SINR must be finite and 1 + SINR above 1, got {gamma}")
+    try:
+        return _blocklength(gamma, spec.payload_bits, _q_ln2(spec.error_target))
+    except OverflowError:
+        raise ValueError(f"the rate relation overflows at SINR {gamma}") from None
 
 
 @lru_cache(maxsize=256)
@@ -179,20 +185,17 @@ def sinr_for_blocklength(m_star: float, spec: UserSpec, gamma_hi: float) -> floa
     Bisection on [0, gamma_hi] (see _bisect), skipping the comparisons that
     m_star's certified window decides.  Raises BracketError when even
     gamma_hi cannot deliver the payload in m_star uses
-    (blocklength_for_sinr(gamma_hi) > m_star); callers typically pass
-    gamma_hi = p_max * channel_gain so that this signals infeasibility.
-    Raises ValueError for a gamma_hi that is not positive and finite, or at
-    which the closed form overflows.
+    (blocklength_for_sinr(gamma_hi) > m_star, or 1 + gamma_hi rounds to 1);
+    callers typically pass gamma_hi = p_max * channel_gain so that this
+    signals infeasibility.  Raises ValueError for an m_star not finite or
+    below the minimum blocklength, and for a gamma_hi that is not positive
+    and finite or at which the closed form overflows.
     """
-    if m_star < spec.min_blocklength:
+    if not spec.min_blocklength <= m_star < math.inf:
         raise _untrusted(spec, m_star)
     if not 0.0 < gamma_hi < math.inf:
         raise ValueError(f"gamma_hi must be positive and finite, got {gamma_hi}")
-    try:
-        at_hi = blocklength_for_sinr(gamma_hi, spec)
-    except OverflowError:
-        raise ValueError(f"the rate relation overflows at gamma_hi {gamma_hi}") from None
-    if at_hi > m_star:
+    if 1.0 + gamma_hi == 1.0 or blocklength_for_sinr(gamma_hi, spec) > m_star:
         raise BracketError(
             f"payload {spec.payload_bits} bits does not fit in {m_star} uses "
             f"even at SINR {gamma_hi}"
@@ -247,10 +250,10 @@ def required_sinr(spec: UserSpec, m: float) -> float:
     keeps it for an integral m below _ROW_BUDGET.  Solvers compare it with
     their own power limit p_max * gain, which equals bracketing at it.
 
-    Raises ValueError for m below the spec's minimum blocklength, and
-    BracketError if the required SINR overflows any realistic range.
+    Raises ValueError for an m not finite or below the spec's minimum
+    blocklength, and BracketError past any realistic SINR range.
     """
-    if m < spec.min_blocklength:
+    if not spec.min_blocklength <= m < math.inf:
         raise _untrusted(spec, m)
     if type(m) is not int and float(m).is_integer():
         m = int(m)
@@ -274,7 +277,7 @@ def required_sinr(spec: UserSpec, m: float) -> float:
 
 def _untrusted(spec: UserSpec, m: float) -> ValueError:
     return ValueError(
-        f"blocklength {m} below the model's minimum blocklength "
+        f"blocklength {m} not finite or below the model's minimum blocklength "
         f"({spec.min_blocklength})"
     )
 
@@ -568,22 +571,16 @@ def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
     return gammas
 
 
-def _first_enclosure(windows: tuple[tuple[UserSpec, int, int], ...]) -> bool:
-    """Whether a solve over windows, (spec, m_lo, m_hi) each, is to pick from
-    _enclosures: when the store does not span all of them and none of their
-    keys has had such a solve.  If so, marks their rows (a row of one entry
-    where there is none), so the next solve on any of them fills tables.
-    A row grown meanwhile may lose the mark: that costs one more such solve,
-    which gives the same outcome."""
-    spanned = True
-    for spec, m_lo, m_hi in windows:
-        row = _SINR_ROWS.get((spec.payload_bits, spec.error_target), _EMPTY)
-        if row.enclosed:
+def _first_enclosure(specs: tuple[UserSpec, ...]) -> bool:
+    """Whether a solve on the keys of specs is to pick from _enclosures:
+    when none of their rows is marked enclosed.  If so, marks them (a row of
+    one entry where there is none), so the next solve on any of them fills
+    tables.  A row grown meanwhile may lose the mark: that costs one more
+    such solve, which gives the same outcome."""
+    for spec in specs:
+        if _SINR_ROWS.get((spec.payload_bits, spec.error_target), _EMPTY).enclosed:
             return False
-        spanned = spanned and row.lo <= m_lo and m_hi <= row.hi
-    if spanned:
-        return False
-    for spec, _, _ in windows:
+    for spec in specs:
         _row((spec.payload_bits, spec.error_target), 1).enclosed = True
     return True
 

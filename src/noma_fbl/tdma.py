@@ -14,17 +14,17 @@ single integer decision variable: the split of least energy
           + (D2 - m1) * required_sinr(s2, D2 - m1) / g2
 
 among those the budget allows, the smallest m1 on a tie; an energy that
-overflows a float is over any budget too.  One picker, _pick, computes these
-energies and makes this choice everywhere, for one draw or for arrays of
-draws.  It weighs every split, except on a key's first solve: there the
-SINRs of all splits are only bounded, in one numpy pass, and _pick weighs
-just the splits whose energy at the lower bounds is at most the least
-energy at the upper bounds among the splits the budget surely allows
-(_enclosed_splits).  Every other split costs more than one _pick may take,
-so the choice is the same, from a couple of exact roots instead of two full
-tables.  _columns, the column form for many draws sharing (s1, s2) under
-several budgets, is the one place that decides on which draws and budgets
-it runs.
+overflows a float is over any budget too.  _energies computes these
+energies, inf for a split over budget, and _pick makes this choice
+everywhere, for one draw or for arrays of draws.  It weighs every split,
+except on a key's first solve: there the SINRs of all splits are only
+bounded, in one numpy pass, and _pick weighs just the splits whose
+_energies at the lower bounds are finite and at most the least _energies
+at the upper bounds (_enclosed_splits).  Every other split costs more than
+one _pick may take, so the choice is the same, from a couple of exact roots
+instead of two full tables.  _columns, the column form for many draws
+sharing (s1, s2) under several budgets, is the one place that decides on
+which draws and budgets it runs.
 """
 
 import numpy as np
@@ -72,13 +72,11 @@ def _splits(
     return m1, d2 - m1, gamma1, gamma2[::-1]
 
 
-def _pick(splits: _Splits, g1, g2, p_max: float | None = None) -> np.ndarray:
-    """Along the last axis, the index of the first lowest-energy split whose
-    per-slot powers p_max allows (every split when p_max is None), or -1
-    where none of those energies is finite: an energy that overflows a float
-    is over any budget.  g1 and g2 are one draw's gains, or (draws x 1)
-    columns of them.
-    """
+def _energies(splits: _Splits, g1, g2, p_max: float | None = None) -> np.ndarray:
+    """Each split's energy m1 * gamma1 / g1 + m2 * gamma2 / g2, or inf where
+    p_max rules out its per-slot powers (never when p_max is None) or the
+    energy overflows: such a split is over any budget.  g1 and g2 are one
+    draw's gains, or (draws x 1) columns of them."""
     m1, m2, gamma1, gamma2 = splits
     # Tiny gains overflow the energies, huge ones p_max * g.
     with np.errstate(over="ignore"):
@@ -87,6 +85,13 @@ def _pick(splits: _Splits, g1, g2, p_max: float | None = None) -> np.ndarray:
             # One user per slot: the budget caps each power separately.
             ok = (gamma1 <= p_max * g1) & (gamma2 <= p_max * g2)
             energy = np.where(ok, energy, np.inf)
+    return energy
+
+
+def _pick(splits: _Splits, g1, g2, p_max: float | None = None) -> np.ndarray:
+    """Along the last axis, the index of the first split of least finite
+    _energies, or -1 where none is finite."""
+    energy = _energies(splits, g1, g2, p_max)
     return np.where(energy.min(axis=-1) < np.inf, energy.argmin(axis=-1), -1)
 
 
@@ -153,17 +158,15 @@ def _enclosed_splits(
 
     fbl._enclosures bounds every SINR of both windows in one numpy pass,
     below <= gamma <= above.  An energy never falls as gamma1 or gamma2
-    grows, and rounding is monotone, so the energies at below and at above
-    bound the exact one, overflow included.  Take T, the least energy at
-    above over the splits the budget surely allows (above <= p_max * g for
-    both users); a split whose energy at below exceeds T, or that the budget
-    surely rules out, or whose energy at below overflows, costs more than a
-    split _pick may take, so _pick on the rest makes _pick's choice.
+    grows, rounding is monotone, and a budget that allows gamma allows
+    below, so by split the _energies at below and at above bound the one
+    _pick weighs, inf included.  A split whose energy at below exceeds the
+    least energy at above, or is inf, costs more than a split _pick may
+    take, so _pick on the rest makes _pick's choice.
     """
-    d2 = s2.deadline
-    windows = (s1, m1_lo, m1_hi), (s2, d2 - m1_hi, d2 - m1_lo)
-    if not fbl._first_enclosure(windows):
+    if not fbl._first_enclosure((s1, s2)):
         return None
+    d2 = s2.deadline
     m1 = np.arange(m1_lo, m1_hi + 1)
     m2 = d2 - m1
     # below and above, by user, split by split
@@ -181,13 +184,9 @@ def _enclosed_splits(
             required_sinr(s2, d2 - m1_hi)
     except BracketError:
         return InfeasibleReason.RATE_UNREACHABLE
-    gamma1, gamma2 = bounds[:, 0], bounds[:, 1]
-    g1, g2 = ch.g1, ch.g2
-    # _pick's arithmetic on the bounds.
-    with np.errstate(over="ignore"):
-        low, high = m1 * gamma1 / g1 + m2 * gamma2 / g2
-        may, sure = (gamma1 <= p_max * g1) & (gamma2 <= p_max * g2)
-    keep = np.flatnonzero(may & (low <= high[sure].min(initial=np.inf)) & (low < np.inf))
+    # The energies at below and at above, by split.
+    low, high = _energies((m1, m2, bounds[:, 0], bounds[:, 1]), ch.g1, ch.g2, p_max)
+    keep = np.flatnonzero((low <= high.min()) & (low < np.inf))
     if not len(keep):
         return InfeasibleReason.POWER_BUDGET_EXCEEDED
     m1, m2 = m1[keep], m2[keep]

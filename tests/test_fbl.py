@@ -198,6 +198,43 @@ class TestEnergyCurve:
                 assert slope < 0.0
 
 
+#: Calls at NaN or infinite blocklengths and SINRs, or at SINRs where the
+#: closed form fails, and the error each raises.
+_NOT_FINITE = [
+    (sinr_for_blocklength, (math.nan, SPEC_160, 1.0), ValueError),
+    (sinr_for_blocklength, (math.inf, SPEC_160, 1.0), ValueError),
+    # 1 + 1e-17 rounds to 1: no finite blocklength fits, as at 1e-14
+    (sinr_for_blocklength, (200.0, SPEC_160, 1e-17), BracketError),
+    (required_sinr, (SPEC_160, math.nan), ValueError),
+    (required_sinr, (SPEC_160, math.inf), ValueError),
+    (energy_curve, (math.nan, SPEC_160), ValueError),
+    (energy_curve, (math.inf, SPEC_160), ValueError),
+    (blocklength_for_sinr, (1e-17, SPEC_160), ValueError),
+    (blocklength_for_sinr, (1e155, SPEC_160), ValueError),
+    (blocklength_for_sinr, (math.nan, SPEC_160), ValueError),
+    (blocklength_for_sinr, (math.inf, SPEC_160), ValueError),
+    (achievable_rate, (100.0, math.nan, 1e-7), ValueError),
+    (achievable_rate, (100.0, math.inf, 1e-7), ValueError),
+    (achievable_rate, (math.nan, 1.0, 1e-7), ValueError),
+    (achievable_rate, (math.inf, 1.0, 1e-7), ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "call,args,error",
+    _NOT_FINITE,
+    ids=[
+        f"{call.__name__}({', '.join(repr(a) for a in args if a is not SPEC_160)})"
+        for call, args, _ in _NOT_FINITE
+    ],
+)
+def test_rate_model_takes_only_finite_inputs(call, args, error):
+    # A typed error each: no NaN result, no bare ZeroDivisionError or
+    # OverflowError, and no BracketError for a NaN blocklength.
+    with pytest.raises(error):
+        call(*args)
+
+
 class TestUserSpecValidation:
     def test_deadline_below_min_blocklength(self):
         with pytest.raises(ValueError):

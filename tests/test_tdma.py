@@ -363,6 +363,26 @@ def test_both_paths_give_one_outcome(ch, s1, s2, p_max):
     required_sinr.cache_clear()
 
 
+def test_first_solve_after_filled_tables_marks_its_rows():
+    # Monte-Carlo (_columns) may fill both split windows before a key's first
+    # solve_tdma.  That solve still picks from enclosures and marks both
+    # rows, whatever the store holds; the next one reads the tables and
+    # finds no new root.
+    ch, s1, s2 = ChannelPair(0.9, 4.0), spec(200), spec(300, error_target=1e-6)
+    budget = PowerBudget(1.6)
+    required_sinr.cache_clear()
+    lo, hi = tdma._window(s1, s2)
+    tdma._splits(s1, s2, lo, hi)
+    assert not _enclosed(s1) and not _enclosed(s2)
+    first = solve_tdma(ch, s1, s2, budget)
+    assert _enclosed(s1) and _enclosed(s2)
+    assert repr(first) == repr(_table_outcome(ch, s1, s2, budget))
+    misses = required_sinr.cache_info().misses
+    assert repr(solve_tdma(ch, s1, s2, budget)) == repr(first)
+    assert required_sinr.cache_info().misses == misses
+    required_sinr.cache_clear()
+
+
 @pytest.mark.parametrize("d1", [115, 200])
 def test_open_enclosures_still_pick_what_full_tables_pick(monkeypatch, d1):
     # Enclosures that say nothing, [0, inf]: the verdict takes the roots at
