@@ -39,6 +39,7 @@ Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 
 import math
 import numbers
+import sys
 import threading
 from array import array
 from collections import namedtuple
@@ -57,6 +58,11 @@ _SQRT2 = math.sqrt(2.0)
 #: m * required_sinr(m) is guaranteed strictly decreasing in m.  Equals
 #: 2*sqrt(ln 2)/(4 - sqrt 2) = 0.64394...
 ENERGY_MONOTONE_THRESHOLD = 2.0 * math.sqrt(LN2) / (4.0 - math.sqrt(2.0))
+
+#: The largest float; comparing an int with it is exact.
+_FLOAT_MAX = sys.float_info.max
+#: Up to this a whole number fits an Allocation's float fields exactly.
+_WHOLE_MAX = 2**53
 
 #: Bisection tolerance on the SINR bracket width.
 _SINR_TOL = 1e-9
@@ -86,6 +92,7 @@ class UserSpec:
     deadline: latency budget D in channel uses; the codeword must fit in it.
     min_blocklength: smallest blocklength for which the rate model is
         trusted (typically 100 channel uses).
+    The three whole numbers are at most 2**53.
     """
 
     payload_bits: int
@@ -101,7 +108,10 @@ class UserSpec:
             if not isinstance(value, int):
                 if not (isinstance(value, numbers.Real) and float(value).is_integer()):
                     raise ValueError(f"{name} must be a whole number, got {value!r}")
-                object.__setattr__(self, name, int(value))
+                value = int(value)
+                object.__setattr__(self, name, value)
+            if value > _WHOLE_MAX:
+                raise ValueError(f"{name} must be at most 2**53, got {value!r}")
         if self.payload_bits < 1:
             raise ValueError(f"payload_bits must be >= 1, got {self.payload_bits}")
         if not 0.0 < self.error_target < 1.0:
@@ -123,11 +133,14 @@ def achievable_rate(m: float, gamma: float, eps: float) -> float:
     very small m; callers decide what a negative rate means.  m and gamma
     must be positive and finite.
     """
-    if not 0.0 < m < math.inf:
+    if not 0.0 < m <= _FLOAT_MAX:
         raise ValueError(f"blocklength must be positive and finite, got {m}")
-    if not 0.0 < gamma < math.inf:
+    if not 0.0 < gamma <= _FLOAT_MAX:
         raise ValueError(f"SINR must be positive and finite, got {gamma}")
-    dispersion = 1.0 - 1.0 / (1.0 + gamma) ** 2
+    try:
+        dispersion = 1.0 - 1.0 / (1.0 + gamma) ** 2
+    except OverflowError:  # then 1/(1+gamma)^2 is below half an ulp of 1
+        dispersion = 1.0
     return math.log2(1.0 + gamma) - math.sqrt(dispersion / m) * q_inv(eps) / LN2
 
 
@@ -147,10 +160,10 @@ def blocklength_for_sinr(gamma: float, spec: UserSpec) -> float:
     The rate relation is a quadratic in sqrt(m); this returns the square of
     its positive root, so rate_deficit(result, gamma, spec) == 0 to float
     precision.  Strictly decreasing in gamma.  Raises ValueError unless
-    1 < 1 + gamma < inf (gamma above about 1.1e-16 and finite) and the
-    result does not overflow.
+    gamma is above about 1.1e-16 (1 < 1 + gamma) and at most the largest
+    float, and the result does not overflow.
     """
-    if not 1.0 < 1.0 + gamma < math.inf:
+    if not (gamma <= _FLOAT_MAX and 1.0 < 1.0 + gamma):
         raise ValueError(f"SINR must be finite and 1 + SINR above 1, got {gamma}")
     try:
         return _blocklength(gamma, spec.payload_bits, _q_ln2(spec.error_target))
@@ -191,9 +204,9 @@ def sinr_for_blocklength(m_star: float, spec: UserSpec, gamma_hi: float) -> floa
     below the minimum blocklength, and for a gamma_hi that is not positive
     and finite or at which the closed form overflows.
     """
-    if not spec.min_blocklength <= m_star < math.inf:
+    if not spec.min_blocklength <= m_star <= _FLOAT_MAX:
         raise _untrusted(spec, m_star)
-    if not 0.0 < gamma_hi < math.inf:
+    if not 0.0 < gamma_hi <= _FLOAT_MAX:
         raise ValueError(f"gamma_hi must be positive and finite, got {gamma_hi}")
     if 1.0 + gamma_hi == 1.0 or blocklength_for_sinr(gamma_hi, spec) > m_star:
         raise BracketError(
@@ -253,7 +266,7 @@ def required_sinr(spec: UserSpec, m: float) -> float:
     Raises ValueError for an m not finite or below the spec's minimum
     blocklength, and BracketError past any realistic SINR range.
     """
-    if not spec.min_blocklength <= m < math.inf:
+    if not spec.min_blocklength <= m <= _FLOAT_MAX:
         raise _untrusted(spec, m)
     if type(m) is not int and float(m).is_integer():
         m = int(m)
@@ -353,13 +366,6 @@ _BRACKET_LIMIT = 1e150
 _BRACKET_TOP = 2.0 ** math.floor(math.log2(_BRACKET_LIMIT))
 
 
-def _unreachable(payload_bits: int, m: float) -> BracketError:
-    return BracketError(
-        f"required SINR for {payload_bits} bits in {m} uses "
-        "exceeds representable range"
-    )
-
-
 def _doubling(payload_bits: int, q: float, m: float, a=0.0, b=math.inf) -> float:
     """The top of m's bracket: the first power of two from 1 on whose
     blocklength is at most m.  Raises BracketError past _BRACKET_LIMIT.
@@ -379,7 +385,10 @@ def _doubling(payload_bits: int, q: float, m: float, a=0.0, b=math.inf) -> float
                 return top
         top *= 2.0
         if top > _BRACKET_LIMIT:
-            raise _unreachable(payload_bits, m)
+            raise BracketError(
+                f"required SINR for {payload_bits} bits in {m} uses "
+                "exceeds representable range"
+            )
 
 
 def _sinr_root(payload_bits: int, error_target: float, m: float) -> float:

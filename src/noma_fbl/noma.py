@@ -25,20 +25,22 @@ decode, so it cancels codeword 1 first.  tin: codeword 2 may outlast D1, so
 neither receiver can cancel.  sic-rx1: both codewords are confined to D1, so
 receiver 1 (the stronger channel) cancels codeword 2 first.
 
-One kernel, _fold, runs every formulation from its row: it folds rate
-reachability, the SINR-product wall and the budget into a verdict code and
-an energy, on one draw's floats or on columns of gains sharing one (s1, s2,
-budget), which is what a Monte-Carlo cell is.  One rule, _winner, picks
-solve_noma's scheme: sic-rx2 when g1 <= g2, else the cheaper feasible of
-tin and sic-rx1.  solve_sic_rx2, solve_tin and solve_sic_rx1 are the kernel
-on one draw behind their channel-order precondition; solve_noma and
-_noma_columns (deadline-tie relabel included) run it on the candidates and
-apply the rule, and _noma_outcome rebuilds a trial's outcome from its codes.
+One kernel, _fold, runs every formulation from its row and _requirement:
+it passes on a verdict that needs no gains, or folds rate reachability, the
+SINR-product wall and the budget into a verdict code and an energy, on one
+draw's floats or on columns of gains sharing one (s1, s2, budget), which is
+what a Monte-Carlo cell is.  Its one switch between the two is the
+where(mask, a, b) it is given: _FLOAT or _COLUMNS (np.where).  One rule,
+_winner, picks solve_noma's scheme: sic-rx2 when g1 <= g2, else the cheaper
+feasible of tin and sic-rx1.  solve_sic_rx2, solve_tin and solve_sic_rx1
+are the kernel on one draw behind their channel-order precondition;
+solve_noma and _noma_columns (deadline-tie relabel included) run it on the
+candidates and apply the rule, and _noma_outcome rebuilds a trial's outcome
+from its codes.
 """
 
 import math
 import sys
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -223,44 +225,38 @@ def _requirements(s1: UserSpec, s2: UserSpec) -> list:
     return [_requirement(row, s1, s2) for row in _ROWS]
 
 
-def _mark(code: np.ndarray, mask: np.ndarray, value: float) -> np.ndarray:
-    code[mask] = value
-    return code
+# The where(mask, a, b) of _fold and _winner: _FLOAT on one draw's floats,
+# _COLUMNS on columns of draws.  Their masks combine with & and |, which mean
+# the same on bools and on bool arrays; ~ does not (~True is -2).
+def _FLOAT(mask, a, b):
+    return a if mask else b
 
 
-#: What _fold, _run and _winner take from Python for one draw's floats, and
-#: from numpy for columns of draws.  Their masks combine with & and |, which
-#: mean the same on bools and on bool arrays; ~ does not (~True is -2).
-_FLOAT = SimpleNamespace(
-    codes=lambda like, code: code,
-    nans=lambda like: math.nan,
-    mark=lambda code, mask, value: value if mask else code,
-    where=lambda mask, a, b: a if mask else b,
-)
-_COLUMNS = SimpleNamespace(
-    codes=lambda like, code: np.full(len(like), code, np.int8),
-    nans=lambda like: np.full(len(like), np.nan),
-    mark=_mark,
-    where=np.where,
-)
+_COLUMNS = np.where
 
 
-def _fold(row, m1, m2, gamma1, gamma2, g1, g2, p_max, xp):
+def _fold(row, need, g1, g2, p_max, where):
     """The one superposition kernel: a formulation's verdict code, energy
-    (NaN unless feasible) and powers at its pinned blocklengths and SINRs.
+    (NaN unless feasible) and the run (m1, m2, gamma1, gamma2, p1, p2) that
+    _allocation takes, from its _requirement need on gains (g1, g2).
 
-    The checks, in precedence order: rate reachability (gamma_k >
-    p_max*g_k), the SINR-product wall, and the power budget (p1 + p2 >
-    p_max, which an energy that overflows a float exceeds too).  Past the
-    wall there are no powers; otherwise they invert the row's SINR maps on
-    gains (g1, g2), the energy is m1*p1 + m2*p2, and the budget's code is
-    marked first, so that reachability's overrides it.  The SINRs are
-    floats; the gains are one draw's floats (xp=_FLOAT) or columns of draws
-    (xp=_COLUMNS, under np.errstate(divide="ignore", over="ignore")).
+    A need that is a verdict code needed no gains: it comes back as it is,
+    with NaN and no run, single values even for columns.  Otherwise the
+    checks, in precedence order: rate reachability (gamma_k > p_max*g_k),
+    the SINR-product wall, and the power budget (p1 + p2 > p_max, which an
+    energy that overflows a float exceeds too).  Past the wall there are no
+    powers; otherwise they invert the row's SINR maps, the energy is
+    m1*p1 + m2*p2, and reachability's code overrides the budget's.  The
+    SINRs are floats; the gains are one draw's floats (where=_FLOAT) or
+    columns of draws (where=_COLUMNS, under
+    np.errstate(divide="ignore", over="ignore")).
     """
+    if isinstance(need, int):
+        return need, math.nan, None
+    m1, m2, gamma1, gamma2 = need
     if row.product_wall and gamma1 * gamma2 >= 1.0:
         # The maps have no inverse, whatever the gains.
-        code, energy, p1, p2 = xp.codes(g1, _WALL), xp.nans(g1), math.nan, math.nan
+        code, energy, p1, p2 = _WALL, math.nan, math.nan, math.nan
     else:
         try:
             p1, p2 = row.powers(gamma1, gamma2, g1, g2)
@@ -269,20 +265,9 @@ def _fold(row, m1, m2, gamma1, gamma2, g1, g2, p_max, xp):
             # the powers overflow, as numpy's IEEE division makes them.
             p1 = p2 = math.inf
         energy = m1 * p1 + m2 * p2
-        over = (p1 + p2 > p_max) | (energy == math.inf)
-        code = xp.mark(xp.codes(g1, _FEASIBLE), over, _BUDGET)
-    code = xp.mark(code, (gamma1 > p_max * g1) | (gamma2 > p_max * g2), _RATE)
-    return code, xp.mark(energy, code != _FEASIBLE, math.nan), p1, p2
-
-
-def _run(row, need, g1, g2, p_max, xp):
-    """_fold of one formulation after the verdicts that need no gains, from
-    its _requirement need: the code, the energy, and the run (m1, m2,
-    gamma1, gamma2, p1, p2) that _allocation takes, None when the verdict
-    needed no gains."""
-    if isinstance(need, int):
-        return xp.codes(g1, need), xp.nans(g1), None
-    code, energy, p1, p2 = _fold(row, *need, g1, g2, p_max, xp)
+        code = where((p1 + p2 > p_max) | (energy == math.inf), _BUDGET, _FEASIBLE)
+    code = where((gamma1 > p_max * g1) | (gamma2 > p_max * g2), _RATE, code)
+    energy = where(code != _FEASIBLE, math.nan, energy)
     return code, energy, (*need, p1, p2)
 
 
@@ -304,10 +289,10 @@ def _solve(
     row: _Formulation, ch: ChannelPair, s1: UserSpec, s2: UserSpec, budget: PowerBudget
 ) -> SolveOutcome:
     """Minimum-energy allocation of one formulation, from its table row:
-    _run on one draw."""
+    _fold on one draw."""
     _require_deadline_order(s1, s2)
     need = _requirement(row, s1, s2)
-    code, _, run = _run(row, need, ch.g1, ch.g2, budget.p_max, _FLOAT)
+    code, _, run = _fold(row, need, ch.g1, ch.g2, budget.p_max, _FLOAT)
     if code != _FEASIBLE:
         return SolveOutcome(verdict=_VERDICT_PRECEDENCE[code])
     return SolveOutcome(allocation=_allocation(row, s1, s2, run))
@@ -372,18 +357,19 @@ def solve_sic_rx1(
     return _solve(_SIC_RX1, ch, s1, s2, budget)
 
 
-def _winner(weak_first, codes, energies, xp):
+def _winner(weak_first, codes, energies, where):
     """solve_noma's dispatch, the one place it is written: the index in
     _ROWS of the winning formulation, or -1 when none is feasible.
 
     sic-rx2 when g1 <= g2 (weak_first); otherwise the cheaper feasible of
     tin and sic-rx1, ties to tin.  codes and energies hold every row's
     verdict code and energy; a row that was not solved has code None.
+    where is _fold's: _FLOAT on one draw, _COLUMNS on columns of draws.
     """
     ok = [code == _FEASIBLE for code in codes]
     rx1_wins = ok[2] & ((codes[1] != _FEASIBLE) | (energies[2] < energies[1]))
-    strong_first = xp.where(rx1_wins, 2, xp.where(ok[1], 1, -1))
-    return xp.where(weak_first, xp.where(ok[0], 0, -1), strong_first)
+    strong_first = where(rx1_wins, 2, where(ok[1], 1, -1))
+    return where(weak_first, where(ok[0], 0, -1), strong_first)
 
 
 def _outcome(winner, codes, runs, weak_first, s1, s2, relabeled) -> SolveOutcome:
@@ -416,7 +402,7 @@ def solve_noma(
     codes, energies, runs = [None] * 3, [math.nan] * 3, [None] * 3
     for k in _CANDIDATES[weak_first]:
         need = _requirement(_ROWS[k], s1, s2)
-        codes[k], energies[k], runs[k] = _run(
+        codes[k], energies[k], runs[k] = _fold(
             _ROWS[k], need, ch.g1, ch.g2, budget.p_max, _FLOAT
         )
     winner = _winner(weak_first, codes, energies, _FLOAT)
@@ -443,16 +429,14 @@ def _noma_columns(
     # Tiny gains overflow the powers and energies, as the scalar arithmetic
     # does, and tin's product form divides by an underflowed g1*g2 where its
     # divided form then takes over; huge gains overflow p_max*g.
+    codes, energies = np.empty((3, len(g1)), np.int8), np.empty((3, len(g1)))
     with np.errstate(divide="ignore", over="ignore"):
-        columns = [
-            _run(row, need, g1, g2, p_max, _COLUMNS)
-            for row, need in zip(_ROWS, _requirements(s1, s2))
-        ]
-    codes, energies, _ = zip(*columns)
+        for k, need in enumerate(_requirements(s1, s2)):
+            # A verdict that needs no gains is one value for the whole row.
+            codes[k], energies[k], _ = _fold(_ROWS[k], need, g1, g2, p_max, _COLUMNS)
     winner = _winner(g1 <= g2, codes, energies, _COLUMNS).astype(np.int8)
-    energies = np.stack(energies)
     energy = np.where(winner >= 0, energies[winner, np.arange(len(g1))], np.nan)
-    return winner, np.stack(codes), energy
+    return winner, codes, energy
 
 
 def _noma_outcome(
@@ -473,5 +457,5 @@ def _noma_outcome(
         # The winner passed every check under the cell's budget; without a
         # budget the kernel gives back its allocation, bit for bit.
         row = _ROWS[winner]
-        runs[winner] = _run(row, needs[winner], ch.g1, ch.g2, math.inf, _FLOAT)[2]
+        runs[winner] = _fold(row, needs[winner], ch.g1, ch.g2, math.inf, _FLOAT)[2]
     return _outcome(winner, codes, runs, ch.g1 <= ch.g2, s1, s2, relabeled)

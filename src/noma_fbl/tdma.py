@@ -203,11 +203,11 @@ def _columns(
     (NaN for none).
 
     A budget only rules splits out, so one budget-free pick serves every
-    budget: where a draw's budget-free split exists (a finite energy) and
-    the budget allows it, it is also the first allowed minimum and stays;
-    every other draw is picked again under the budget.  Both picks run
-    _pick on (draws x 1) columns, in chunks of draws that bound the
-    (draws x splits) energy matrices.
+    budget: where a draw's budget-free split keeps a finite _energies under
+    the budget, it is also the first allowed minimum and stays; every other
+    draw is picked again under the budget.  Both picks run _pick on
+    (draws x 1) columns, in chunks of draws that bound the (draws x splits)
+    energy matrices.
     """
     _require_deadline_order(s1, s2)
     m1_lo, m1_hi = _window(s1, s2)
@@ -228,15 +228,17 @@ def _columns(
         return best
 
     free = pick(g1, g2)
+    # Each draw's budget-free split (the last split where there is none,
+    # whose energy is then inf under any budget too).
+    at_free = tuple(column[free] for column in splits)
     columns = []
     for p_max in p_maxes:
-        # Tiny gains overflow the energies, huge ones p_max * g.
+        rows = np.flatnonzero(_energies(at_free, g1, g2, p_max) == np.inf)
+        best = free.copy()
+        best[rows] = pick(g1[rows], g2[rows], p_max)
+        chosen = np.maximum(best, 0)
+        # Tiny gains overflow the energies.
         with np.errstate(over="ignore"):
-            allowed = (gamma1[free] <= p_max * g1) & (gamma2[free] <= p_max * g2)
-            rows = np.flatnonzero((free < 0) | ~allowed)
-            best = free.copy()
-            best[rows] = pick(g1[rows], g2[rows], p_max)
-            chosen = np.maximum(best, 0)
             energy = m1[chosen] * (gamma1[chosen] / g1) + m2[chosen] * (gamma2[chosen] / g2)
         best[energy == np.inf] = -1  # as in _outcome
         columns.append((best, np.where(best >= 0, energy, np.nan)))

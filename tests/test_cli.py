@@ -315,6 +315,10 @@ class TestBadNumbersExitOne:
             ["solve", "--g1", "inf", "--g2", "1", *INSTANCE],
             ["solve", "--h1", "1e200", "--h2", "1", *INSTANCE],
             ["sweep", "--g1", "nan", "--g2", "1", "--d2", "300", "--d1-grid", "100:200:50"],
+            # Whole numbers past 2**53.
+            ["solve", "--n1-bits", str(10**20), "--g1", "1", "--g2", "4", *INSTANCE],
+            ["solve", "--d1", "200", "--d2", str(10**400), "--g1", "1", "--g2", "4"],
+            ["montecarlo", "--trials", "2", "--d2", str(10**400)],
         ],
         ids=lambda argv: " ".join(argv[:3]),
     )

@@ -61,6 +61,11 @@ class TestAchievableRate:
     def test_dispersion_vanishes_at_huge_blocklength(self):
         assert achievable_rate(1e12, 1.0, 1e-7) == pytest.approx(1.0, abs=1e-5)
 
+    def test_squared_sinr_past_the_float_range(self):
+        # (1 + gamma)**2 overflows; 1 - 1/(1 + gamma)**2 is then 1 to a float.
+        want = math.log2(1.0 + 1e200) - math.sqrt(1.0 / 100.0) * q_inv(1e-7) / fbl.LN2
+        assert achievable_rate(100.0, 1e200, 1e-7) == want
+
     def test_matches_independent_recomputation(self):
         # oracle: direct substitution with the quadrature-based inverse tail
         want = rate_by_quadrature(100.0, 10.0, 1e-7)
@@ -198,8 +203,10 @@ class TestEnergyCurve:
                 assert slope < 0.0
 
 
-#: Calls at NaN or infinite blocklengths and SINRs, or at SINRs where the
-#: closed form fails, and the error each raises.
+#: The smallest power of two past the float range: an int no float holds.
+_HUGE = 2**1024
+#: Calls at NaN or infinite blocklengths and SINRs, at ints past the float
+#: range, or at SINRs where the closed form fails, and the error each raises.
 _NOT_FINITE = [
     (sinr_for_blocklength, (math.nan, SPEC_160, 1.0), ValueError),
     (sinr_for_blocklength, (math.inf, SPEC_160, 1.0), ValueError),
@@ -217,14 +224,25 @@ _NOT_FINITE = [
     (achievable_rate, (100.0, math.inf, 1e-7), ValueError),
     (achievable_rate, (math.nan, 1.0, 1e-7), ValueError),
     (achievable_rate, (math.inf, 1.0, 1e-7), ValueError),
+    (achievable_rate, (_HUGE, 1.0, 1e-7), ValueError),
+    (achievable_rate, (100.0, _HUGE, 1e-7), ValueError),
+    (required_sinr, (SPEC_160, _HUGE), ValueError),
+    (energy_curve, (_HUGE, SPEC_160), ValueError),
+    (sinr_for_blocklength, (_HUGE, SPEC_160, 1.0), ValueError),
+    (sinr_for_blocklength, (200.0, SPEC_160, _HUGE), ValueError),
+    (blocklength_for_sinr, (_HUGE, SPEC_160), ValueError),
 ]
+
+
+def _arg_id(arg):
+    return "2**1024" if arg is _HUGE else repr(arg)
 
 
 @pytest.mark.parametrize(
     "call,args,error",
     _NOT_FINITE,
     ids=[
-        f"{call.__name__}({', '.join(repr(a) for a in args if a is not SPEC_160)})"
+        f"{call.__name__}({', '.join(_arg_id(a) for a in args if a is not SPEC_160)})"
         for call, args, _ in _NOT_FINITE
     ],
 )

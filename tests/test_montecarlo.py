@@ -138,7 +138,8 @@ class TestWholeNumberDeadlines:
     @pytest.mark.parametrize("field", ["deadline", "min_blocklength", "payload_bits"])
     def test_fractional_blocklength_rejected(self, field):
         whole = {"payload_bits": 160, "error_target": 1e-7, "deadline": 200}
-        for value in (100.5, math.nan, math.inf):
+        # Past 2**53 an Allocation's float fields lose whole numbers.
+        for value in (100.5, math.nan, math.inf, 2**53 + 1, 1e20, 10**400):
             with pytest.raises(ValueError):
                 UserSpec(**{**whole, field: value})
 

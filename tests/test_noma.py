@@ -27,9 +27,11 @@ from noma_fbl import (
 from noma_fbl.noma import (
     _VERDICT_PRECEDENCE,
     _noma_columns,
+    _noma_outcome,
     _powers_sic_rx1,
     _powers_sic_rx2,
     _powers_tin,
+    _requirements,
 )
 
 from oracles import grid_min_energy, noma_reference, random_feasible_instances
@@ -411,6 +413,8 @@ class TestMatchesReference:
     )
     @example(1.0, 4.0, 30.0, (160, 160), (1e-7, 1e-7), 200, 100, None)
     @example(4.0, 1.0, 30.0, (160, 160), (1e-7, 1e-7), 200, 100, (2, -0.1))
+    # Past the doubling's limit: every row rate-unreachable without gains.
+    @example(4.0, 1.0, 30.0, (10**6, 160), (1e-7, 1e-7), 200, 100, None)
     def test_formulations_match_plain_solve(
         self, g1, g2, pmax_dbm, bits, eps, d1, extra, binding
     ):
@@ -467,3 +471,35 @@ class TestMatchesReference:
         _, codes, _ = _noma_columns(np.array([g1]), np.array([g2]), s1, s2, p_max)
         code = int(codes[1, 0])
         self.check(p_max, None if code < 0 else _VERDICT_PRECEDENCE[code], reference)
+
+    @pytest.mark.parametrize(
+        "s1,s2",
+        [
+            # required_sinr(s1, D1) is past the doubling's limit: every row
+            # is rate-unreachable, whatever the gains.
+            (spec(200, payload_bits=10**6), spec(300)),
+            # m2 = D1 is below user 2's minimum: sic-rx1's window is empty.
+            (spec(200), spec(300, min_blocklength=250)),
+        ],
+        ids=["bracket-error", "sic-rx1-window-empty"],
+    )
+    def test_gain_free_verdicts_in_columns(self, s1, s2):
+        # A verdict that needs no gains is one code for a whole column; the
+        # outcomes rebuilt from the columns are solve_noma's, draw by draw.
+        g1, g2 = np.array([1e4, 4e4, 1e-3, 1e6]), np.array([4e4, 1e4, 1e6, 1e-3])
+        p_max = 1.0
+        winner, codes, energy = _noma_columns(g1, g2, s1, s2, p_max)
+        needs = _requirements(s1, s2)
+        gain_free = [k for k, need in enumerate(needs) if isinstance(need, int)]
+        assert gain_free
+        for k in gain_free:
+            assert (codes[k] == needs[k]).all()
+        for i in range(len(g1)):
+            ch = ChannelPair(float(g1[i]), float(g2[i]))
+            want = solve_noma(ch, s1, s2, PowerBudget(p_max))
+            got = _noma_outcome(int(winner[i]), codes[:, i].tolist(), ch, s1, s2, needs)
+            assert got == want
+            if want.feasible:
+                assert energy[i] == want.energy
+            else:
+                assert math.isnan(energy[i])
