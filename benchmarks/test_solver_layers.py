@@ -1,6 +1,8 @@
 """Micro-benchmarks of the scalar solvers, one cached call at a time, of
 the split columns a TDMA solve on a filled store starts from
-(tdma._splits), and of one TDMA solve on an empty store.
+(tdma._splits), of two warm TDMA solves off the paper's draws (a budget
+that rules out the budget-free split, and a 500-split window), and of one
+TDMA solve on an empty store.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks``; these files sit
 outside the test paths, so the tier-1 suite does not run them.
@@ -69,6 +71,32 @@ def test_warm_splits(benchmark):
     benchmark.pedantic(
         tdma._splits, args=(s1, s2, 100, 200), rounds=300, iterations=CALLS_PER_ROUND
     )
+
+
+def _warm_tdma(benchmark, args):
+    # Solved until the memo of the split window holds it: the key's first
+    # solve picks from enclosures, and the read that fills the tables keeps
+    # nothing.
+    for _ in range(3):
+        out = solve_tdma(*args)
+    benchmark.pedantic(solve_tdma, args=args, rounds=300, iterations=CALLS_PER_ROUND)
+    assert repr(solve_tdma(*args)) == repr(out)
+
+
+def test_warm_tdma_budget_repick(benchmark):
+    # At 1.6 W the budget rules out the budget-free split of least energy,
+    # so the pick is made again under the budget.
+    ch, s1, s2 = ChannelPair(0.9, 4.0), CFG.user1_spec(200), CFG.user2_spec()
+    splits = tdma._splits(s1, s2, *tdma._window(s1, s2))
+    assert tdma._pick(splits, ch.g1, ch.g2, 1.6) != tdma._pick(splits, ch.g1, ch.g2) >= 0
+    _warm_tdma(benchmark, (ch, s1, s2, PowerBudget(1.6)))
+
+
+def test_warm_tdma_long_window(benchmark):
+    # D1 = 599 and D2 = 1000: m1 in [100, 599], 500 splits.
+    s1, s2 = CFG.user1_spec(599), UserSpec(160, 1e-7, 1000)
+    assert tdma._window(s1, s2) == (100, 599)
+    _warm_tdma(benchmark, (ChannelPair(1e4, 4e4), s1, s2, PowerBudget(1.0)))
 
 
 def test_cold_tdma_solve(benchmark):

@@ -24,7 +24,9 @@ instead of some 30 to 60.
 One store keeps the roots: a row over integer m per (payload_bits,
 error_target) (_Row), of which a table is a slice.  It is bounded, the
 oldest grown rows going first; windows past that bound get arrays of their
-own.  Rows grow and go under a lock; reads take none.
+own.  Rows grow and go under a lock; reads take none.  Every row replaced
+or dropped, and every clear, moves a generation count, so that what keeps
+views of the rows (tdma's memo of split windows) can tell they may be gone.
 
 A key's first TDMA solve fills no table.  One numpy pass of the estimates
 and their certified windows, over entries of any payload and error target,
@@ -312,11 +314,14 @@ class _Row:
 
 #: The store: rows by (payload_bits, error_target), oldest grown first, of
 #: at most _ROW_BUDGET entries (1 MiB of floats); _EMPTY is no row.  Its
-#: counts: entries read, computed and held.
+#: counts: entries read, computed and held.  _generation counts the rows
+#: replaced or dropped, and the clears: a view taken of the store while it
+#: holds is a view of rows the store still keeps.
 _SINR_ROWS: dict[tuple, _Row] = {}
 _ROW_BUDGET = 1 << 17
 _NAN = array("d", [math.nan])
 _sinr_counts = [0, 0, 0]
+_generation = [0]
 _EMPTY = _Row(_NAN[:0])
 _LOCK = threading.Lock()
 
@@ -334,8 +339,10 @@ def _row(key: tuple, size: int) -> _Row:
             _SINR_ROWS.pop(key, None)
             _SINR_ROWS[key] = row
             _sinr_counts[2] += len(gammas) - held
+            _generation[0] += 1
         while _sinr_counts[2] > _ROW_BUDGET:
             _sinr_counts[2] -= len(_SINR_ROWS.pop(next(iter(_SINR_ROWS))).gammas)
+            _generation[0] += 1
     return row
 
 
@@ -343,6 +350,7 @@ def _sinr_cache_clear() -> None:
     with _LOCK:
         _SINR_ROWS.clear()
         _sinr_counts[:] = 0, 0, 0
+        _generation[0] += 1
 
 
 #: Work of the roots found since import: those whose window _certified

@@ -16,15 +16,22 @@ single integer decision variable: the split of least energy
 among those the budget allows, the smallest m1 on a tie; an energy that
 overflows a float is over any budget too.  _energies computes these
 energies, inf for a split over budget, and _pick makes this choice
-everywhere, for one draw or for arrays of draws.  It weighs every split,
-except on a key's first solve: there the SINRs of all splits are only
-bounded, in one numpy pass, and _pick weighs just the splits whose
+everywhere, for one draw or for arrays of draws.
+
+A key's first solve weighs only some splits: the SINRs of all splits are
+bounded in one numpy pass, and _pick weighs just the splits whose
 _energies at the lower bounds are finite and at most the least _energies
 at the upper bounds (_enclosed_splits).  Every other split costs more than
 one _pick may take, so the choice is the same, from a couple of exact roots
-instead of two full tables.  _columns, the column form for many draws
-sharing (s1, s2) under several budgets, is the one place that decides on
-which draws and budgets it runs.
+instead of two full tables.  Every later solve reads the window's splits
+from _splits, a memo bounded by the store's budget and emptied whenever the
+store replaces or drops a row, and _pick_one takes the first least
+budget-free energy from the products the memo keeps, which the budget keeps
+or _pick replaces.  _columns, the column form for many draws sharing
+(s1, s2) under several budgets, reads the same memo, applies the same rule
+per budget (_kept), and is the one place that decides on which draws and
+budgets it runs.  A window of more than _WINDOW_CAP splits is refused
+before anything is allocated.
 """
 
 import numpy as np
@@ -46,22 +53,73 @@ __all__ = ["solve_tdma"]
 #: Energy-matrix elements per chunk of draws in _columns (8 bytes each).
 _CHUNK_ELEMENTS = 1 << 18
 
-#: The candidate splits of one (s1, s2): m1, m2 = D2 - m1 and their required
-#: SINRs, index-aligned on m1 ascending.
-_Splits = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: The most splits a window may have.  At 2**19 splits a cold
+#: `noma-fbl solve --scheme all` took 0.6-5.3 s and 147 MB peak RSS over six
+#: sets of gains, payloads and error targets (2-vCPU Xeon VM); past it a
+#: window reaches for minutes and gigabytes, and at 2**53 for petabytes.
+_WINDOW_CAP = 1 << 19
+
+
+class _Splits(tuple):
+    """The candidate splits of one window: the tuple (m1, m2, gamma1,
+    gamma2), m1 ascending with m2 = D2 - m1 and their required SINRs,
+    index-aligned.  a1 = m1 * gamma1 and a2 = m2 * gamma2 are the first
+    products _energies forms, so a1 / g1 + a2 / g2 are its budget-free
+    energies, bit for bit; top is (max a1, max a2) as floats."""
+
+    def __new__(cls, m1, m2, gamma1, gamma2):
+        splits = super().__new__(cls, (m1, m2, gamma1, gamma2))
+        splits.a1, splits.a2 = m1 * gamma1, m2 * gamma2
+        splits.top = float(splits.a1.max()), float(splits.a2.max())
+        return splits
+
+
+class _Memo:
+    """_splits' entries by (N1, eps1, N2, eps2, D2, m1_lo, m1_hi), oldest
+    first, of held splits in all; valid while fbl._generation reads
+    generation."""
+
+    def __init__(self, generation: int):
+        self.generation, self.entries, self.held = generation, {}, 0
+
+
+_memo = _Memo(-1)
 
 
 def _window(s1: UserSpec, s2: UserSpec) -> tuple[int, int]:
-    """The lowest and highest m1 solve_tdma weighs (empty when lo > hi)."""
-    return s1.min_blocklength, min(s1.deadline, s2.deadline - s2.min_blocklength)
+    """The lowest and highest m1 solve_tdma weighs (empty when lo > hi).
+    Raises ValueError past _WINDOW_CAP splits."""
+    m1_lo, m1_hi = s1.min_blocklength, min(s1.deadline, s2.deadline - s2.min_blocklength)
+    if m1_hi - m1_lo >= _WINDOW_CAP:
+        raise ValueError(
+            f"the TDMA split window m1 = {m1_lo}..{m1_hi} has more than "
+            f"{_WINDOW_CAP} splits"
+        )
+    return m1_lo, m1_hi
 
 
 def _splits(
     s1: UserSpec, s2: UserSpec, m1_lo: int, m1_hi: int
 ) -> _Splits | InfeasibleReason:
     """Every time split of the non-empty window m1_lo..m1_hi, or the verdict
-    that rules out all of them whatever the channel."""
+    that rules out all of them whatever the channel.
+
+    The memo of every window: its tables are read-only slices of the store
+    that never change, so an entry serves until the store replaces or drops
+    a row (fbl._generation moves) and the memo empties itself, never viewing
+    a row the store no longer keeps.  A hit counts the hits its two table
+    slices would.  The memo holds at most fbl._ROW_BUDGET splits, the
+    oldest entries going first, and no window that reaches it; entries go
+    in under fbl._LOCK, lookups take no lock.  A verdict is not kept.
+    """
     d2 = s2.deadline
+    key = s1.payload_bits, s1.error_target, s2.payload_bits, s2.error_target, d2, m1_lo, m1_hi
+    memo, generation = _memo, fbl._generation[0]
+    if memo.generation == generation:
+        splits = memo.entries.get(key)
+        if splits is not None:
+            fbl._sinr_counts[0] += 2 * len(splits[0])
+            return splits
     try:
         gamma1 = required_sinr_table(s1, m1_lo, m1_hi)
         gamma2 = required_sinr_table(s2, d2 - m1_hi, d2 - m1_lo)
@@ -69,42 +127,99 @@ def _splits(
         return InfeasibleReason.RATE_UNREACHABLE
     m1 = np.arange(m1_lo, m1_hi + 1)
     # gamma2 reversed so that index i matches m2 = d2 - m1[i]
-    return m1, d2 - m1, gamma1, gamma2[::-1]
+    splits = _Splits(m1, d2 - m1, gamma1, gamma2[::-1])
+    if max(m1_hi, d2 - m1_lo) < fbl._ROW_BUDGET:
+        _remember(key, splits, generation)
+    return splits
 
 
-def _energies(splits: _Splits, g1, g2, p_max: float | None = None) -> np.ndarray:
-    """Each split's energy m1 * gamma1 / g1 + m2 * gamma2 / g2, or inf where
-    p_max rules out its per-slot powers (never when p_max is None) or the
-    energy overflows: such a split is over any budget.  g1 and g2 are one
-    draw's gains, or (draws x 1) columns of them."""
+def _remember(key: tuple, splits: _Splits, generation: int) -> None:
+    """Keep splits, whose tables were read at generation, unless a row has
+    been replaced or dropped since; then the oldest entries go, if need be."""
+    global _memo
+    with fbl._LOCK:
+        if fbl._generation[0] != generation:
+            return
+        if _memo.generation != generation:
+            _memo = _Memo(generation)
+        entries = _memo.entries
+        if key not in entries:
+            entries[key] = splits
+            _memo.held += len(splits[0])
+            while _memo.held > fbl._ROW_BUDGET:
+                _memo.held -= len(entries.pop(next(iter(entries)))[0])
+
+
+def _allows(gamma1, gamma2, g1, g2, p_max):
+    """Whether the budget p_max allows the per-slot powers of SINRs gamma1,
+    gamma2 on gains g1, g2: one user per slot, so it caps each power
+    separately.  Floats of one draw, or arrays alike."""
+    return (gamma1 <= p_max * g1) & (gamma2 <= p_max * g2)
+
+
+def _kept(energy, gamma1, gamma2, g1, g2, p_max):
+    """Whether the budget p_max keeps a split, given its budget-free
+    _energies and its SINRs for gains g1, g2: the energy is finite and
+    p_max allows its powers.  Floats of one draw, or arrays alike.
+
+    So where the budget keeps the budget-free pick b (the first least
+    budget-free energy), b is the budget's pick too: the budget-free
+    energies have no NaN (every gamma and gain is finite and positive), the
+    budget's equal them where it keeps a split and are inf elsewhere, so a
+    kept b is also their first least finite value.  Only where it does not
+    keep b is the pick made again under the budget (_pick_one, _columns).
+    """
+    return (energy < np.inf) & _allows(gamma1, gamma2, g1, g2, p_max)
+
+
+def _energies(splits, g1, g2, p_max: float | None = None) -> np.ndarray:
+    """Each split's energy m1 * gamma1 / g1 + m2 * gamma2 / g2 of splits
+    (m1, m2, gamma1, gamma2), or inf where p_max does not allow its powers
+    (_allows; never when p_max is None) or the energy overflows: such a
+    split is over any budget.  g1 and g2 are one draw's gains, or (draws x
+    1) columns of them."""
     m1, m2, gamma1, gamma2 = splits
     # Tiny gains overflow the energies, huge ones p_max * g.
     with np.errstate(over="ignore"):
         energy = m1 * gamma1 / g1 + m2 * gamma2 / g2
         if p_max is not None:
-            # One user per slot: the budget caps each power separately.
-            ok = (gamma1 <= p_max * g1) & (gamma2 <= p_max * g2)
-            energy = np.where(ok, energy, np.inf)
+            energy = np.where(_allows(gamma1, gamma2, g1, g2, p_max), energy, np.inf)
     return energy
 
 
-def _pick(splits: _Splits, g1, g2, p_max: float | None = None) -> np.ndarray:
+def _pick(splits, g1, g2, p_max: float | None = None) -> np.ndarray:
     """Along the last axis, the index of the first split of least finite
     _energies, or -1 where none is finite."""
     energy = _energies(splits, g1, g2, p_max)
     return np.where(energy.min(axis=-1) < np.inf, energy.argmin(axis=-1), -1)
 
 
-def _outcome(
-    splits: _Splits | InfeasibleReason, best: int, ch: ChannelPair
-) -> SolveOutcome:
-    """The outcome of choosing split index best (-1: none within budget), or
-    over budget when its energy overflows: _pick compares energies rounded in
-    another order, so that can still happen within an ulp of the float range."""
+def _pick_one(splits: _Splits, g1: float, g2: float, p_max: float) -> int:
+    """_pick for one draw's gains and a budget, from the products splits
+    keeps: the first least budget-free energy a1 / g1 + a2 / g2 where no
+    energy overflows and the budget keeps it (_kept), else _pick."""
+    top1, top2 = splits.top
+    # Rounding is monotone: no energy overflows if this sum does not.
+    if top1 / g1 + top2 / g2 < np.inf:
+        energy = splits.a1 / g1 + splits.a2 / g2
+        best = int(energy.argmin())
+        _, _, gamma1, gamma2 = splits
+        if _kept(energy.item(best), gamma1.item(best), gamma2.item(best), g1, g2, p_max):
+            return best
+    return int(_pick(splits, g1, g2, p_max))
+
+
+def _outcome(splits, best: int, ch: ChannelPair) -> SolveOutcome:
+    """The outcome of choosing split index best (-1: none within budget) of
+    splits (m1, m2, gamma1, gamma2) or a verdict, or over budget when its
+    energy overflows: _pick compares energies rounded in another order, so
+    that can still happen within an ulp of the float range."""
     if isinstance(splits, InfeasibleReason):
         return SolveOutcome(verdict=splits)
     if best >= 0:
-        m1, m2, gamma1, gamma2 = (float(column[best]) for column in splits)
+        m1, m2, gamma1, gamma2 = splits
+        m1, m2 = float(m1.item(best)), float(m2.item(best))
+        gamma1, gamma2 = gamma1.item(best), gamma2.item(best)
         p1 = gamma1 / ch.g1
         p2 = gamma2 / ch.g2
         energy = m1 * p1 + m2 * p2
@@ -132,26 +247,32 @@ def solve_tdma(
     Of every integer m1 in [min_blocklength_1, min(D1, D2 -
     min_blocklength_2)], the lowest-energy split whose per-slot powers
     respect the budget (ties go to the smallest m1) and whose energy does
-    not overflow; on a key's first solve, from the splits that enclosures
-    of their SINRs cannot rule out.  Requires s1.deadline <= s2.deadline;
-    callers order users first.
+    not overflow.  A key's first solve picks from the splits that
+    enclosures of their SINRs cannot rule out; every later one reads the
+    window from the memo of _splits (bounded by the store's budget, emptied
+    when the store replaces or drops a row) and keeps the first least
+    budget-free energy where the budget allows it, which is then the
+    budget's pick too (_kept), or picks again under the budget.  Requires
+    s1.deadline <= s2.deadline; callers order users first.  Raises
+    ValueError for a window of more than _WINDOW_CAP splits.
     """
     _require_deadline_order(s1, s2)
     m1_lo, m1_hi = _window(s1, s2)
     if m1_lo > m1_hi:
         return SolveOutcome(verdict=InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY)
-    splits = _enclosed_splits(ch, s1, s2, m1_lo, m1_hi, budget.p_max)
-    if splits is None:
-        splits = _splits(s1, s2, m1_lo, m1_hi)
+    p_max = budget.p_max
+    splits, pick = _enclosed_splits(ch, s1, s2, m1_lo, m1_hi, p_max), _pick
+    if splits is None:  # not the key's first solve
+        splits, pick = _splits(s1, s2, m1_lo, m1_hi), _pick_one
     best = -1
     if not isinstance(splits, InfeasibleReason):
-        best = int(_pick(splits, ch.g1, ch.g2, budget.p_max))
+        best = int(pick(splits, ch.g1, ch.g2, p_max))
     return _outcome(splits, best, ch)
 
 
 def _enclosed_splits(
     ch: ChannelPair, s1: UserSpec, s2: UserSpec, m1_lo: int, m1_hi: int, p_max: float
-) -> _Splits | InfeasibleReason | None:
+) -> tuple | InfeasibleReason | None:
     """On a key's first solve (fbl._first_enclosure), the splits of the
     non-empty window m1_lo..m1_hi that may be _pick's choice under p_max,
     with their exact SINRs, or the verdict; None for _splits instead.
@@ -203,11 +324,12 @@ def _columns(
     (NaN for none).
 
     A budget only rules splits out, so one budget-free pick serves every
-    budget: where a draw's budget-free split keeps a finite _energies under
-    the budget, it is also the first allowed minimum and stays; every other
-    draw is picked again under the budget.  Both picks run _pick on
-    (draws x 1) columns, in chunks of draws that bound the (draws x splits)
-    energy matrices.
+    budget: where the budget keeps a draw's budget-free split (_kept), it is
+    also the budget's pick and stays; every other draw is picked again under
+    the budget.  Both picks run _pick on (draws x 1) columns, in chunks of
+    draws that bound the (draws x splits) energy matrices.  The splits come
+    from the memo of _splits; a window past _WINDOW_CAP raises ValueError,
+    as in solve_tdma.
     """
     _require_deadline_order(s1, s2)
     m1_lo, m1_hi = _window(s1, s2)
@@ -229,11 +351,14 @@ def _columns(
 
     free = pick(g1, g2)
     # Each draw's budget-free split (the last split where there is none,
-    # whose energy is then inf under any budget too).
-    at_free = tuple(column[free] for column in splits)
+    # whose energy is then inf: no budget keeps it).
+    _, _, gamma1_free, gamma2_free = at_free = tuple(column[free] for column in splits)
+    energy_free = _energies(at_free, g1, g2)
     columns = []
     for p_max in p_maxes:
-        rows = np.flatnonzero(_energies(at_free, g1, g2, p_max) == np.inf)
+        with np.errstate(over="ignore"):  # huge gains overflow p_max * g
+            kept = _kept(energy_free, gamma1_free, gamma2_free, g1, g2, p_max)
+        rows = np.flatnonzero(~kept)
         best = free.copy()
         best[rows] = pick(g1[rows], g2[rows], p_max)
         chosen = np.maximum(best, 0)

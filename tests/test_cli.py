@@ -332,6 +332,28 @@ class TestBadNumbersExitOne:
         assert not list(tmp_path.iterdir())
 
 
+class TestPastTheCaps:
+    """Inputs whose arrays would not fit in memory are usage errors (exit 1),
+    caught before anything is allocated."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # A split window of 2**53 - 199 splits.
+            ["solve", "--g1", "1e4", "--g2", "4e4", "--d1", str(2**53), "--d2", str(2**53)],
+            # 6e17 trial cells on the default grid.
+            ["montecarlo", "--trials", str(10**16)],
+        ],
+        ids=["solve window", "montecarlo trials"],
+    )
+    def test_exits_one(self, argv, tmp_path, capsys):
+        out = ["--out-dir", str(tmp_path / "mc")] if argv[0] == "montecarlo" else []
+        code, stdout, err = run_cli(capsys, *argv, *out)
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+        assert not stdout and not list(tmp_path.iterdir())
+
+
 class TestTopLevel:
     def test_no_command_exits_one(self, capsys):
         assert run_cli(capsys)[0] == 1

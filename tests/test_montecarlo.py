@@ -105,6 +105,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(**{field: value})
 
+    def test_trial_cells_within_the_cap(self):
+        cells = 20 * 3
+        cap = montecarlo._TRIAL_CELLS_CAP
+        assert ExperimentConfig(n_trials=cap // cells).n_trials == cap // cells
+        with pytest.raises(ValueError, match="trial cells"):
+            ExperimentConfig(n_trials=cap // cells + 1)
+        with pytest.raises(ValueError, match="trial cells"):
+            ExperimentConfig(n_trials=cap + 1, d1_grid=(200,), p_max_dbm_grid=(30.0,))
+
+    def test_split_windows_within_the_cap(self):
+        with pytest.raises(ValueError, match="splits"):
+            ExperimentConfig(n_trials=2, d1_grid=(200, 2**53 - 100), d2=2**53)
+
     def test_tie_d1_equal_d2_allowed(self):
         cfg = ExperimentConfig(d1_grid=(200, 300), d2=300, n_trials=2)
         assert cfg.d1_grid == (200, 300)

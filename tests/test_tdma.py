@@ -1,6 +1,9 @@
 """TDMA baseline: exhaustive split search vs continuous oracle, saturation."""
 
 import math
+import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -402,3 +405,264 @@ def test_open_enclosures_still_pick_what_full_tables_pick(monkeypatch, d1):
     candidates = set(range(100, d1 + 1)) | set(range(300 - d1, 201))
     assert required_sinr.cache_info().misses == len(candidates)
     required_sinr.cache_clear()
+
+
+def _key(s1, s2):
+    """The memo's key for the window of (s1, s2)."""
+    lo, hi = tdma._window(s1, s2)
+    return s1.payload_bits, s1.error_target, s2.payload_bits, s2.error_target, s2.deadline, lo, hi
+
+
+def _memo_entry(s1, s2):
+    """The memo's entry for the window of (s1, s2), or None."""
+    memo = tdma._memo
+    return memo.entries.get(_key(s1, s2)) if memo.generation == fbl._generation[0] else None
+
+
+def _warm(s1, s2):
+    """Mark both keys' rows, as a first solve does, and read the window of
+    (s1, s2) until the memo holds it: a read that grows a row keeps
+    nothing.  Returns the entry, or None for a window without one."""
+    lo, hi = tdma._window(s1, s2)
+    if lo > hi:
+        return None
+    fbl._first_enclosure((s1, s2))
+    for _ in range(3):
+        splits = tdma._splits(s1, s2, lo, hi)
+        if isinstance(splits, InfeasibleReason) or _memo_entry(s1, s2) is not None:
+            break
+    return _memo_entry(s1, s2)
+
+
+def test_warm_pick_is_pick_over_full_tables():
+    # A later solve keeps the first least budget-free energy from the memo's
+    # products where the budget keeps it, and calls _pick otherwise: the
+    # outcome is that of _pick over full tables, bit for bit, on each branch.
+    reached = set()
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        g1=st.floats(-307.0, 6.0).map(lambda x: 10.0**x),
+        g2=st.floats(-307.0, 6.0).map(lambda x: 10.0**x),
+        p_max=st.floats(-8.0, 307.0).map(lambda x: 10.0**x),
+        bits=st.tuples(st.integers(1, 3000), st.integers(1, 3000)),
+        eps=st.tuples(*[st.floats(-12.0, math.log10(0.999)).map(lambda x: 10.0**x)] * 2),
+        m_hat=st.tuples(st.integers(1, 100), st.integers(1, 100)),
+        d1=st.integers(0, 300),
+        extra=st.integers(0, 300),
+        split=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+    )
+    # The budget-free pick kept.
+    @example(1e4, 4e4, 1.0, (160, 160), (1e-7, 1e-7), (100, 100), 100, 100, None)
+    # The budget rules out the budget-free pick; another split is allowed.
+    @example(0.9, 4.0, 1.6, (160, 160), (1e-7, 1e-7), (100, 100), 100, 100, None)
+    # No split within the budget.
+    @example(1.0, 4.0, 0.1, (160, 160), (1e-7, 1e-7), (100, 100), 100, 100, None)
+    # Every split energy overflows.
+    @example(1e-306, 2e-306, 1e307, (160, 160), (1e-7, 1e-7), (100, 100), 100, 100, None)
+    # The least energy is finite, but overflows in _outcome's order.
+    @example(
+        1.5550793498883595e-305, 1.8659474530217312e-306, 1e307,
+        (160, 160), (1e-7, 1e-7), (100, 100), 100, 100, None,
+    )
+    def check(g1, g2, p_max, bits, eps, m_hat, d1, extra, split):
+        s1 = UserSpec(bits[0], eps[0], m_hat[0] + d1, m_hat[0])
+        s2 = UserSpec(bits[1], eps[1], max(s1.deadline, m_hat[1]) + extra, m_hat[1])
+        lo, hi = tdma._window(s1, s2)
+        if split is not None and lo <= hi:
+            # A split, user 2's power there within a decade of user 1's, and
+            # the larger of the two as the budget: it binds at that split.
+            at, decades = split
+            m1 = lo + round(at * (hi - lo))
+            try:
+                p1 = required_sinr(s1, m1) / g1
+                gamma2 = required_sinr(s2, s2.deadline - m1)
+            except BracketError:
+                pass
+            else:
+                g2 = min(max(gamma2 / (p1 * 10.0**decades), 1e-307), 1e6)
+                p_max = min(max(p1, gamma2 / g2, 1e-8), 1e307)
+        ch, budget = ChannelPair(g1, g2), PowerBudget(p_max)
+        required_sinr.cache_clear()
+        want = _table_outcome(ch, s1, s2, budget)
+        entry = _warm(s1, s2)
+        if entry is None:  # an empty window, or a verdict for every channel
+            return
+        picks = []
+
+        def pick(*args):
+            picks.append(int(real(*args)))
+            return picks[-1]
+
+        real = tdma._pick
+        assert _enclosed(s1) and _enclosed(s2)  # not a first solve
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tdma, "_pick", pick)
+            got = solve_tdma(ch, s1, s2, budget)
+        assert _memo_entry(s1, s2) is entry
+        assert repr(got) == repr(want)
+        top1, top2 = entry.top
+        if not picks:
+            branch = "kept"
+        elif top1 / g1 + top2 / g2 < math.inf:
+            branch = "ruled out" if picks[-1] >= 0 else "none"
+        else:
+            branch = "may overflow" if picks[-1] >= 0 else "none"
+        if not got.feasible and (not picks or picks[-1] >= 0):
+            branch = "overflows in _outcome"
+        reached.add(branch)
+        required_sinr.cache_clear()
+
+    check()
+    assert reached >= {"kept", "ruled out", "none", "overflows in _outcome"}
+
+
+def test_cache_clear_empties_the_memo():
+    s1, s2 = spec(200), spec(300)
+    required_sinr.cache_clear()
+    entry = _warm(s1, s2)
+    assert entry is not None and tdma._memo.entries
+    required_sinr.cache_clear()
+    assert _memo_entry(s1, s2) is None
+    # The next read finds every root again, and keeps a new entry.
+    again = _warm(s1, s2)
+    assert required_sinr.cache_info().misses == 101  # m1 and m2 in 100..200
+    assert again is not entry and tdma._memo.entries == {_key(s1, s2): again}
+    required_sinr.cache_clear()
+
+
+def test_row_growth_and_eviction_empty_the_memo():
+    s1, s2 = spec(200), spec(300)
+    required_sinr.cache_clear()
+    assert _warm(s1, s2) is not None
+    # The key's row grows past m = 300: the memo's tables would view a
+    # row the store replaced.
+    required_sinr(s1, 1000)
+    assert _memo_entry(s1, s2) is None
+    # A window whose own tables grow a row is not kept either.
+    far = spec(1300)
+    assert not isinstance(tdma._splits(s1, far, *tdma._window(s1, far)), InfeasibleReason)
+    assert _key(s1, far) not in tdma._memo.entries
+    other = spec(600, error_target=1e-5)
+    fbl.required_sinr_table(other, 100, 600)
+    assert _warm(s1, s2) is not None
+    with pytest.MonkeyPatch.context() as patch:
+        # A store of 601 entries drops its oldest grown row, this key's,
+        # without growing any.
+        patch.setattr(fbl, "_ROW_BUDGET", 601)
+        fbl._row((other.payload_bits, other.error_target), 1)
+        assert list(fbl._SINR_ROWS) == [(other.payload_bits, other.error_target)]
+        assert _memo_entry(s1, s2) is None
+    required_sinr.cache_clear()
+
+
+def test_memo_holds_at_most_the_row_budget():
+    # Windows of 11 to 301 splits under a budget of 1200: the oldest go,
+    # the newest stay, and a window that reaches the budget is never kept.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fbl, "_ROW_BUDGET", 1200)
+        required_sinr.cache_clear()
+        s2 = spec(500)
+        windows = [(spec(d1), s2) for d1 in range(110, 401, 30)]
+        for s1, _ in windows:
+            assert _warm(s1, s2) is not None
+            memo = tdma._memo
+            held = sum(len(splits[0]) for splits in memo.entries.values())
+            assert memo.held == held <= 1200
+        assert len(memo.entries) < len(windows)
+        assert list(memo.entries)[-1] == _key(*windows[-1])
+        far = spec(1300)
+        assert _warm(spec(200), far) is None
+        required_sinr.cache_clear()
+
+
+def test_a_hit_counts_both_table_slices():
+    ch, s1, s2, budget = ChannelPair(1e4, 4e4), spec(200), spec(300), PowerBudget(1.0)
+    required_sinr.cache_clear()
+    want = solve_tdma(ch, s1, s2, budget)  # the key's first solve
+    entry = _warm(s1, s2)
+    before = required_sinr.cache_info()
+    assert repr(solve_tdma(ch, s1, s2, budget)) == repr(want)
+    after = required_sinr.cache_info()
+    assert after.hits == before.hits + 2 * len(entry[0]) == before.hits + 202
+    assert after.misses == before.misses
+    required_sinr.cache_clear()
+
+
+def test_warm_solves_under_threads():
+    # Three threads solve warm windows while a fourth grows and drops rows
+    # of other keys in a 1,500-entry store, switching every microsecond:
+    # nothing raises, every outcome is the one solved alone, and the memo
+    # stays within its budget.
+    budgets = [PowerBudget(p) for p in (0.1, 1.0, 10.0)]
+    instances = [
+        (ChannelPair(g1, g2), spec(d1), spec(300), budget)
+        for d1 in (120, 160, 200, 250)
+        for g1, g2 in ((1e4, 4e4), (0.9, 4.0), (3.0, 1.0))
+        for budget in budgets
+    ]
+    others = [spec(700, payload_bits=bits) for bits in (40, 80, 320)]
+    errors = []
+
+    def solve(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                i = rng.randrange(len(instances))
+                assert repr(solve_tdma(*instances[i])) == want[i]
+        except Exception as exc:  # raised again in the main thread
+            errors.append(exc)
+
+    def churn():
+        rng = random.Random(99)
+        try:
+            for _ in range(300):
+                other = rng.choice(others)
+                m = rng.randint(100, 690)
+                fbl.required_sinr_table(other, m, m + rng.randint(0, 10))
+        except Exception as exc:
+            errors.append(exc)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fbl, "_ROW_BUDGET", 1500)
+        required_sinr.cache_clear()
+        want = [repr(solve_tdma(*instance)) for instance in instances]
+        for _, s1, s2, _ in instances:
+            _warm(s1, s2)
+        generation = fbl._generation[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(seed,)) for seed in range(3)]
+            threads.append(threading.Thread(target=churn))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert fbl._generation[0] > generation  # rows did grow and go
+        memo = tdma._memo
+        assert memo.held == sum(len(splits[0]) for splits in memo.entries.values()) <= 1500
+        required_sinr.cache_clear()
+
+
+def test_windows_past_the_cap_are_refused_before_allocating():
+    s1 = spec(100 + tdma._WINDOW_CAP - 1)
+    s2 = spec(s1.deadline + 100)
+    assert tdma._window(s1, s2) == (100, 100 + tdma._WINDOW_CAP - 1)
+    huge = spec(2**53)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 524288 splits"):
+            solve_tdma(ChannelPair(1e4, 4e4), spec(2**53 - 100), huge, PowerBudget(1.0))
+        with pytest.raises(ValueError, match="splits"):
+            tdma._columns(spec(2**53 - 100), huge, np.ones(2), np.ones(2), [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError):
+        tdma._window(spec(100 + tdma._WINDOW_CAP), spec(2 * tdma._WINDOW_CAP))
