@@ -14,6 +14,7 @@ warm too.  Rounds are fixed so that the raw timings --benchmark-json
 stores stay small.
 """
 
+import numpy as np
 import pytest
 
 from noma_fbl import ExperimentConfig, cli, dbm_to_watts, run_trials
@@ -25,7 +26,7 @@ CFG = ExperimentConfig()
 BINDING = ExperimentConfig(
     seed=9, d1_grid=(100, 160, 220, 290), p_max_dbm_grid=(-5.0, 0.0, 5.0)
 )
-#: A d1 whose split window, m1 in [100, 200], is the widest of both grids.
+#: The d1 of the one-d1 NOMA benchmark.
 D1 = 200
 
 
@@ -40,22 +41,25 @@ def gains(batch):
 
 
 @pytest.mark.parametrize("cfg", [CFG, BINDING], ids=["default", "binding-budget"])
-def test_tdma_one_d1_column(benchmark, cfg):
-    # TDMA for one d1 at every budget of the grid, as run_trials runs it.
+def test_tdma_columns_every_window(benchmark, cfg):
+    # TDMA for every d1 at every budget of the grid: the run's one call.
     batch = run_trials(cfg)
-    s1, s2 = cfg.user1_spec(D1), cfg.user2_spec()
+    s1s = [cfg.user1_spec(d1) for d1 in cfg.d1_grid]
     p_maxes = [dbm_to_watts(p) for p in cfg.p_max_dbm_grid]
-    args = (s1, s2, batch.g1, batch.g2, p_maxes)
-    _, columns = benchmark.pedantic(_columns, args=args, rounds=200)
-    assert len(columns) == len(cfg.p_max_dbm_grid)
+    args = (s1s, cfg.user2_spec(), batch.g1, batch.g2, p_maxes)
+    windows = benchmark.pedantic(_columns, args=args, rounds=200)
+    assert all(len(columns) == len(p_maxes) for _, columns in windows.values())
 
 
-def test_noma_columns_one_cell(benchmark, gains):
+def test_noma_columns_one_d1(benchmark, gains):
+    # NOMA for one d1 at every budget of the grid, as run_trials runs it.
     g1, g2 = gains
     s1, s2 = CFG.user1_spec(D1), CFG.user2_spec()
-    args = (g1, g2, s1, s2, dbm_to_watts(30.0))
-    winner, _, _ = benchmark.pedantic(_noma_columns, args=args, rounds=200)
-    assert len(winner) == CFG.n_trials
+    p_maxes = np.array([dbm_to_watts(p) for p in CFG.p_max_dbm_grid])[:, None]
+    winner, _, _ = benchmark.pedantic(
+        _noma_columns, args=(g1, g2, s1, s2, p_maxes), rounds=200
+    )
+    assert winner.shape == (len(CFG.p_max_dbm_grid), CFG.n_trials)
 
 
 def test_aggregate(benchmark, batch):

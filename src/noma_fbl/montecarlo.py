@@ -24,13 +24,14 @@ average.
 
 Each cell is solved as array expressions over all the draws (the column
 forms in noma and tdma), with the scalar solvers' checks and arithmetic;
-noma's also relabels the users on a deadline tie, as solve_noma does.  TDMA
-reads d1 only through its split window (tdma._window), so tdma._columns
-solves every budget of a window at once, for all the cells that share it.
-A cell keeps compact per-trial columns (energies, winner and verdict
-codes, the chosen TDMA split), from which TrialBatch.records rebuilds any
-trial's outcomes on access, equal to solve_noma's and solve_tdma's; so
-every aggregate can be recomputed.
+noma's also relabels the users on a deadline tie, as solve_noma does.
+noma._noma_columns solves every budget of a d1 at once, and tdma._columns
+every budget of every d1: TDMA reads d1 only through its split window
+(tdma._window), and each window is a prefix of the widest, so one pass over
+the draws weighs them all.  A cell keeps compact per-trial columns
+(energies, winner and verdict codes, the chosen TDMA split), from which
+TrialBatch.records rebuilds any trial's outcomes on access, equal to
+solve_noma's and solve_tdma's; so every aggregate can be recomputed.
 """
 
 import math
@@ -63,9 +64,9 @@ __all__ = [
 DEFAULT_D1_GRID = tuple(range(100, 291, 10))
 
 #: The most trials x grid cells a run may solve.  At the cap, 100,000 trials
-#: on the default 60-cell grid took 1.6 s and 166 MB peak RSS; a run holds
-#: about 22 bytes per trial cell there, and about 110 bytes per trial on a
-#: one-cell grid, where the cap took 9.5 s and 660 MB (2-vCPU Xeon VM).
+#: on the default 60-cell grid took 0.8 s and 172 MB peak RSS; a run holds
+#: about 23 bytes per trial cell there, and about 104 bytes per trial on a
+#: one-cell grid, where the cap took 6.6 s and 661 MB (2-vCPU Xeon VM).
 _TRIAL_CELLS_CAP = 6_000_000
 
 
@@ -234,10 +235,14 @@ class CellRecords(Sequence):
 def _mean(values: np.ndarray) -> float:
     # Strictly left to right, so the output bits are the same on every
     # Python and numpy: np.sum adds pairwise, and sum() of floats adds with
-    # compensation from Python 3.12 on.
+    # compensation from Python 3.12 on.  Where the sum of finite values
+    # overflows (under _aggregate's errstate), the sum of value / n instead.
     if not len(values):
         return math.nan
-    return float(np.add.accumulate(values)[-1]) / len(values)
+    total = np.add.accumulate(values)[-1]
+    if np.isinf(total) and np.isfinite(values).all():
+        return float(np.add.accumulate(values / len(values))[-1])
+    return float(total) / len(values)
 
 
 @dataclass(frozen=True)
@@ -366,19 +371,20 @@ def run_trials(
     else:
         g1, g2 = np.array([(ch.g1, ch.g2) for ch in channels], dtype=float).T.copy()
 
-    s2 = cfg.user2_spec()
+    s1s, s2 = [cfg.user1_spec(d1) for d1 in cfg.d1_grid], cfg.user2_spec()
     p_maxes = [dbm_to_watts(p_max_dbm) for p_max_dbm in cfg.p_max_dbm_grid]
-    windows = {}  # tdma._columns per split window
+    windows = _columns(s1s, s2, g1, g2, p_maxes)
+    # Every budget of a d1 at once, in (budgets, n) columns.
+    budgets = np.array(p_maxes)[:, None]
+    nomas = [_noma_columns(g1, g2, s1, s2, budgets) for s1 in s1s]
     records: dict[tuple[int, float], CellRecords] = {}
-    for k, (p_max_dbm, p_max) in enumerate(zip(cfg.p_max_dbm_grid, p_maxes)):
-        for d1 in cfg.d1_grid:
-            s1 = cfg.user1_spec(d1)
-            window = _window(s1, s2)
-            if window not in windows:
-                windows[window] = _columns(s1, s2, g1, g2, p_maxes)
-            splits, tdma = windows[window]
-            noma = _noma_columns(g1, g2, s1, s2, p_max)
-            records[(d1, p_max_dbm)] = CellRecords(g1, g2, s1, s2, splits, noma, tdma[k])
+    for k, p_max_dbm in enumerate(cfg.p_max_dbm_grid):
+        for d1, s1, (winner, codes, energy) in zip(cfg.d1_grid, s1s, nomas):
+            splits, tdma = windows[_window(s1, s2)]
+            noma = winner[k], codes[:, k], energy[k]
+            records[(d1, p_max_dbm)] = CellRecords(
+                g1, g2, s1, s2, splits, noma, tdma[k]
+            )
 
     batch = TrialBatch(config=cfg, g1=g1, g2=g2, records=records)
     _aggregate(batch)
@@ -387,26 +393,28 @@ def run_trials(
 
 def _aggregate(batch: TrialBatch) -> None:
     cfg = batch.config
-    for p_max_dbm in cfg.p_max_dbm_grid:
-        cell_list = [batch.records[(d1, p_max_dbm)] for d1 in cfg.d1_grid]
-        both = [rs.noma_feasible & rs.tdma_feasible for rs in cell_list]
-        common = np.flatnonzero(np.logical_and.reduce(both))
-        batch.common_trials[p_max_dbm] = tuple(common.tolist())
-        for d1, rs, both_here in zip(cfg.d1_grid, cell_list, both):
-            noma_ok, tdma_ok = rs.noma_feasible, rs.tdma_feasible
-            batch.cells[(d1, p_max_dbm)] = CellStats(
-                d1=d1,
-                pmax_dbm=p_max_dbm,
-                n_trials=cfg.n_trials,
-                n_noma_feasible=int(np.count_nonzero(noma_ok)),
-                n_tdma_feasible=int(np.count_nonzero(tdma_ok)),
-                n_any_feasible=int(np.count_nonzero(noma_ok | tdma_ok)),
-                n_both_feasible=int(np.count_nonzero(both_here)),
-                n_common=len(common),
-                mean_energy_noma=_mean(rs.noma_energy[both_here]),
-                mean_energy_tdma=_mean(rs.tdma_energy[both_here]),
-                mean_energy_noma_scheme=_mean(rs.noma_energy[noma_ok]),
-                mean_energy_tdma_scheme=_mean(rs.tdma_energy[tdma_ok]),
-                mean_energy_noma_common=_mean(rs.noma_energy[common]),
-                mean_energy_tdma_common=_mean(rs.tdma_energy[common]),
-            )
+    # _mean's sums of huge finite energies may overflow.
+    with np.errstate(over="ignore"):
+        for p_max_dbm in cfg.p_max_dbm_grid:
+            cell_list = [batch.records[(d1, p_max_dbm)] for d1 in cfg.d1_grid]
+            both = [rs.noma_feasible & rs.tdma_feasible for rs in cell_list]
+            common = np.flatnonzero(np.logical_and.reduce(both))
+            batch.common_trials[p_max_dbm] = tuple(common.tolist())
+            for d1, rs, both_here in zip(cfg.d1_grid, cell_list, both):
+                noma_ok, tdma_ok = rs.noma_feasible, rs.tdma_feasible
+                batch.cells[(d1, p_max_dbm)] = CellStats(
+                    d1=d1,
+                    pmax_dbm=p_max_dbm,
+                    n_trials=cfg.n_trials,
+                    n_noma_feasible=int(np.count_nonzero(noma_ok)),
+                    n_tdma_feasible=int(np.count_nonzero(tdma_ok)),
+                    n_any_feasible=int(np.count_nonzero(noma_ok | tdma_ok)),
+                    n_both_feasible=int(np.count_nonzero(both_here)),
+                    n_common=len(common),
+                    mean_energy_noma=_mean(rs.noma_energy[both_here]),
+                    mean_energy_tdma=_mean(rs.tdma_energy[both_here]),
+                    mean_energy_noma_scheme=_mean(rs.noma_energy[noma_ok]),
+                    mean_energy_tdma_scheme=_mean(rs.tdma_energy[tdma_ok]),
+                    mean_energy_noma_common=_mean(rs.noma_energy[common]),
+                    mean_energy_tdma_common=_mean(rs.tdma_energy[common]),
+                )

@@ -25,18 +25,20 @@ decode, so it cancels codeword 1 first.  tin: codeword 2 may outlast D1, so
 neither receiver can cancel.  sic-rx1: both codewords are confined to D1, so
 receiver 1 (the stronger channel) cancels codeword 2 first.
 
-One kernel, _fold, runs every formulation from its row and _requirement:
-it passes on a verdict that needs no gains, or folds rate reachability, the
+One kernel, _fold, runs every formulation from its row and _requirement: it
+passes on a verdict that needs no gains, or folds rate reachability, the
 SINR-product wall and the budget into a verdict code and an energy, on one
 draw's floats or on columns of gains sharing one (s1, s2, budget), which is
-what a Monte-Carlo cell is.  Its one switch between the two is the
-where(mask, a, b) it is given: _FLOAT or _COLUMNS (np.where).  One rule,
-_winner, picks solve_noma's scheme: sic-rx2 when g1 <= g2, else the cheaper
-feasible of tin and sic-rx1.  solve_sic_rx2, solve_tin and solve_sic_rx1
-are the kernel on one draw behind their channel-order precondition;
-solve_noma and _noma_columns (deadline-tie relabel included) run it on the
-candidates and apply the rule, and _noma_outcome rebuilds a trial's outcome
-from its codes.
+what a Monte-Carlo cell is; under a column of budgets, a Monte-Carlo d1, it
+inverts the powers once for all of them, as they do not depend on the
+budget.  Its one switch between floats and columns is the where(mask, a, b)
+it is given: _FLOAT or _COLUMNS (np.where).  One rule, _winner, picks
+solve_noma's scheme: sic-rx2 when g1 <= g2, else the cheaper feasible of
+tin and sic-rx1.  solve_sic_rx2, solve_tin and solve_sic_rx1 are the kernel
+on one draw behind their channel-order precondition; solve_noma and
+_noma_columns (deadline-tie relabel included) run it on the candidates and
+apply the rule, and _noma_outcome rebuilds a trial's outcome from its
+codes.
 """
 
 import math
@@ -410,15 +412,23 @@ def solve_noma(
 
 
 def _noma_columns(
-    g1: np.ndarray, g2: np.ndarray, s1: UserSpec, s2: UserSpec, p_max: float
+    g1: np.ndarray,
+    g2: np.ndarray,
+    s1: UserSpec,
+    s2: UserSpec,
+    p_max: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """solve_noma over arrays of gains sharing one (s1, s2, p_max).
+    """solve_noma over arrays of gains sharing one (s1, s2), under the
+    budget p_max: a float, or a (budgets x 1) column of them.
 
     Returns, per trial, the index in _ROWS of the winning formulation (-1
     when none is feasible), every formulation's verdict code (shape
     (3, n)) and the winner's energy (NaN when none), all for the users as
-    order_by_deadline labels them.  A feasible trial's energy equals the
-    scalar one bit for bit: both are _fold's arithmetic.
+    order_by_deadline labels them; under a budget column each has a budget
+    axis before the trial axis, (budgets, n) and (3, budgets, n).  The
+    powers do not depend on the budget, so a column inverts them once for
+    all its budgets.  A feasible trial's energy equals the scalar one bit
+    for bit: both are _fold's arithmetic.
     """
     _require_deadline_order(s1, s2)
     if s1.deadline == s2.deadline:
@@ -429,14 +439,15 @@ def _noma_columns(
     # Tiny gains overflow the powers and energies, as the scalar arithmetic
     # does, and tin's product form divides by an underflowed g1*g2 where its
     # divided form then takes over; huge gains overflow p_max*g.
-    codes, energies = np.empty((3, len(g1)), np.int8), np.empty((3, len(g1)))
+    shape = np.broadcast_shapes(np.shape(p_max), g1.shape)
+    codes, energies = np.empty((3, *shape), np.int8), np.empty((3, *shape))
     with np.errstate(divide="ignore", over="ignore"):
         for k, need in enumerate(_requirements(s1, s2)):
             # A verdict that needs no gains is one value for the whole row.
             codes[k], energies[k], _ = _fold(_ROWS[k], need, g1, g2, p_max, _COLUMNS)
     winner = _winner(g1 <= g2, codes, energies, _COLUMNS).astype(np.int8)
-    energy = np.where(winner >= 0, energies[winner, np.arange(len(g1))], np.nan)
-    return winner, codes, energy
+    energy = np.take_along_axis(energies, winner[None], 0)[0]
+    return winner, codes, np.where(winner >= 0, energy, np.nan)
 
 
 def _noma_outcome(

@@ -27,11 +27,12 @@ instead of two full tables.  Every later solve reads the window's splits
 from _splits, a memo bounded by the store's budget and emptied whenever the
 store replaces or drops a row, and _pick_one takes the first least
 budget-free energy from the products the memo keeps, which the budget keeps
-or _pick replaces.  _columns, the column form for many draws sharing
-(s1, s2) under several budgets, reads the same memo, applies the same rule
-per budget (_kept), and is the one place that decides on which draws and
-budgets it runs.  A window of more than _WINDOW_CAP splits is refused
-before anything is allocated.
+or _pick replaces.  _columns, the column form for many draws under
+several budgets and several deadlines of user 1, reads the same memo,
+weighs the widest window once, since every narrower window is a prefix of
+it, applies the same rule per budget (_kept), and is the one place that
+decides on which windows, draws and budgets it runs.  A window of more than
+_WINDOW_CAP splits is refused before anything is allocated.
 """
 
 import numpy as np
@@ -317,54 +318,105 @@ def _enclosed_splits(
 
 
 def _columns(
-    s1: UserSpec, s2: UserSpec, g1: np.ndarray, g2: np.ndarray, p_maxes: list[float]
-) -> tuple[_Splits | InfeasibleReason, list[tuple[np.ndarray, np.ndarray]]]:
-    """solve_tdma's choice for arrays of gains under each budget of p_maxes:
-    the splits, and per budget each draw's split index (-1: none) and energy
-    (NaN for none).
+    s1s: list[UserSpec],
+    s2: UserSpec,
+    g1: np.ndarray,
+    g2: np.ndarray,
+    p_maxes: list[float],
+) -> dict[tuple[int, int], tuple[_Splits | InfeasibleReason, list]]:
+    """solve_tdma's choice for arrays of gains, for every user-1 spec of s1s
+    under each budget of p_maxes: by split window (_window), the window's
+    splits or verdict, and per budget each draw's split index (-1: none)
+    and energy (NaN for none).
 
-    A budget only rules splits out, so one budget-free pick serves every
-    budget: where the budget keeps a draw's budget-free split (_kept), it is
-    also the budget's pick and stays; every other draw is picked again under
-    the budget.  Both picks run _pick on (draws x 1) columns, in chunks of
-    draws that bound the (draws x splits) energy matrices.  The splits come
-    from the memo of _splits; a window past _WINDOW_CAP raises ValueError,
-    as in solve_tdma.
+    The specs of s1s may differ only in their deadlines (ValueError
+    otherwise), so every window starts at the same m1 and is a prefix of
+    the widest one, split i the same floats in every window that holds it.
+    One pass over the budget-free energies of the widest window that is not
+    a verdict, in chunks of draws that bound the (splits x draws) matrix,
+    walks the windows narrowest first: a window's pick is the first least
+    energy of its own segment of splits where that is strictly below the
+    pick of the window before, which makes it the first least energy of the
+    whole prefix, _pick's choice on the window.  A budget only rules splits
+    out, so these picks serve every budget: where the budget keeps a
+    window's budget-free split (_kept), it is also the budget's pick; every
+    draw that some window does not keep is picked again by the same pass
+    under the budget.  A window's tables raise BracketError when their
+    smallest m does, and user 2's grows as windows narrow, so the verdicts
+    are the widest windows'.  Each window gets its own entry of the memo of
+    _splits; one past _WINDOW_CAP raises ValueError, as in solve_tdma.
     """
-    _require_deadline_order(s1, s2)
-    m1_lo, m1_hi = _window(s1, s2)
-    splits = InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY
-    if m1_lo <= m1_hi:
-        splits = _splits(s1, s2, m1_lo, m1_hi)
-    n = len(g1)
-    if isinstance(splits, InfeasibleReason):
-        return splits, [(np.full(n, -1, np.int32), np.full(n, np.nan)) for _ in p_maxes]
-    m1, m2, gamma1, gamma2 = splits
+    for s1 in s1s:
+        _require_deadline_order(s1, s2)
+    if len({(s1.payload_bits, s1.error_target, s1.min_blocklength) for s1 in s1s}) > 1:
+        raise ValueError("the user-1 specs of _columns may differ only in their deadlines")
+    columns, decided, n = {}, [], len(g1)
+    for window in dict.fromkeys(_window(s1, s2) for s1 in s1s):
+        m1_lo, m1_hi = window
+        splits = InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY
+        if m1_lo <= m1_hi:
+            splits = _splits(s1s[0], s2, m1_lo, m1_hi)
+        if isinstance(splits, InfeasibleReason):
+            none = [(np.full(n, -1, np.int32), np.full(n, np.nan)) for _ in p_maxes]
+            columns[window] = splits, none
+        else:
+            columns[window] = splits, [None] * len(p_maxes)
+            decided.append(window)
+    if not decided:
+        return columns
+    decided.sort()
+    widest = columns[decided[-1]][0]
+    m1, m2, gamma1, gamma2 = widest
+    # The end of each window's segment of splits, narrowest first.
+    ends = [m1_hi - m1_lo + 1 for m1_lo, m1_hi in decided]
 
     def pick(g1, g2, p_max=None):
-        best = np.empty(len(g1), np.int32)
+        """By window, narrowest first, each draw's first least energy under
+        p_max, and its index (-1: none is finite)."""
+        best = np.full((len(ends), len(g1)), -1, np.int32)
+        least = np.full((len(ends), len(g1)), np.inf)
         step = max(1, _CHUNK_ELEMENTS // len(m1))
         for lo in range(0, len(g1), step):
             rows = slice(lo, lo + step)
-            best[rows] = _pick(splits, g1[rows, None], g2[rows, None], p_max)
-        return best
+            energy = _energies(
+                (m1[:, None], m2[:, None], gamma1[:, None], gamma2[:, None]),
+                g1[rows], g2[rows], p_max,
+            )
+            draws = np.arange(energy.shape[1])
+            at, index, value = 0, best[0, rows], least[0, rows]
+            for k, end in enumerate(ends):
+                segment = energy[at:end]
+                first = segment.argmin(axis=0)
+                low = segment[first, draws]
+                # Strictly below: a tie goes to the narrower window's split.
+                better = low < value
+                index = np.where(better, first + at, index)
+                value = np.where(better, low, value)
+                best[k, rows], least[k, rows], at = index, value, end
+        return best, least
 
-    free = pick(g1, g2)
-    # Each draw's budget-free split (the last split where there is none,
-    # whose energy is then inf: no budget keeps it).
-    _, _, gamma1_free, gamma2_free = at_free = tuple(column[free] for column in splits)
-    energy_free = _energies(at_free, g1, g2)
-    columns = []
-    for p_max in p_maxes:
-        with np.errstate(over="ignore"):  # huge gains overflow p_max * g
-            kept = _kept(energy_free, gamma1_free, gamma2_free, g1, g2, p_max)
-        rows = np.flatnonzero(~kept)
-        best = free.copy()
-        best[rows] = pick(g1[rows], g2[rows], p_max)
+    def reported(best, g1, g2):
+        """best, -1 where the energy _outcome reports overflows, and that
+        energy (NaN for none)."""
         chosen = np.maximum(best, 0)
         # Tiny gains overflow the energies.
         with np.errstate(over="ignore"):
-            energy = m1[chosen] * (gamma1[chosen] / g1) + m2[chosen] * (gamma2[chosen] / g2)
-        best[energy == np.inf] = -1  # as in _outcome
-        columns.append((best, np.where(best >= 0, energy, np.nan)))
-    return splits, columns
+            energy = m1[chosen] * (gamma1[chosen] / g1)
+            energy += m2[chosen] * (gamma2[chosen] / g2)
+        best = np.where(energy < np.inf, best, -1)
+        return best, np.where(best >= 0, energy, np.nan)
+
+    free, energy_free = pick(g1, g2)
+    free_reported = reported(free, g1, g2)
+    for k, p_max in enumerate(p_maxes):
+        # energy_free is inf where free is -1, so no budget keeps that split.
+        with np.errstate(over="ignore"):  # huge gains overflow p_max * g
+            kept = _kept(energy_free, gamma1[free], gamma2[free], g1, g2, p_max)
+        rows = np.flatnonzero(~kept.all(axis=0))
+        best, energy = (column.copy() for column in free_reported)
+        g1_rows, g2_rows = g1[rows], g2[rows]
+        again = pick(g1_rows, g2_rows, p_max)[0]
+        best[:, rows], energy[:, rows] = reported(again, g1_rows, g2_rows)
+        for window, best_here, energy_here in zip(decided, best, energy):
+            columns[window][1][k] = best_here, energy_here
+    return columns

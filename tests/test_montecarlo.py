@@ -311,10 +311,15 @@ class TestShapeSmoke:
 
 def _mean(values):
     # Left to right, as the engine adds; sum() of floats compensates from
-    # Python 3.12 on.
+    # Python 3.12 on.  Finite values whose sum overflows add divided first.
     total = 0.0
     for v in values:
         total += v
+    if math.isinf(total) and all(map(math.isfinite, values)):
+        total = 0.0
+        for v in values:
+            total += v / len(values)
+        return total
     return total / len(values) if values else math.nan
 
 
@@ -439,6 +444,17 @@ class TestBatchMatchesScalar:
         )
         outcomes = self.check(run_trials(cfg, channels=(ChannelPair(2e-307, 2e-307),)))
         assert outcomes[0][1].verdict == InfeasibleReason.POWER_BUDGET_EXCEEDED
+
+    def test_mean_of_finite_energies_past_half_the_float_range(self):
+        # Both TDMA energies are about 1.7e308: their sum overflows, and the
+        # cell means divide before they add instead.
+        g = 3.770866025993668e-306
+        cfg = ExperimentConfig(n_trials=2, d1_grid=(200,), d2=300, p_max_dbm_grid=(3100.0,))
+        batch = run_trials(cfg, channels=(ChannelPair(g, g),) * 2)
+        self.check(batch)
+        energy = batch.records[(200, 3100.0)].tdma_energy
+        assert energy[0] == energy[1] > np.finfo(float).max / 2
+        assert batch.cell(200, 3100.0).mean_energy_tdma_scheme == energy[0]
 
     def test_tin_denominator_underflow_matches_scalar(self):
         # g1*g2 underflows to 0 in tin's power inversion: the column form

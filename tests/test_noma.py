@@ -503,3 +503,35 @@ class TestMatchesReference:
                 assert energy[i] == want.energy
             else:
                 assert math.isnan(energy[i])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    gains=st.lists(
+        st.tuples(*[st.floats(-307.0, 6.0).map(lambda x: 10.0**x)] * 2), min_size=1, max_size=8
+    ),
+    pmax_dbms=st.lists(st.floats(-50.0, 3100.0), min_size=1, max_size=4),
+    bits=st.tuples(st.integers(1, 3000), st.integers(1, 3000)),
+    d1=st.integers(100, 600),
+    extra=st.integers(0, 400),
+)
+# A deadline tie: the weaker channel becomes user 1 in every draw.
+@example([(4e4, 1e4), (1e4, 4e4)], [20.0, 30.0], (160, 160), 200, 0)
+# tin's g1*g2 underflows: its divided form.
+@example([(3e-307, 2e-307), (1e-161, 1e-162)], [3100.0, 2500.0], (160, 160), 200, 300)
+# Energies past the float range: over budget.
+@example([(1e-306, 2e-306), (2e-307, 2e-307)], [3100.0, 30.0], (160, 160), 200, 300)
+def test_budget_column_is_each_budget_alone(gains, pmax_dbms, bits, d1, extra):
+    # Every budget of a column at once gives what a call per budget gives,
+    # bit for bit.
+    s1, s2 = spec(d1, payload_bits=bits[0]), spec(d1 + extra, payload_bits=bits[1])
+    g1, g2 = (np.array(column) for column in zip(*gains))
+    p_maxes = [dbm_to_watts(p) for p in pmax_dbms]
+    winner, codes, energy = _noma_columns(g1, g2, s1, s2, np.array(p_maxes)[:, None])
+    assert winner.shape == energy.shape == (len(p_maxes), len(g1))
+    assert codes.shape == (3, len(p_maxes), len(g1))
+    for k, p_max in enumerate(p_maxes):
+        alone = _noma_columns(g1, g2, s1, s2, p_max)
+        for column, want in zip((winner[k], codes[:, k], energy[k]), alone):
+            assert column.dtype == want.dtype
+            assert column.tobytes() == want.tobytes()

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -659,10 +660,114 @@ def test_windows_past_the_cap_are_refused_before_allocating():
         with pytest.raises(ValueError, match="more than 524288 splits"):
             solve_tdma(ChannelPair(1e4, 4e4), spec(2**53 - 100), huge, PowerBudget(1.0))
         with pytest.raises(ValueError, match="splits"):
-            tdma._columns(spec(2**53 - 100), huge, np.ones(2), np.ones(2), [1.0])
+            tdma._columns([spec(2**53 - 100)], huge, np.ones(2), np.ones(2), [1.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     with pytest.raises(ValueError):
         tdma._window(spec(100 + tdma._WINDOW_CAP), spec(2 * tdma._WINDOW_CAP))
+
+
+def _per_window(s1, s2, g1, g2, p_maxes):
+    """One window's splits and, per budget, each draw's split index and
+    energy, from tdma._pick on the window's own splits: budget-free, then
+    under the budget for the draws whose budget-free split it rules out;
+    the energy and an overflow to -1 as _outcome reports them."""
+    m1_lo, m1_hi = tdma._window(s1, s2)
+    none = (np.full(len(g1), -1), np.full(len(g1), np.nan))
+    if m1_lo > m1_hi:
+        return InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY, [none] * len(p_maxes)
+    splits = tdma._splits(s1, s2, m1_lo, m1_hi)
+    if isinstance(splits, InfeasibleReason):
+        return splits, [none] * len(p_maxes)
+    _, _, gamma1, gamma2 = splits
+    free = tdma._pick(splits, g1[:, None], g2[:, None])
+    columns = []
+    for p_max in p_maxes:
+        with np.errstate(over="ignore"):
+            allowed = (gamma1[free] <= p_max * g1) & (gamma2[free] <= p_max * g2)
+        again = tdma._pick(splits, g1[:, None], g2[:, None], p_max)
+        best = np.where((free >= 0) & allowed, free, again)
+        outcomes = [
+            tdma._outcome(splits, int(b), ChannelPair(float(a), float(c)))
+            for b, a, c in zip(best, g1, g2)
+        ]
+        energy = np.array([out.energy if out.feasible else np.nan for out in outcomes])
+        columns.append((np.where(np.isnan(energy), -1, best), energy))
+    return splits, columns
+
+
+_GAIN = st.one_of(st.floats(2.0, 6.0), st.floats(-307.0, 6.0)).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(
+    d2=st.integers(150, 400),
+    d1s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    bits2=st.sampled_from([160, 3000, 60000]),
+    gains=st.lists(st.tuples(_GAIN, _GAIN), min_size=1, max_size=8),
+    pmax_dbms=st.lists(st.floats(-5.0, 5.0) | st.floats(-50.0, 3100.0), min_size=1, max_size=3),
+    chunk=st.sampled_from([1, 7, 250, tdma._CHUNK_ELEMENTS]),
+    trap=st.none() | st.floats(0.0, 1.0),
+)
+# Windows m1 = 100..110 and 100..200: the narrow one's energies all
+# overflow on the first draw, while the wide one's splits past m1 = 150 stay
+# finite.
+@example(300, [0.05, 0.5], 160, [(1e4, 4e4)], [20.0], 1, 0.5)
+# Every window empty (d2 - 100 < 100).
+@example(190, [0.0, 1.0], 160, [(1e4, 4e4)], [20.0], 7, None)
+# User 2's smallest m2 of 100 is rate-unreachable at 60000 bits, of 200 not:
+# the wide windows are a verdict, the narrow ones are picked.
+@example(300, [0.0, 0.3, 1.0], 60000, [(1e4, 1e6), (1e6, 1e4)], [-5.0, 3100.0], 250, None)
+# Budgets that rule out budget-free splits and leave others, on several
+# windows, d1 >= d2 - 100 twice.
+@example(
+    300, [0.1, 0.4, 0.9, 1.0], 160,
+    [(2.1e4, 4.67e3), (5.36e3, 9.72e3), (4.02e3, 1.62e3), (9.38e3, 5.14e4), (2e2, 5e4)],
+    [-5.0, 0.0, 5.0], 7, None,
+)
+# The one split's energy is finite as _pick weighs it and overflows as
+# _outcome reports it: over budget.
+@example(
+    200, [0.0], 160, [(3.3957641274877783e-305, 2.4106225536608306e-306)], [3110.0], 1, None
+)
+def test_columns_of_every_window_are_the_pick_per_window(
+    d2, d1s, bits2, gains, pmax_dbms, chunk, trap
+):
+    # One pass over the widest window decides every window, draw by draw
+    # and budget by budget, as tdma._pick on each window alone does.
+    s1s = [spec(100 + round(x * (d2 - 100))) for x in d1s]
+    s2 = spec(d2, payload_bits=bits2)
+    g1, g2 = (np.array(column) for column in zip(*gains))
+    windows = [tdma._window(s1, s2) for s1 in s1s]
+    if trap is not None:
+        # The first draw's g1 puts the budget-free energies past the float
+        # range for the splits whose m1 * gamma1 exceeds that at a chosen
+        # split of the widest window.
+        m1_lo, m1_hi = max(windows, key=lambda w: w[1])
+        widest = m1_lo <= m1_hi and tdma._splits(s1s[0], s2, m1_lo, m1_hi)
+        if isinstance(widest, tdma._Splits):
+            a1 = widest.a1[round(trap * (len(widest.a1) - 1))]
+            g1[0], g2[0] = a1 / 1.79e308, 1e6
+    p_maxes = [dbm_to_watts(p) for p in pmax_dbms]
+    with mock.patch.object(tdma, "_CHUNK_ELEMENTS", chunk):
+        columns = tdma._columns(s1s, s2, g1, g2, p_maxes)
+    assert list(columns) == list(dict.fromkeys(windows))
+    for s1, window in zip(s1s, windows):
+        splits, per_budget = columns[window]
+        want_splits, want = _per_window(s1, s2, g1, g2, p_maxes)
+        if isinstance(want_splits, InfeasibleReason):
+            assert splits == want_splits
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(splits, want_splits))
+        for (best, energy), (want_best, want_energy) in zip(per_budget, want):
+            assert best.dtype == np.int32
+            assert np.array_equal(best, want_best)
+            assert energy.tobytes() == want_energy.tobytes()
+
+
+def test_columns_take_specs_that_differ_only_in_deadline():
+    s2 = spec(300)
+    with pytest.raises(ValueError, match="deadlines"):
+        tdma._columns([spec(150), spec(200, payload_bits=320)], s2, np.ones(2), np.ones(2), [1.0])
