@@ -1,8 +1,10 @@
 """Micro-benchmarks of the scalar solvers, one cached call at a time, of
 the split columns a TDMA solve on a filled store starts from
 (tdma._splits), of two warm TDMA solves off the paper's draws (a budget
-that rules out the budget-free split, and a 500-split window), and of one
-TDMA solve on an empty store.
+that rules out the budget-free split, and a 500-split window), of one
+TDMA solve on an empty store, of a later TDMA solve on a window whose
+tables the store does not keep, and of an in-process `noma-fbl sweep`
+over 20 values of d1 on an empty store.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks``; these files sit
 outside the test paths, so the tier-1 suite does not run them.
@@ -32,6 +34,7 @@ from noma_fbl import (
     solve_tdma,
     tdma,
 )
+from noma_fbl.cli import main
 from noma_fbl.montecarlo import draw_channel_batch
 
 CFG = ExperimentConfig()
@@ -74,10 +77,11 @@ def test_warm_splits(benchmark):
 
 
 def _warm_tdma(benchmark, args):
-    # Solved until the memo of the split window holds it: the key's first
-    # solve picks from enclosures, and the read that fills the tables keeps
-    # nothing.
-    for _ in range(3):
+    # Solved until the memo of the split window holds it: a window's first
+    # solve picks from enclosures and marks it, and the next fills the
+    # tables; a fill that grows a row keeps nothing and drops the mark, so
+    # the cycle may run twice.
+    for _ in range(4):
         out = solve_tdma(*args)
     benchmark.pedantic(solve_tdma, args=args, rounds=300, iterations=CALLS_PER_ROUND)
     assert repr(solve_tdma(*args)) == repr(out)
@@ -115,3 +119,39 @@ def test_cold_tdma_solve(benchmark):
         return args, {}
 
     benchmark.pedantic(solve_tdma, setup=cold, rounds=200)
+
+
+def test_later_tdma_solve_past_the_store(benchmark):
+    # D1 = 10**5 and D2 = 2 * 10**5: 99,901 splits, and m2 reaches 199,900,
+    # past the store's cap, so no solve keeps the window's tables.  The
+    # first solve is untimed; every timed one comes after it.
+    args = (
+        ChannelPair(1e4, 4e4),
+        UserSpec(160, 1e-7, 10**5),
+        UserSpec(160, 1e-7, 2 * 10**5),
+        PowerBudget(1.0),
+    )
+    required_sinr.cache_clear()
+    first = solve_tdma(*args)
+    assert first.feasible
+    got = benchmark.pedantic(solve_tdma, args=args, rounds=5)
+    assert repr(got) == repr(first)
+    required_sinr.cache_clear()
+
+
+def test_cli_sweep_far_deadlines(benchmark, tmp_path):
+    # `noma-fbl sweep --d1-grid 1000:20000:1000 --d2 20000`, in-process:
+    # 20 split windows of one key pair, the store emptied before each round.
+    out = tmp_path / "sweep.csv"
+    argv = [
+        "sweep", "--g1", "1e4", "--g2", "4e4", "--d2", "20000",
+        "--d1-grid", "1000:20000:1000", "--out", str(out),
+    ]
+
+    def cold():
+        required_sinr.cache_clear()
+        return (argv,), {}
+
+    benchmark.pedantic(main, setup=cold, rounds=10)
+    assert len(out.read_text().splitlines()) == 2 + 2 * 20
+    required_sinr.cache_clear()

@@ -19,6 +19,7 @@ from pathlib import Path
 from . import __version__
 from .fbl import UserSpec
 from .montecarlo import (
+    _TRIAL_CELLS_CAP,
     ENERGY_COLUMNS,
     FEASIBILITY_COLUMNS,
     ExperimentConfig,
@@ -53,13 +54,16 @@ def _fmt(x: float) -> str:
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
-    """Parse an inclusive start:stop:step integer grid specification."""
+    """Parse an inclusive start:stop:step integer grid specification, of at
+    most as many values as a Monte-Carlo run takes trial cells."""
     try:
         start, stop, step = (int(p) for p in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}") from None
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"need step > 0 and stop >= start in {text!r}")
+    if (stop - start) // step + 1 > _TRIAL_CELLS_CAP:
+        raise argparse.ArgumentTypeError(f"{text!r} has more than {_TRIAL_CELLS_CAP} values")
     return tuple(range(start, stop + 1, step))
 
 

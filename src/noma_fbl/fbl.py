@@ -22,18 +22,17 @@ so the root takes the bits of the whole loop from a few evaluations
 instead of some 30 to 60.
 
 One store keeps the roots: a row over integer m per (payload_bits,
-error_target) (_Row), of which a table is a slice.  It is bounded, the
-oldest grown rows going first; windows past that bound get arrays of their
-own.  Rows grow and go under a lock; reads take none.  Every row replaced
-or dropped, and every clear, moves a generation count, so that what keeps
-views of the rows (tdma's memo of split windows) can tell they may be gone.
+error_target), NaN where a root is not yet known, of which a table is a
+read-only slice whose unknown entries are found and written first (_fill).
+It is bounded, the oldest grown rows going first; windows past that bound
+get arrays of their own.  Rows grow and go under a lock; reads take none.
+Every row replaced or dropped, and every clear, moves a generation count,
+so that what keeps views of the rows (tdma's memo of split windows) can
+tell they may be gone.
 
-A key's first TDMA solve fills no table.  One numpy pass of the estimates
-and their certified windows, over entries of any payload and error target,
-encloses each root in [below, above] (_enclosures), with no bracket and no
-store; the solver finds exact roots only where those bounds leave its
-choice open.  Its rows are marked, and the mark alone sends the key's next
-solve to the tables, whatever the store holds (_first_enclosure).
+One numpy pass of the estimates and their certified windows, over entries
+of any payload and error target, encloses each root in [below, above]
+(_enclosures), with no bracket and no store.
 
 Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 (symbols) and may be real-valued, rates are bits per channel use.
@@ -274,7 +273,7 @@ def required_sinr(spec: UserSpec, m: float) -> float:
         m = int(m)
     key = spec.payload_bits, spec.error_target
     try:
-        gamma = _SINR_ROWS[key].gammas[m]
+        gamma = _SINR_ROWS[key][m]
     except (KeyError, IndexError, TypeError):  # no row, m past it, or not an int
         gamma = math.nan
     if gamma == gamma:  # not NaN: known
@@ -283,9 +282,9 @@ def required_sinr(spec: UserSpec, m: float) -> float:
     _sinr_counts[1] += 1
     if type(m) is not int or m >= _ROW_BUDGET:
         return _sinr_root(*key, m)
-    gammas = _SINR_ROWS.get(key, _EMPTY).gammas
+    gammas = _SINR_ROWS.get(key, ())
     if len(gammas) <= m:
-        gammas = _row(key, m + 1).gammas
+        gammas = _row(key, m + 1)
     gammas[m] = _sinr_root(*key, m)
     return gammas[m]
 
@@ -297,51 +296,39 @@ def _untrusted(spec: UserSpec, m: float) -> ValueError:
     )
 
 
-class _Row:
-    """The required SINRs of one key at m = 0, 1, ... (NaN: not yet known),
-    all known on [lo, hi], and table, a read-only numpy view of them.  Only
-    NaN entries are written, so no slice of table changes; growth is a copy.
-    enclosed: a solve has picked from enclosures of the key's roots
-    (_first_enclosure)."""
-
-    def __init__(
-        self, gammas: array, lo: float = math.inf, hi: int = -1, enclosed: bool = False
-    ):
-        self.gammas, self.lo, self.hi, self.enclosed = gammas, lo, hi, enclosed
-        self.table = np.frombuffer(gammas)
-        self.table.flags.writeable = False
-
-
-#: The store: rows by (payload_bits, error_target), oldest grown first, of
-#: at most _ROW_BUDGET entries (1 MiB of floats); _EMPTY is no row.  Its
-#: counts: entries read, computed and held.  _generation counts the rows
-#: replaced or dropped, and the clears: a view taken of the store while it
-#: holds is a view of rows the store still keeps.
-_SINR_ROWS: dict[tuple, _Row] = {}
+#: The store: rows by (payload_bits, error_target), the required SINRs of
+#: m = 0, 1, ... (NaN: not yet known), oldest grown first, of at most
+#: _ROW_BUDGET entries (1 MiB of floats).  Only NaN entries are written, so
+#: no table viewing a row changes; growth is a copy.  Its counts: entries
+#: read, computed and held.  _generation counts the rows replaced or
+#: dropped, and the clears: a view taken of the store while it holds is a
+#: view of rows the store still keeps.
+_SINR_ROWS: dict[tuple, array] = {}
 _ROW_BUDGET = 1 << 17
 _NAN = array("d", [math.nan])
 _sinr_counts = [0, 0, 0]
 _generation = [0]
-_EMPTY = _Row(_NAN[:0])
 _LOCK = threading.Lock()
+#: The table of an empty window.
+_EMPTY = np.frombuffer(_NAN[:0])
+_EMPTY.flags.writeable = False
 
 
-def _row(key: tuple, size: int) -> _Row:
+def _row(key: tuple, size: int) -> array:
     """key's row, grown to size (and by a quarter) if shorter and then the
     newest; then the oldest grown rows go, if need be."""
     with _LOCK:
-        row = _SINR_ROWS.get(key, _EMPTY)
-        held = len(row.gammas)
-        if held < size:  # the span before the entries: a fill may be under way
+        row = _SINR_ROWS.get(key, _NAN[:0])
+        held = len(row)
+        if held < size:
             gammas = _NAN * min(_ROW_BUDGET, max(size, held * 5 // 4))
-            gammas[:held] = row.gammas
-            row = _Row(gammas, row.lo, row.hi, row.enclosed)
+            gammas[:held] = row
             _SINR_ROWS.pop(key, None)
-            _SINR_ROWS[key] = row
-            _sinr_counts[2] += len(gammas) - held
+            _SINR_ROWS[key] = row = gammas
+            _sinr_counts[2] += len(row) - held
             _generation[0] += 1
         while _sinr_counts[2] > _ROW_BUDGET:
-            _sinr_counts[2] -= len(_SINR_ROWS.pop(next(iter(_SINR_ROWS))).gammas)
+            _sinr_counts[2] -= len(_SINR_ROWS.pop(next(iter(_SINR_ROWS))))
             _generation[0] += 1
     return row
 
@@ -571,35 +558,14 @@ def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:
     if m_lo < spec.min_blocklength:
         raise _untrusted(spec, m_lo)
     if m_lo > m_hi:
-        return _EMPTY.table
+        return _EMPTY
     key = spec.payload_bits, spec.error_target
     if m_hi >= _ROW_BUDGET:
         return _fill(key, m_lo, np.full(m_hi - m_lo + 1, math.nan))
-    row = _SINR_ROWS.get(key, _EMPTY)
-    if len(row.gammas) <= m_hi:
+    row = _SINR_ROWS.get(key, ())
+    if len(row) <= m_hi:
         row = _row(key, m_hi + 1)
-    if row.lo <= m_lo and m_hi <= row.hi:
-        _sinr_counts[0] += m_hi - m_lo + 1
-        return row.table[m_lo : m_hi + 1]
-    gammas = _fill(key, m_lo, np.frombuffer(row.gammas)[m_lo : m_hi + 1])
-    with _LOCK:  # a span that meets the window's grows over it
-        if row.lo > row.hi or (m_lo <= row.hi + 1 and row.lo <= m_hi + 1):
-            row.lo, row.hi = min(row.lo, m_lo), max(row.hi, m_hi)
-    return gammas
-
-
-def _first_enclosure(specs: tuple[UserSpec, ...]) -> bool:
-    """Whether a solve on the keys of specs is to pick from _enclosures:
-    when none of their rows is marked enclosed.  If so, marks them (a row of
-    one entry where there is none), so the next solve on any of them fills
-    tables.  A row grown meanwhile may lose the mark: that costs one more
-    such solve, which gives the same outcome."""
-    for spec in specs:
-        if _SINR_ROWS.get((spec.payload_bits, spec.error_target), _EMPTY).enclosed:
-            return False
-    for spec in specs:
-        _row((spec.payload_bits, spec.error_target), 1).enclosed = True
-    return True
+    return _fill(key, m_lo, np.frombuffer(row)[m_lo : m_hi + 1])
 
 
 def _fill(key: tuple, m_lo: int, gammas: np.ndarray) -> np.ndarray:

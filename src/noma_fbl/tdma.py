@@ -18,21 +18,22 @@ overflows a float is over any budget too.  _energies computes these
 energies, inf for a split over budget, and _pick makes this choice
 everywhere, for one draw or for arrays of draws.
 
-A key's first solve weighs only some splits: the SINRs of all splits are
-bounded in one numpy pass, and _pick weighs just the splits whose
-_energies at the lower bounds are finite and at most the least _energies
-at the upper bounds (_enclosed_splits).  Every other split costs more than
-one _pick may take, so the choice is the same, from a couple of exact roots
-instead of two full tables.  Every later solve reads the window's splits
-from _splits, a memo bounded by the store's budget and emptied whenever the
-store replaces or drops a row, and _pick_one takes the first least
-budget-free energy from the products the memo keeps, which the budget keeps
-or _pick replaces.  _columns, the column form for many draws under
-several budgets and several deadlines of user 1, reads the same memo,
-weighs the widest window once, since every narrower window is a prefix of
-it, applies the same rule per budget (_kept), and is the one place that
-decides on which windows, draws and budgets it runs.  A window of more than
-_WINDOW_CAP splits is refused before anything is allocated.
+solve_tdma takes its path by split window, from one lookup in the memo of
+_splits.  A window not seen picks from enclosures: one numpy pass bounds
+every SINR, and _pick weighs only the splits whose _energies at the lower
+bounds are finite and at most the least _energies at the upper bounds,
+which makes _pick's choice (_enclosed_splits).  The window is then marked
+seen (_SEEN), and its next solve fills its tables and memo entry.  Later
+solves read the memo: _pick_one takes the first least budget-free energy
+from its products where the budget keeps it, else _pick.  The memo, marks
+included, is bounded by the store's budget, emptied whenever the store
+replaces or drops a row, and keeps no window whose tables the store would
+not keep; such a window picks from enclosures on every solve.  _columns,
+the column form for many draws under several budgets and deadlines of
+user 1, reads the memo through _splits, weighs the widest window once (the
+narrower ones are its prefixes), applies the same rule per budget (_kept),
+and decides alone on which windows, draws and budgets it runs.  A window of
+more than _WINDOW_CAP splits is refused before anything is allocated.
 """
 
 import numpy as np
@@ -77,14 +78,17 @@ class _Splits(tuple):
 
 class _Memo:
     """_splits' entries by (N1, eps1, N2, eps2, D2, m1_lo, m1_hi), oldest
-    first, of held splits in all; valid while fbl._generation reads
-    generation."""
+    first: a window's _Splits, or _SEEN for a window marked seen, each
+    counting m1_hi - m1_lo + 1 of the held splits; valid while
+    fbl._generation reads generation."""
 
     def __init__(self, generation: int):
         self.generation, self.entries, self.held = generation, {}, 0
 
 
 _memo = _Memo(-1)
+#: The memo's mark of a window solved once from enclosures.
+_SEEN = object()
 
 
 def _window(s1: UserSpec, s2: UserSpec) -> tuple[int, int]:
@@ -109,18 +113,17 @@ def _splits(
     that never change, so an entry serves until the store replaces or drops
     a row (fbl._generation moves) and the memo empties itself, never viewing
     a row the store no longer keeps.  A hit counts the hits its two table
-    slices would.  The memo holds at most fbl._ROW_BUDGET splits, the
-    oldest entries going first, and no window that reaches it; entries go
-    in under fbl._LOCK, lookups take no lock.  A verdict is not kept.
+    slices would; a mark (_SEEN) is a miss.  The memo holds at most
+    fbl._ROW_BUDGET splits, the oldest entries going first, and no window
+    that reaches it; entries go in under fbl._LOCK, lookups take no lock.
+    A verdict is not kept.
     """
     d2 = s2.deadline
-    key = s1.payload_bits, s1.error_target, s2.payload_bits, s2.error_target, d2, m1_lo, m1_hi
-    memo, generation = _memo, fbl._generation[0]
-    if memo.generation == generation:
-        splits = memo.entries.get(key)
-        if splits is not None:
-            fbl._sinr_counts[0] += 2 * len(splits[0])
-            return splits
+    key = _key(s1, s2, m1_lo, m1_hi)
+    generation = fbl._generation[0]
+    splits = _lookup(key, generation)
+    if isinstance(splits, _Splits):
+        return splits
     try:
         gamma1 = required_sinr_table(s1, m1_lo, m1_hi)
         gamma2 = required_sinr_table(s2, d2 - m1_hi, d2 - m1_lo)
@@ -129,15 +132,37 @@ def _splits(
     m1 = np.arange(m1_lo, m1_hi + 1)
     # gamma2 reversed so that index i matches m2 = d2 - m1[i]
     splits = _Splits(m1, d2 - m1, gamma1, gamma2[::-1])
-    if max(m1_hi, d2 - m1_lo) < fbl._ROW_BUDGET:
-        _remember(key, splits, generation)
+    _remember(key, splits, generation)
     return splits
 
 
-def _remember(key: tuple, splits: _Splits, generation: int) -> None:
-    """Keep splits, whose tables were read at generation, unless a row has
-    been replaced or dropped since; then the oldest entries go, if need be."""
+def _key(s1: UserSpec, s2: UserSpec, m1_lo: int, m1_hi: int) -> tuple:
+    """The memo's key of the window m1_lo..m1_hi of (s1, s2)."""
+    n1, eps1, n2, eps2 = s1.payload_bits, s1.error_target, s2.payload_bits, s2.error_target
+    return n1, eps1, n2, eps2, s2.deadline, m1_lo, m1_hi
+
+
+def _lookup(key: tuple, generation: int):
+    """The memo's entry under key while it is of generation, else None: a
+    _Splits, counting the hits its two table slices would, or _SEEN."""
+    memo = _memo
+    if memo.generation != generation:
+        return None
+    entry = memo.entries.get(key)
+    if entry is not None and entry is not _SEEN:
+        fbl._sinr_counts[0] += 2 * len(entry[0])
+    return entry
+
+
+def _remember(key: tuple, entry, generation: int) -> None:
+    """Keep entry (_SEEN, or splits whose tables were read at generation)
+    under key, replacing only a mark, unless a row has been replaced or
+    dropped since or the store would not keep the window's tables; then
+    the oldest entries go, if need be."""
     global _memo
+    _, _, _, _, d2, m1_lo, m1_hi = key
+    if max(m1_hi, d2 - m1_lo) >= fbl._ROW_BUDGET:
+        return
     with fbl._LOCK:
         if fbl._generation[0] != generation:
             return
@@ -145,10 +170,14 @@ def _remember(key: tuple, splits: _Splits, generation: int) -> None:
             _memo = _Memo(generation)
         entries = _memo.entries
         if key not in entries:
-            entries[key] = splits
-            _memo.held += len(splits[0])
+            entries[key] = entry
+            _memo.held += m1_hi - m1_lo + 1
             while _memo.held > fbl._ROW_BUDGET:
-                _memo.held -= len(entries.pop(next(iter(entries)))[0])
+                *_, lo, hi = oldest = next(iter(entries))
+                del entries[oldest]
+                _memo.held -= hi - lo + 1
+        elif entries[key] is _SEEN:
+            entries[key] = entry
 
 
 def _allows(gamma1, gamma2, g1, g2, p_max):
@@ -248,23 +277,23 @@ def solve_tdma(
     Of every integer m1 in [min_blocklength_1, min(D1, D2 -
     min_blocklength_2)], the lowest-energy split whose per-slot powers
     respect the budget (ties go to the smallest m1) and whose energy does
-    not overflow.  A key's first solve picks from the splits that
-    enclosures of their SINRs cannot rule out; every later one reads the
-    window from the memo of _splits (bounded by the store's budget, emptied
-    when the store replaces or drops a row) and keeps the first least
-    budget-free energy where the budget allows it, which is then the
-    budget's pick too (_kept), or picks again under the budget.  Requires
-    s1.deadline <= s2.deadline; callers order users first.  Raises
-    ValueError for a window of more than _WINDOW_CAP splits.
+    not overflow, by the module's per-window rule.  Requires s1.deadline <=
+    s2.deadline; callers order users first.  Raises ValueError for a window
+    of more than _WINDOW_CAP splits.
     """
     _require_deadline_order(s1, s2)
     m1_lo, m1_hi = _window(s1, s2)
     if m1_lo > m1_hi:
         return SolveOutcome(verdict=InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY)
     p_max = budget.p_max
-    splits, pick = _enclosed_splits(ch, s1, s2, m1_lo, m1_hi, p_max), _pick
-    if splits is None:  # not the key's first solve
-        splits, pick = _splits(s1, s2, m1_lo, m1_hi), _pick_one
+    key = _key(s1, s2, m1_lo, m1_hi)
+    splits, pick = _lookup(key, fbl._generation[0]), _pick_one
+    if splits is None:  # a window not seen
+        splits, pick = _enclosed_splits(ch, s1, s2, m1_lo, m1_hi, p_max), _pick
+        # Marked after the pick, whose roots may grow a row and drop a mark.
+        _remember(key, _SEEN, fbl._generation[0])
+    elif splits is _SEEN:
+        splits = _splits(s1, s2, m1_lo, m1_hi)
     best = -1
     if not isinstance(splits, InfeasibleReason):
         best = int(pick(splits, ch.g1, ch.g2, p_max))
@@ -273,10 +302,9 @@ def solve_tdma(
 
 def _enclosed_splits(
     ch: ChannelPair, s1: UserSpec, s2: UserSpec, m1_lo: int, m1_hi: int, p_max: float
-) -> tuple | InfeasibleReason | None:
-    """On a key's first solve (fbl._first_enclosure), the splits of the
-    non-empty window m1_lo..m1_hi that may be _pick's choice under p_max,
-    with their exact SINRs, or the verdict; None for _splits instead.
+) -> tuple | InfeasibleReason:
+    """The splits of the non-empty window m1_lo..m1_hi that may be _pick's
+    choice under p_max, with their exact SINRs, or the verdict.
 
     fbl._enclosures bounds every SINR of both windows in one numpy pass,
     below <= gamma <= above.  An energy never falls as gamma1 or gamma2
@@ -286,8 +314,6 @@ def _enclosed_splits(
     least energy at above, or is inf, costs more than a split _pick may
     take, so _pick on the rest makes _pick's choice.
     """
-    if not fbl._first_enclosure((s1, s2)):
-        return None
     d2 = s2.deadline
     m1 = np.arange(m1_lo, m1_hi + 1)
     m2 = d2 - m1

@@ -343,11 +343,29 @@ class TestPastTheCaps:
             ["solve", "--g1", "1e4", "--g2", "4e4", "--d1", str(2**53), "--d2", str(2**53)],
             # 6e17 trial cells on the default grid.
             ["montecarlo", "--trials", str(10**16)],
+            # d1 grids of 1e11 and 1e22 values: refused before they are built.
+            *(
+                [command, "--d1-grid", grid, *extra]
+                for command, extra in (
+                    ("sweep", ["--g1", "1e4", "--g2", "4e4", "--d2", "300"]),
+                    ("montecarlo", []),
+                )
+                for grid in ("100:100000000000:1", "99:10000000000000000000000:1")
+            ),
         ],
-        ids=["solve window", "montecarlo trials"],
+        ids=[
+            "solve window",
+            "montecarlo trials",
+            "sweep grid 1e11",
+            "sweep grid 1e22",
+            "montecarlo grid 1e11",
+            "montecarlo grid 1e22",
+        ],
     )
     def test_exits_one(self, argv, tmp_path, capsys):
         out = ["--out-dir", str(tmp_path / "mc")] if argv[0] == "montecarlo" else []
+        if argv[0] == "sweep":
+            out = ["--out", str(tmp_path / "sweep.csv")]
         code, stdout, err = run_cli(capsys, *argv, *out)
         assert code == 1
         assert "error:" in err and "Traceback" not in err

@@ -583,7 +583,7 @@ def test_row_store_under_threads():
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
-        held = sum(len(row.gammas) for row in fbl._SINR_ROWS.values())
+        held = sum(len(row) for row in fbl._SINR_ROWS.values())
         assert required_sinr.cache_info().currsize == held <= 600
     _cold_memos()
 
@@ -636,32 +636,40 @@ def test_warm_reads_take_no_lock(monkeypatch):
     _cold_memos()
 
 
-def test_row_spans_grow_one_window_at_a_time(monkeypatch):
+def test_concurrent_fills_of_one_row_keep_their_bits(monkeypatch):
     # One thread fills 100..200 of a row while another fills 500..600 of
-    # it: however the two span updates interleave, the row claims only
-    # entries that are known.  The second thread starts from inside the
-    # first's span update (its min) and gets 0.2 s to run there.
+    # it, started from inside the first fill's first root and given 0.2 s
+    # to run there: both tables, every entry the row then knows, and a
+    # later table between the two keep the bits of the roots found alone.
     spec = _STORE_SPECS[2]
+    key = spec.payload_bits, spec.error_target
+    want = {m: _root(key, m) for m in range(1, 701)}
     _cold_memos()
     required_sinr(spec, 700)  # the row's entries reach past both windows
-    other = threading.Thread(target=required_sinr_table, args=(spec, 500, 600))
+    tables = {}
 
-    def interleaving_min(*args):
-        if 100 in args and other.ident is None:
+    def fill(lo):
+        tables[lo] = required_sinr_table(spec, lo, lo + 100)
+
+    other = threading.Thread(target=fill, args=(500,))
+
+    def interleaving_root(*args):
+        if other.ident is None:
             other.start()
             other.join(timeout=0.2)
-        return min(*args)
+        return root(*args)
 
-    monkeypatch.setattr(fbl, "min", interleaving_min, raising=False)
-    required_sinr_table(spec, 100, 200)
+    root = fbl._sinr_root
+    monkeypatch.setattr(fbl, "_sinr_root", interleaving_root)
+    fill(100)
     other.join(timeout=60)
     assert other.ident is not None and not other.is_alive()
-    row = fbl._SINR_ROWS[spec.payload_bits, spec.error_target]
-    assert not np.isnan(row.table[row.lo : row.hi + 1]).any()
-    key = spec.payload_bits, spec.error_target
-    want = np.array([_root(key, m) for m in range(250, 301)])
-    got = required_sinr_table(spec, 250, 300)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    tables[250] = required_sinr_table(spec, 250, 350)
+    for lo, table in tables.items():
+        assert table.tolist() == [want[m] for m in range(lo, lo + 101)]
+    row = fbl._SINR_ROWS[key]
+    known = [m for m in range(1, 701) if row[m] == row[m]]
+    assert len(known) >= 3 * 101 and all(row[m] == want[m] for m in known)
     _cold_memos()
 
 

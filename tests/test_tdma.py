@@ -250,7 +250,7 @@ def test_matches_integer_oracle_in_the_monotone_regime(d1):
 @pytest.mark.xfail(
     strict=True,
     reason="outside the energy-monotone regime m2 = D2 - m1 is not optimal "
-    "(ROADMAP open item 3)",
+    "(ROADMAP open item 11)",
 )
 def test_matches_integer_oracle_outside_the_monotone_regime():
     # m * required_sinr(m) rises with m here: solve_tdma returns 91.468 at
@@ -275,9 +275,16 @@ def _table_outcome(ch, s1, s2, budget):
     return tdma._outcome(splits, best, ch)
 
 
-def _enclosed(spec):
-    row = fbl._SINR_ROWS.get((spec.payload_bits, spec.error_target), fbl._EMPTY)
-    return row.enclosed
+def _key(s1, s2):
+    """The memo's key for the window of (s1, s2)."""
+    return tdma._key(s1, s2, *tdma._window(s1, s2))
+
+
+def _memo_entry(s1, s2):
+    """The memo's entry for the window of (s1, s2): its splits, the mark
+    tdma._SEEN, or None."""
+    memo = tdma._memo
+    return memo.entries.get(_key(s1, s2)) if memo.generation == fbl._generation[0] else None
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -309,7 +316,9 @@ def test_first_solve_picks_what_full_tables_pick(
     g1, g2, p_max, bits, eps, m_hat, d1, extra, split
 ):
     # On a fresh store, solve_tdma picks from enclosures of the SINRs
-    # wherever the window is not empty: the outcome is _pick's over full
+    # wherever the window is not empty and marks the window seen; the next
+    # solve fills the tables, and the one after reads the memo.  Each
+    # outcome, the window seen 0, 1 and 2 times, is _pick's over full
     # tables, bit for bit.
     s1 = UserSpec(bits[0], eps[0], m_hat[0] + d1, m_hat[0])
     s2 = UserSpec(bits[1], eps[1], max(s1.deadline, m_hat[1]) + extra, m_hat[1])
@@ -329,9 +338,10 @@ def test_first_solve_picks_what_full_tables_pick(
             p_max = min(max(p1, gamma2 / g2, 1e-8), 1e307)
     ch, budget = ChannelPair(g1, g2), PowerBudget(p_max)
     required_sinr.cache_clear()
-    got = solve_tdma(ch, s1, s2, budget)
-    assert _enclosed(s1) == _enclosed(s2) == (lo <= hi)
-    assert repr(got) == repr(_table_outcome(ch, s1, s2, budget))
+    got = [repr(solve_tdma(ch, s1, s2, budget))]
+    assert (_memo_entry(s1, s2) is tdma._SEEN) == (lo <= hi)
+    got += [repr(solve_tdma(ch, s1, s2, budget)) for _ in range(2)]
+    assert got == [repr(_table_outcome(ch, s1, s2, budget))] * 3
     required_sinr.cache_clear()
 
 
@@ -351,11 +361,14 @@ def test_first_solve_picks_what_full_tables_pick(
     ],
 )
 def test_both_paths_give_one_outcome(ch, s1, s2, p_max):
-    # The first solve on a key picks from enclosures, finding the roots of
-    # at most two splits; the second fills the tables and picks over them.
+    # The first solve on a window picks from enclosures, finding the roots
+    # of at most two splits, and marks the window seen unless the store
+    # would not keep its tables; the second fills the tables and picks over
+    # them.
     required_sinr.cache_clear()
     first = solve_tdma(ch, s1, s2, PowerBudget(p_max))
-    assert _enclosed(s1) and _enclosed(s2)
+    marked = _memo_entry(s1, s2) is tdma._SEEN
+    assert marked == (s2.deadline < fbl._ROW_BUDGET)
     assert required_sinr.cache_info().misses <= 4
     hits = required_sinr.cache_info().hits
     second = solve_tdma(ch, s1, s2, PowerBudget(p_max))
@@ -367,23 +380,49 @@ def test_both_paths_give_one_outcome(ch, s1, s2, p_max):
     required_sinr.cache_clear()
 
 
-def test_first_solve_after_filled_tables_marks_its_rows():
-    # Monte-Carlo (_columns) may fill both split windows before a key's first
-    # solve_tdma.  That solve still picks from enclosures and marks both
-    # rows, whatever the store holds; the next one reads the tables and
-    # finds no new root.
+def test_solve_after_columns_filled_the_window_reads_the_memo():
+    # Monte-Carlo (_columns) may fill a split window before its first
+    # solve_tdma.  That solve reads the window from the memo: the outcome of
+    # full tables, and no new root.
     ch, s1, s2 = ChannelPair(0.9, 4.0), spec(200), spec(300, error_target=1e-6)
     budget = PowerBudget(1.6)
     required_sinr.cache_clear()
-    lo, hi = tdma._window(s1, s2)
-    tdma._splits(s1, s2, lo, hi)
-    assert not _enclosed(s1) and not _enclosed(s2)
-    first = solve_tdma(ch, s1, s2, budget)
-    assert _enclosed(s1) and _enclosed(s2)
-    assert repr(first) == repr(_table_outcome(ch, s1, s2, budget))
+    for _ in range(2):  # the first grows the rows, and keeps nothing
+        tdma._columns([s1], s2, np.array([ch.g1]), np.array([ch.g2]), [budget.p_max])
+    entry = _memo_entry(s1, s2)
+    assert isinstance(entry, tdma._Splits)
     misses = required_sinr.cache_info().misses
-    assert repr(solve_tdma(ch, s1, s2, budget)) == repr(first)
+    first = solve_tdma(ch, s1, s2, budget)
     assert required_sinr.cache_info().misses == misses
+    assert _memo_entry(s1, s2) is entry
+    assert repr(first) == repr(_table_outcome(ch, s1, s2, budget))
+    required_sinr.cache_clear()
+
+
+def test_windows_past_the_store_pick_from_enclosures_every_time(monkeypatch):
+    # Under a store of 600 entries, m2 = 700 - m1 reaches 600: the window's
+    # tables are never kept, so it is never marked, and every solve picks
+    # from enclosures, finding at most the roots of two splits, not a
+    # table's worth.
+    ch, s1, s2, budget = ChannelPair(0.9, 4.0), spec(200), spec(700), PowerBudget(1.6)
+    passes = []
+
+    def enclosures(*args):
+        passes.append(args)
+        return real(*args)
+
+    real = fbl._enclosures
+    monkeypatch.setattr(fbl, "_ROW_BUDGET", 600)
+    required_sinr.cache_clear()
+    want = repr(_table_outcome(ch, s1, s2, budget))
+    assert _memo_entry(s1, s2) is None
+    required_sinr.cache_clear()
+    monkeypatch.setattr(fbl, "_enclosures", enclosures)
+    for solves in range(1, 4):
+        misses = required_sinr.cache_info().misses
+        assert repr(solve_tdma(ch, s1, s2, budget)) == want
+        assert required_sinr.cache_info().misses - misses <= 4
+        assert len(passes) == solves and _memo_entry(s1, s2) is None
     required_sinr.cache_clear()
 
 
@@ -400,39 +439,28 @@ def test_open_enclosures_still_pick_what_full_tables_pick(monkeypatch, d1):
     monkeypatch.setattr(fbl, "_enclosures", nothing)
     required_sinr.cache_clear()
     assert repr(solve_tdma(ch, s1, s2, budget)) == repr(want)
-    row = fbl._SINR_ROWS[S160["payload_bits"], S160["error_target"]]
-    assert row.enclosed and row.lo > row.hi
+    assert _memo_entry(s1, s2) is tdma._SEEN
     # m1 in 100..d1 and m2 = 300 - m1 in 300 - d1..200
     candidates = set(range(100, d1 + 1)) | set(range(300 - d1, 201))
     assert required_sinr.cache_info().misses == len(candidates)
     required_sinr.cache_clear()
 
 
-def _key(s1, s2):
-    """The memo's key for the window of (s1, s2)."""
-    lo, hi = tdma._window(s1, s2)
-    return s1.payload_bits, s1.error_target, s2.payload_bits, s2.error_target, s2.deadline, lo, hi
-
-
-def _memo_entry(s1, s2):
-    """The memo's entry for the window of (s1, s2), or None."""
-    memo = tdma._memo
-    return memo.entries.get(_key(s1, s2)) if memo.generation == fbl._generation[0] else None
-
-
 def _warm(s1, s2):
-    """Mark both keys' rows, as a first solve does, and read the window of
-    (s1, s2) until the memo holds it: a read that grows a row keeps
-    nothing.  Returns the entry, or None for a window without one."""
+    """Read the window of (s1, s2) until the memo holds its splits: a read
+    that grows a row keeps nothing.  Returns them, or None for a window
+    without any."""
     lo, hi = tdma._window(s1, s2)
     if lo > hi:
         return None
-    fbl._first_enclosure((s1, s2))
     for _ in range(3):
         splits = tdma._splits(s1, s2, lo, hi)
-        if isinstance(splits, InfeasibleReason) or _memo_entry(s1, s2) is not None:
-            break
-    return _memo_entry(s1, s2)
+        entry = _memo_entry(s1, s2)
+        if isinstance(entry, tdma._Splits):
+            return entry
+        if isinstance(splits, InfeasibleReason):
+            return None
+    return None
 
 
 def test_warm_pick_is_pick_over_full_tables():
@@ -496,7 +524,7 @@ def test_warm_pick_is_pick_over_full_tables():
             return picks[-1]
 
         real = tdma._pick
-        assert _enclosed(s1) and _enclosed(s2)  # not a first solve
+        assert _memo_entry(s1, s2) is entry  # a memo hit, not a first solve
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tdma, "_pick", pick)
             got = solve_tdma(ch, s1, s2, budget)
@@ -645,8 +673,8 @@ def test_warm_solves_under_threads():
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
         assert fbl._generation[0] > generation  # rows did grow and go
-        memo = tdma._memo
-        assert memo.held == sum(len(splits[0]) for splits in memo.entries.values()) <= 1500
+        memo = tdma._memo  # splits and marks alike, by their windows
+        assert memo.held == sum(hi - lo + 1 for *_, lo, hi in memo.entries) <= 1500
         required_sinr.cache_clear()
 
 
