@@ -1,5 +1,7 @@
-"""Micro-benchmarks of the scalar solvers, one cached call at a time, of
-the split columns a TDMA solve on a filled store starts from
+"""Micro-benchmarks of the scalar solvers, one cached call at a time, of a
+warm solve_noma and solve_tdma pair on one instance (what perfbench's
+solve-warm times per instance), of building one Allocation and one
+SolveOutcome, of the split columns a TDMA solve on a filled store starts from
 (tdma._splits), of two warm TDMA solves off the paper's draws (a budget
 that rules out the budget-free split, and a 500-split window), of one
 TDMA solve on an empty store, of a later TDMA solve on a window whose
@@ -24,9 +26,12 @@ import numpy as np
 import pytest
 
 from noma_fbl import (
+    Allocation,
     ChannelPair,
     ExperimentConfig,
     PowerBudget,
+    Scheme,
+    SolveOutcome,
     UserSpec,
     dbm_to_watts,
     required_sinr,
@@ -64,6 +69,39 @@ def test_cached_solve_per_call(benchmark, solve):
     benchmark.pedantic(
         lambda: solve(*next(instances)), rounds=300, iterations=CALLS_PER_ROUND
     )
+
+
+def test_warm_pair(benchmark):
+    # Two passes leave every split window of the instances in the memo (a
+    # window's first solve marks it, the next fills its entry).
+    for _ in range(2):
+        reference = {i: (solve_noma(*args), solve_tdma(*args)) for i, args in enumerate(INSTANCES)}
+    instances = itertools.cycle(enumerate(INSTANCES))
+
+    def pair():
+        i, args = next(instances)
+        return i, (solve_noma(*args), solve_tdma(*args))
+
+    i, got = benchmark.pedantic(pair, rounds=300, iterations=CALLS_PER_ROUND)
+    assert got == reference[i]
+
+
+#: The fields of solve_tdma's allocation on the README's TDMA example.
+TDMA_FIELDS = (
+    188.0, 112.0, 1.557210507337004, 0.8354546517366543, 1.557210507337004,
+    3.3418186069466174, 386.326496373862, Scheme.TDMA,
+)
+
+
+def test_allocation_record(benchmark):
+    # Built positionally, as the solvers build it.
+    benchmark.pedantic(Allocation, args=TDMA_FIELDS, rounds=100, iterations=1000)
+
+
+def test_outcome_record(benchmark):
+    allocation = Allocation(*TDMA_FIELDS)
+    got = benchmark.pedantic(SolveOutcome, args=(allocation,), rounds=100, iterations=1000)
+    assert got.allocation is allocation
 
 
 def test_warm_splits(benchmark):

@@ -397,11 +397,12 @@ def _aggregate(batch: TrialBatch) -> None:
     with np.errstate(over="ignore"):
         for p_max_dbm in cfg.p_max_dbm_grid:
             cell_list = [batch.records[(d1, p_max_dbm)] for d1 in cfg.d1_grid]
-            both = [rs.noma_feasible & rs.tdma_feasible for rs in cell_list]
+            # Each cell's feasibility masks, computed once.
+            oks = [(rs.noma_feasible, rs.tdma_feasible) for rs in cell_list]
+            both = [noma_ok & tdma_ok for noma_ok, tdma_ok in oks]
             common = np.flatnonzero(np.logical_and.reduce(both))
             batch.common_trials[p_max_dbm] = tuple(common.tolist())
-            for d1, rs, both_here in zip(cfg.d1_grid, cell_list, both):
-                noma_ok, tdma_ok = rs.noma_feasible, rs.tdma_feasible
+            for d1, rs, (noma_ok, tdma_ok), both_here in zip(cfg.d1_grid, cell_list, oks, both):
                 batch.cells[(d1, p_max_dbm)] = CellStats(
                     d1=d1,
                     pmax_dbm=p_max_dbm,

@@ -280,11 +280,8 @@ def _allocation(row: _Formulation, s1: UserSpec, s2: UserSpec, run) -> Allocatio
         eps = (s1.error_target, s2.error_target)
         first, second = row.sic_stages
         sic_overall_error = overall_sic_error(eps[first], eps[second])
-    return Allocation(
-        m1=m1, m2=m2, p1=p1, p2=p2, gamma1=gamma1, gamma2=gamma2,
-        energy=m1 * p1 + m2 * p2, scheme=row.scheme,
-        sic_overall_error=sic_overall_error,
-    )
+    energy = m1 * p1 + m2 * p2
+    return Allocation(m1, m2, p1, p2, gamma1, gamma2, energy, row.scheme, sic_overall_error)
 
 
 def _solve(
@@ -380,11 +377,11 @@ def _outcome(winner, codes, runs, weak_first, s1, s2, relabeled) -> SolveOutcome
     first in budget/product/rate/window order."""
     if winner >= 0:
         allocation = _allocation(_ROWS[winner], s1, s2, runs[winner])
-        return SolveOutcome(allocation=allocation, relabeled=relabeled)
+        return SolveOutcome(allocation, None, None, relabeled)
     candidates = _CANDIDATES[weak_first]
     subs = tuple((_ROWS[k].scheme, _VERDICT_PRECEDENCE[codes[k]]) for k in candidates)
     verdict = _VERDICT_PRECEDENCE[min(codes[k] for k in candidates)]
-    return SolveOutcome(verdict=verdict, sub_verdicts=subs, relabeled=relabeled)
+    return SolveOutcome(None, verdict, subs, relabeled)
 
 
 def solve_noma(

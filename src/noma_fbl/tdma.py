@@ -36,6 +36,8 @@ and decides alone on which windows, draws and budgets it runs.  A window of
 more than _WINDOW_CAP splits is refused before anything is allocated.
 """
 
+import math
+
 import numpy as np
 
 from . import fbl
@@ -230,7 +232,7 @@ def _pick_one(splits: _Splits, g1: float, g2: float, p_max: float) -> int:
     energy overflows and the budget keeps it (_kept), else _pick."""
     top1, top2 = splits.top
     # Rounding is monotone: no energy overflows if this sum does not.
-    if top1 / g1 + top2 / g2 < np.inf:
+    if top1 / g1 + top2 / g2 < math.inf:
         energy = splits.a1 / g1 + splits.a2 / g2
         best = int(energy.argmin())
         _, _, gamma1, gamma2 = splits
@@ -248,25 +250,14 @@ def _outcome(splits, best: int, ch: ChannelPair) -> SolveOutcome:
         return SolveOutcome(verdict=splits)
     if best >= 0:
         m1, m2, gamma1, gamma2 = splits
-        m1, m2 = float(m1.item(best)), float(m2.item(best))
+        m1, m2 = float(m1[best]), float(m2[best])
         gamma1, gamma2 = gamma1.item(best), gamma2.item(best)
         p1 = gamma1 / ch.g1
         p2 = gamma2 / ch.g2
         energy = m1 * p1 + m2 * p2
-        if energy < np.inf:
-            return SolveOutcome(
-                allocation=Allocation(
-                    m1=m1,
-                    m2=m2,
-                    p1=p1,
-                    p2=p2,
-                    gamma1=gamma1,
-                    gamma2=gamma2,
-                    energy=energy,
-                    scheme=Scheme.TDMA,
-                )
-            )
-    return SolveOutcome(verdict=InfeasibleReason.POWER_BUDGET_EXCEEDED)
+        if energy < math.inf:
+            return SolveOutcome(Allocation(m1, m2, p1, p2, gamma1, gamma2, energy, Scheme.TDMA))
+    return SolveOutcome(None, InfeasibleReason.POWER_BUDGET_EXCEEDED)
 
 
 def solve_tdma(
@@ -287,16 +278,18 @@ def solve_tdma(
         return SolveOutcome(verdict=InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY)
     p_max = budget.p_max
     key = _key(s1, s2, m1_lo, m1_hi)
-    splits, pick = _lookup(key, fbl._generation[0]), _pick_one
+    splits = _lookup(key, fbl._generation[0])
     if splits is None:  # a window not seen
-        splits, pick = _enclosed_splits(ch, s1, s2, m1_lo, m1_hi, p_max), _pick
+        splits = _enclosed_splits(ch, s1, s2, m1_lo, m1_hi, p_max)
         # Marked after the pick, whose roots may grow a row and drop a mark.
         _remember(key, _SEEN, fbl._generation[0])
     elif splits is _SEEN:
         splits = _splits(s1, s2, m1_lo, m1_hi)
     best = -1
-    if not isinstance(splits, InfeasibleReason):
-        best = int(pick(splits, ch.g1, ch.g2, p_max))
+    if isinstance(splits, _Splits):  # the window's splits, from _splits
+        best = _pick_one(splits, ch.g1, ch.g2, p_max)
+    elif not isinstance(splits, InfeasibleReason):  # from enclosures
+        best = int(_pick(splits, ch.g1, ch.g2, p_max))
     return _outcome(splits, best, ch)
 
 

@@ -3,6 +3,7 @@
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Scheme(enum.Enum):
@@ -63,13 +64,16 @@ class PowerBudget:
             raise ValueError(f"p_max must be finite and positive, got {self.p_max}")
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """A feasible decision: blocklengths, powers, SINRs, and total energy.
 
     energy is stored as exactly m1*p1 + m2*p2.  sic_overall_error is the
     end-to-end error probability of the receiver that decodes behind an SIC
     stage (None for schemes without SIC).
+
+    An immutable record that is a tuple: it iterates over its fields in
+    order, compares equal to a plain tuple of the same values, and makes a
+    changed copy with _replace (not dataclasses.replace).
     """
 
     m1: float
@@ -83,24 +87,42 @@ class Allocation:
     sic_overall_error: float | None = None
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
-    """Either a feasible Allocation or a typed infeasibility verdict.
-
-    Exactly one of allocation / verdict is set.  sub_verdicts carries the
-    per-subproblem verdicts when a dispatcher tried several formulations and
-    all failed.  relabeled records that the solver swapped the two users to
-    enforce its deadline-ordering convention.
-    """
+class _Outcome(NamedTuple):
+    """SolveOutcome's fields, whose check SolveOutcome adds."""
 
     allocation: Allocation | None = None
     verdict: InfeasibleReason | None = None
     sub_verdicts: tuple[tuple[Scheme, InfeasibleReason], ...] | None = None
     relabeled: bool = False
 
-    def __post_init__(self):
-        if (self.allocation is None) == (self.verdict is None):
+
+class SolveOutcome(_Outcome):
+    """Either a feasible Allocation or a typed infeasibility verdict.
+
+    Exactly one of allocation / verdict is set (ValueError otherwise,
+    _replace included).  sub_verdicts carries the per-subproblem verdicts
+    when a dispatcher tried several formulations and all failed.  relabeled
+    records that the solver swapped the two users to enforce its
+    deadline-ordering convention.
+
+    A record that is a tuple, like Allocation: it iterates, compares equal
+    to a plain tuple of the same values, and makes a changed copy with
+    _replace (not dataclasses.replace).
+    """
+
+    __slots__ = ()
+
+    # _Outcome's fields and defaults, spelled out: the tuple is built here,
+    # without a second call through _Outcome.__new__, on every solve.
+    def __new__(cls, allocation=None, verdict=None, sub_verdicts=None, relabeled=False):
+        if (allocation is None) == (verdict is None):
             raise ValueError("exactly one of allocation/verdict must be set")
+        return tuple.__new__(cls, (allocation, verdict, sub_verdicts, relabeled))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s check.
+        return cls(*iterable)
 
     @property
     def feasible(self) -> bool:
@@ -111,4 +133,3 @@ class SolveOutcome:
         if self.allocation is None:
             raise ValueError(f"no allocation (verdict: {self.verdict})")
         return self.allocation.energy
-
