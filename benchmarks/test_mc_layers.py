@@ -10,7 +10,8 @@ also timed on a binding-budget grid (seed 9, budgets of -5, 0 and 5 dBm),
 where they rule out a large share and the re-pick under the budget does
 real work.  The SINR memo and tables are warm after the first round, as
 they are for every cell after the first in a run; `run_trials` is timed
-warm too.  Rounds are fixed so that the raw timings --benchmark-json
+warm too.  A consecutive grid (d1 = 100..1000 step 1, d2 = 1100) times
+`_columns` where every one of its 901 windows is a prefix of the widest.  Rounds are fixed so that the raw timings --benchmark-json
 stores stay small.
 """
 
@@ -49,6 +50,16 @@ def test_tdma_columns_every_window(benchmark, cfg):
     args = (s1s, cfg.user2_spec(), batch.g1, batch.g2, p_maxes)
     windows = benchmark.pedantic(_columns, args=args, rounds=200)
     assert all(len(columns) == len(p_maxes) for _, columns in windows.values())
+
+
+def test_tdma_columns_consecutive_grid(benchmark, gains):
+    # 901 windows m1 = 100..100 up to 100..1000 over the first 100 draws.
+    g1, g2 = (g[:100] for g in gains)
+    s1s = [CFG.user1_spec(d1) for d1 in range(100, 1001)]
+    s2 = ExperimentConfig(d2=1100).user2_spec()
+    p_maxes = [dbm_to_watts(p) for p in CFG.p_max_dbm_grid]
+    windows = benchmark.pedantic(_columns, args=(s1s, s2, g1, g2, p_maxes), rounds=20)
+    assert len(windows) == len(s1s)
 
 
 def test_noma_columns_one_d1(benchmark, gains):

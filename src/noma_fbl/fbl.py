@@ -26,9 +26,9 @@ error_target), NaN where a root is not yet known, of which a table is a
 read-only slice whose unknown entries are found and written first (_fill).
 It is bounded, the oldest grown rows going first; windows past that bound
 get arrays of their own.  Rows grow and go under a lock; reads take none.
-Every row replaced or dropped, and every clear, moves a generation count,
-so that what keeps views of the rows (tdma's memo of split windows) can
-tell they may be gone.
+A known root never changes, so what keeps copies of roots (tdma's memo of
+split windows) stays valid whatever the rows do; only a clear, which moves
+a count, empties it.
 
 One numpy pass of the estimates and their certified windows, over entries
 of any payload and error target, encloses each root in [below, above]
@@ -300,14 +300,12 @@ def _untrusted(spec: UserSpec, m: float) -> ValueError:
 #: m = 0, 1, ... (NaN: not yet known), oldest grown first, of at most
 #: _ROW_BUDGET entries (1 MiB of floats).  Only NaN entries are written, so
 #: no table viewing a row changes; growth is a copy.  Its counts: entries
-#: read, computed and held.  _generation counts the rows replaced or
-#: dropped, and the clears: a view taken of the store while it holds is a
-#: view of rows the store still keeps.
+#: read, computed and held.  _clears counts the clears.
 _SINR_ROWS: dict[tuple, array] = {}
 _ROW_BUDGET = 1 << 17
 _NAN = array("d", [math.nan])
 _sinr_counts = [0, 0, 0]
-_generation = [0]
+_clears = [0]
 _LOCK = threading.Lock()
 #: The table of an empty window.
 _EMPTY = np.frombuffer(_NAN[:0])
@@ -326,10 +324,8 @@ def _row(key: tuple, size: int) -> array:
             _SINR_ROWS.pop(key, None)
             _SINR_ROWS[key] = row = gammas
             _sinr_counts[2] += len(row) - held
-            _generation[0] += 1
         while _sinr_counts[2] > _ROW_BUDGET:
             _sinr_counts[2] -= len(_SINR_ROWS.pop(next(iter(_SINR_ROWS))))
-            _generation[0] += 1
     return row
 
 
@@ -337,7 +333,7 @@ def _sinr_cache_clear() -> None:
     with _LOCK:
         _SINR_ROWS.clear()
         _sinr_counts[:] = 0, 0, 0
-        _generation[0] += 1
+        _clears[0] += 1
 
 
 #: Work of the roots found since import: those whose window _certified

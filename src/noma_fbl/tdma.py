@@ -26,14 +26,14 @@ which makes _pick's choice (_enclosed_splits).  The window is then marked
 seen (_SEEN), and its next solve fills its tables and memo entry.  Later
 solves read the memo: _pick_one takes the first least budget-free energy
 from its products where the budget keeps it, else _pick.  The memo, marks
-included, is bounded by the store's budget, emptied whenever the store
-replaces or drops a row, and keeps no window whose tables the store would
-not keep; such a window picks from enclosures on every solve.  _columns,
-the column form for many draws under several budgets and deadlines of
-user 1, reads the memo through _splits, weighs the widest window once (the
-narrower ones are its prefixes), applies the same rule per budget (_kept),
-and decides alone on which windows, draws and budgets it runs.  A window of
-more than _WINDOW_CAP splits is refused before anything is allocated.
+included, owns copies of its SINRs, is bounded by the store's budget,
+empties only when the store is cleared, and keeps no window whose tables
+the store would not keep; such a window picks from enclosures on every
+solve.  _columns, the column form for many draws under several budgets and
+deadlines of user 1, reads the widest window through _splits (the narrower
+ones view its prefixes), weighs it once, applies the same rule per budget
+(_kept), and decides alone on which windows, draws and budgets it runs.  A
+window past _WINDOW_CAP splits is refused before anything is allocated.
 """
 
 import math
@@ -69,23 +69,26 @@ class _Splits(tuple):
     gamma2), m1 ascending with m2 = D2 - m1 and their required SINRs,
     index-aligned.  a1 = m1 * gamma1 and a2 = m2 * gamma2 are the first
     products _energies forms, so a1 / g1 + a2 / g2 are its budget-free
-    energies, bit for bit; top is (max a1, max a2) as floats."""
+    energies, bit for bit; top is (max a1, max a2) as floats.  Every array
+    is read-only: the memo hands the same ones to every caller."""
 
     def __new__(cls, m1, m2, gamma1, gamma2):
         splits = super().__new__(cls, (m1, m2, gamma1, gamma2))
         splits.a1, splits.a2 = m1 * gamma1, m2 * gamma2
         splits.top = float(splits.a1.max()), float(splits.a2.max())
+        for array in (*splits, splits.a1, splits.a2):
+            array.flags.writeable = False
         return splits
 
 
 class _Memo:
     """_splits' entries by (N1, eps1, N2, eps2, D2, m1_lo, m1_hi), oldest
     first: a window's _Splits, or _SEEN for a window marked seen, each
-    counting m1_hi - m1_lo + 1 of the held splits; valid while
-    fbl._generation reads generation."""
+    counting m1_hi - m1_lo + 1 of the held splits; valid while fbl._clears
+    reads clears, that is until the store is cleared."""
 
-    def __init__(self, generation: int):
-        self.generation, self.entries, self.held = generation, {}, 0
+    def __init__(self, clears: int):
+        self.clears, self.entries, self.held = clears, {}, 0
 
 
 _memo = _Memo(-1)
@@ -111,19 +114,17 @@ def _splits(
     """Every time split of the non-empty window m1_lo..m1_hi, or the verdict
     that rules out all of them whatever the channel.
 
-    The memo of every window: its tables are read-only slices of the store
-    that never change, so an entry serves until the store replaces or drops
-    a row (fbl._generation moves) and the memo empties itself, never viewing
-    a row the store no longer keeps.  A hit counts the hits its two table
-    slices would; a mark (_SEEN) is a miss.  The memo holds at most
-    fbl._ROW_BUDGET splits, the oldest entries going first, and no window
-    that reaches it; entries go in under fbl._LOCK, lookups take no lock.
-    A verdict is not kept.
+    The memo of every window: an entry holds copies of the window's two
+    table slices, user 2's reversed.  A known root never changes, so an
+    entry serves until the store is cleared (fbl._clears moves), whatever
+    its rows do.  A hit counts the hits its two table slices would; a mark
+    (_SEEN) is a miss.  The memo holds at most fbl._ROW_BUDGET splits, the
+    oldest entries going first, and no window that reaches it; entries go
+    in under fbl._LOCK, lookups take no lock.  A verdict is not kept.
     """
     d2 = s2.deadline
     key = _key(s1, s2, m1_lo, m1_hi)
-    generation = fbl._generation[0]
-    splits = _lookup(key, generation)
+    splits = _lookup(key)
     if isinstance(splits, _Splits):
         return splits
     try:
@@ -133,8 +134,8 @@ def _splits(
         return InfeasibleReason.RATE_UNREACHABLE
     m1 = np.arange(m1_lo, m1_hi + 1)
     # gamma2 reversed so that index i matches m2 = d2 - m1[i]
-    splits = _Splits(m1, d2 - m1, gamma1, gamma2[::-1])
-    _remember(key, splits, generation)
+    splits = _Splits(m1, d2 - m1, gamma1.copy(), gamma2[::-1].copy())
+    _remember(key, splits)
     return splits
 
 
@@ -144,11 +145,11 @@ def _key(s1: UserSpec, s2: UserSpec, m1_lo: int, m1_hi: int) -> tuple:
     return n1, eps1, n2, eps2, s2.deadline, m1_lo, m1_hi
 
 
-def _lookup(key: tuple, generation: int):
-    """The memo's entry under key while it is of generation, else None: a
-    _Splits, counting the hits its two table slices would, or _SEEN."""
+def _lookup(key: tuple):
+    """The memo's entry under key since the store's last clear, else None:
+    a _Splits, counting the hits its two table slices would, or _SEEN."""
     memo = _memo
-    if memo.generation != generation:
+    if memo.clears != fbl._clears[0]:
         return None
     entry = memo.entries.get(key)
     if entry is not None and entry is not _SEEN:
@@ -156,20 +157,17 @@ def _lookup(key: tuple, generation: int):
     return entry
 
 
-def _remember(key: tuple, entry, generation: int) -> None:
-    """Keep entry (_SEEN, or splits whose tables were read at generation)
-    under key, replacing only a mark, unless a row has been replaced or
-    dropped since or the store would not keep the window's tables; then
-    the oldest entries go, if need be."""
+def _remember(key: tuple, entry) -> None:
+    """Keep entry (_SEEN, or the window's splits) under key, replacing only
+    a mark, unless the store would not keep the window's tables; then the
+    oldest entries go, if need be."""
     global _memo
     _, _, _, _, d2, m1_lo, m1_hi = key
     if max(m1_hi, d2 - m1_lo) >= fbl._ROW_BUDGET:
         return
     with fbl._LOCK:
-        if fbl._generation[0] != generation:
-            return
-        if _memo.generation != generation:
-            _memo = _Memo(generation)
+        if _memo.clears != fbl._clears[0]:
+            _memo = _Memo(fbl._clears[0])
         entries = _memo.entries
         if key not in entries:
             entries[key] = entry
@@ -278,11 +276,10 @@ def solve_tdma(
         return SolveOutcome(verdict=InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY)
     p_max = budget.p_max
     key = _key(s1, s2, m1_lo, m1_hi)
-    splits = _lookup(key, fbl._generation[0])
+    splits = _lookup(key)
     if splits is None:  # a window not seen
         splits = _enclosed_splits(ch, s1, s2, m1_lo, m1_hi, p_max)
-        # Marked after the pick, whose roots may grow a row and drop a mark.
-        _remember(key, _SEEN, fbl._generation[0])
+        _remember(key, _SEEN)
     elif splits is _SEEN:
         splits = _splits(s1, s2, m1_lo, m1_hi)
     best = -1
@@ -342,7 +339,7 @@ def _columns(
     g1: np.ndarray,
     g2: np.ndarray,
     p_maxes: list[float],
-) -> dict[tuple[int, int], tuple[_Splits | InfeasibleReason, list]]:
+) -> dict[tuple[int, int], tuple[tuple | InfeasibleReason, list]]:
     """solve_tdma's choice for arrays of gains, for every user-1 spec of s1s
     under each budget of p_maxes: by split window (_window), the window's
     splits or verdict, and per budget each draw's split index (-1: none)
@@ -351,8 +348,13 @@ def _columns(
     The specs of s1s may differ only in their deadlines (ValueError
     otherwise), so every window starts at the same m1 and is a prefix of
     the widest one, split i the same floats in every window that holds it.
-    One pass over the budget-free energies of the widest window that is not
-    a verdict, in chunks of draws that bound the (splits x draws) matrix,
+    A window's tables raise BracketError when their smallest m does, and
+    user 2's grows as windows narrow, so the verdicts are the widest
+    windows': _splits reads the widest window, then the next narrower one
+    while it reads a verdict, and each window narrower than the first with
+    splits gets the tuple of its prefix views, so that a run holds memory
+    linear in the widest window.  One pass over the budget-free energies of
+    that window, in chunks of draws that bound the (splits x draws) matrix,
     walks the windows narrowest first: a window's pick is the first least
     energy of its own segment of splits where that is strictly below the
     pick of the window before, which makes it the first least energy of the
@@ -360,34 +362,36 @@ def _columns(
     out, so these picks serve every budget: where the budget keeps a
     window's budget-free split (_kept), it is also the budget's pick; every
     draw that some window does not keep is picked again by the same pass
-    under the budget.  A window's tables raise BracketError when their
-    smallest m does, and user 2's grows as windows narrow, so the verdicts
-    are the widest windows'.  Each window gets its own entry of the memo of
-    _splits; one past _WINDOW_CAP raises ValueError, as in solve_tdma.
+    under the budget.  A window past _WINDOW_CAP raises ValueError, as in
+    solve_tdma.
     """
     for s1 in s1s:
         _require_deadline_order(s1, s2)
     if len({(s1.payload_bits, s1.error_target, s1.min_blocklength) for s1 in s1s}) > 1:
         raise ValueError("the user-1 specs of _columns may differ only in their deadlines")
-    columns, decided, n = {}, [], len(g1)
-    for window in dict.fromkeys(_window(s1, s2) for s1 in s1s):
-        m1_lo, m1_hi = window
-        splits = InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY
-        if m1_lo <= m1_hi:
-            splits = _splits(s1s[0], s2, m1_lo, m1_hi)
-        if isinstance(splits, InfeasibleReason):
-            none = [(np.full(n, -1, np.int32), np.full(n, np.nan)) for _ in p_maxes]
-            columns[window] = splits, none
-        else:
-            columns[window] = splits, [None] * len(p_maxes)
-            decided.append(window)
-    if not decided:
-        return columns
-    decided.sort()
-    widest = columns[decided[-1]][0]
-    m1, m2, gamma1, gamma2 = widest
+    columns = dict.fromkeys(
+        (_window(s1, s2) for s1 in s1s), InfeasibleReason.BLOCKLENGTH_WINDOW_EMPTY
+    )
+    # The non-empty windows, narrowest first.
+    decided = sorted(window for window in columns if window[0] <= window[1])
+    while decided:
+        widest = columns[decided[-1]] = _splits(s1s[0], s2, *decided[-1])
+        if not isinstance(widest, InfeasibleReason):
+            break
+        decided.pop()
     # The end of each window's segment of splits, narrowest first.
     ends = [m1_hi - m1_lo + 1 for m1_lo, m1_hi in decided]
+    for window, end in zip(decided[:-1], ends):
+        columns[window] = tuple(array[:end] for array in widest)
+    n = len(g1)
+    for window, splits in columns.items():
+        none = isinstance(splits, InfeasibleReason)
+        columns[window] = splits, [
+            (np.full(n, -1, np.int32), np.full(n, np.nan)) if none else None for _ in p_maxes
+        ]
+    if not decided:
+        return columns
+    m1, m2, gamma1, gamma2 = widest
 
     def pick(g1, g2, p_max=None):
         """By window, narrowest first, each draw's first least energy under

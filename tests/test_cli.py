@@ -1,14 +1,19 @@
 """Command-line interface: flags, exit codes, file outputs, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shlex
+import tempfile
 import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noma_fbl import (
     ChannelPair,
@@ -370,6 +375,86 @@ class TestPastTheCaps:
         assert code == 1
         assert "error:" in err and "Traceback" not in err
         assert not stdout and not list(tmp_path.iterdir())
+
+
+#: Numbers at the int and float extremes, and non-numbers, as argv text.
+_EXTREMES = st.sampled_from(
+    [str(2**53 - 1), str(2**53), str(2**53 + 1), "5e-324", "1e308", "-1e308",
+     "nan", "inf", "-inf", "0", "-1", "1.5"]
+)
+
+
+@st.composite
+def _argv(draw, out):
+    """A command line of one subcommand: every value of its option's type,
+    and at most two of them (or one part of a grid) at an extreme, written
+    --flag=value so that argparse reads them as values."""
+
+    def number(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    def power(lo, hi):
+        return repr(10.0 ** draw(st.floats(lo, hi)))
+
+    def bits():
+        return str(round(10.0 ** draw(st.floats(0.0, 3.5))))
+
+    command = draw(st.sampled_from(["solve", "sweep", "montecarlo"]))
+    # Grids of at most four values.
+    start, step = draw(st.integers(100, 300)), draw(st.sampled_from([1, 10, 60]))
+    grid = [str(start), str(start + step * draw(st.integers(0, 3))), str(step)]
+    if command == "montecarlo":
+        options = {
+            "--trials": number(1, 3),
+            "--seed": number(0, 9),
+            "--d1-grid": grid,
+            "--d2": number(480, 600),
+            "--pmax-dbm-grid": [repr(draw(st.floats(-10.0, 40.0)))],
+        }
+    else:
+        g1, g2 = draw(st.sampled_from([("--g1", "--g2"), ("--h1", "--h2")]))
+        options = {
+            g1: power(-6.0, 6.0), g2: power(-6.0, 6.0),
+            "--n1-bits": bits(), "--n2-bits": bits(),
+            "--eps1": power(-12.0, -0.01), "--eps2": power(-12.0, -0.01),
+            "--d2": number(100, 400), "--pmax-dbm": repr(draw(st.floats(-50.0, 60.0))),
+            "--mhat": number(1, 120),
+        }
+        if command == "solve":
+            options["--d1"] = number(100, 400)
+        else:
+            options["--d1-grid"] = grid
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=2, unique=True)):
+        if isinstance(options[flag], list):
+            options[flag][draw(st.integers(0, len(options[flag]) - 1))] = draw(_EXTREMES)
+        else:
+            options[flag] = draw(_EXTREMES)
+    if command == "montecarlo":
+        options["--out-dir"] = str(out / "mc")
+    elif command == "sweep":
+        options["--out"] = str(out / "sweep.csv")
+    joined = {"--d1-grid": ":", "--pmax-dbm-grid": ","}
+    return [command] + [
+        f"{flag}={joined[flag].join(value) if flag in joined else value}"
+        for flag, value in options.items()
+    ]
+
+
+def test_every_command_line_ends_in_an_exit_code():
+    # Whatever numbers an accepted option takes, main returns 0, 1 or 2,
+    # and no exception (RuntimeWarnings included) leaves it.
+    with tempfile.TemporaryDirectory() as out:
+
+        @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+        @given(argv=_argv(Path(out)))
+        def check(argv):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+
+        check()
 
 
 class TestTopLevel:

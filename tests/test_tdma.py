@@ -26,7 +26,7 @@ from noma_fbl import (
     solve_tdma,
     tdma,
 )
-from noma_fbl import fbl
+from noma_fbl import cli, fbl
 
 from oracles import tdma_golden_section, tdma_integer_min_energy
 
@@ -203,7 +203,7 @@ class TestSolveTdma:
 )
 def test_splits_are_views_of_the_plain_ranges(s1, s2):
     # _splits builds m1 and m2 = D2 - m1 as plain integer ranges, index-aligned
-    # with their required SINRs, which are read-only views of the store.
+    # with their required SINRs, which are read-only copies of the store's.
     for _ in range(2):  # cold, then warm
         m1_lo, m1_hi = tdma._window(s1, s2)
         m1, m2, gamma1, gamma2 = tdma._splits(s1, s2, m1_lo, m1_hi)
@@ -284,7 +284,7 @@ def _memo_entry(s1, s2):
     """The memo's entry for the window of (s1, s2): its splits, the mark
     tdma._SEEN, or None."""
     memo = tdma._memo
-    return memo.entries.get(_key(s1, s2)) if memo.generation == fbl._generation[0] else None
+    return memo.entries.get(_key(s1, s2)) if memo.clears == fbl._clears[0] else None
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -387,8 +387,7 @@ def test_solve_after_columns_filled_the_window_reads_the_memo():
     ch, s1, s2 = ChannelPair(0.9, 4.0), spec(200), spec(300, error_target=1e-6)
     budget = PowerBudget(1.6)
     required_sinr.cache_clear()
-    for _ in range(2):  # the first grows the rows, and keeps nothing
-        tdma._columns([s1], s2, np.array([ch.g1]), np.array([ch.g2]), [budget.p_max])
+    tdma._columns([s1], s2, np.array([ch.g1]), np.array([ch.g2]), [budget.p_max])
     entry = _memo_entry(s1, s2)
     assert isinstance(entry, tdma._Splits)
     misses = required_sinr.cache_info().misses
@@ -396,6 +395,40 @@ def test_solve_after_columns_filled_the_window_reads_the_memo():
     assert required_sinr.cache_info().misses == misses
     assert _memo_entry(s1, s2) is entry
     assert repr(first) == repr(_table_outcome(ch, s1, s2, budget))
+    required_sinr.cache_clear()
+
+
+def test_solve_after_a_montecarlo_run_reads_the_memo(tmp_path):
+    # The default run grows and replaces rows of the store after _columns
+    # reads its widest window, m1 = 100..200; the memo still holds that
+    # window, so a later solve on it finds no root and picks no enclosures.
+    ch, s1, s2 = ChannelPair(0.9, 4.0), spec(200), spec(300)
+    budget = PowerBudget(1.6)
+    required_sinr.cache_clear()
+    assert cli.main(["montecarlo", "--out-dir", str(tmp_path)]) == 0
+    assert isinstance(_memo_entry(s1, s2), tdma._Splits)
+    misses = required_sinr.cache_info().misses
+    with mock.patch.object(fbl, "_enclosures", side_effect=AssertionError):
+        got = solve_tdma(ch, s1, s2, budget)
+    assert required_sinr.cache_info().misses == misses
+    assert repr(got) == repr(_table_outcome(ch, s1, s2, budget))
+    required_sinr.cache_clear()
+
+
+def test_columns_hold_memory_linear_in_the_widest_window():
+    # A consecutive grid of 2,901 windows, m1 = 100..100 up to 100..3000:
+    # the narrower windows view the widest one's arrays, so the run holds
+    # 2,901 splits, not the 4.2M of a set per window.
+    s1s, s2 = [spec(d1) for d1 in range(100, 3001)], spec(3100)
+    required_sinr.cache_clear()
+    tracemalloc.start()
+    try:
+        columns = tdma._columns(s1s, s2, np.array([1e4]), np.array([4e4]), [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(columns) == len(s1s)
+    assert peak < 16 << 20
     required_sinr.cache_clear()
 
 
@@ -447,20 +480,15 @@ def test_open_enclosures_still_pick_what_full_tables_pick(monkeypatch, d1):
 
 
 def _warm(s1, s2):
-    """Read the window of (s1, s2) until the memo holds its splits: a read
-    that grows a row keeps nothing.  Returns them, or None for a window
-    without any."""
+    """Read the window of (s1, s2) once, and return the splits the memo
+    then holds for it, or None: an empty window, a verdict for every
+    channel, or a window the memo does not keep."""
     lo, hi = tdma._window(s1, s2)
     if lo > hi:
         return None
-    for _ in range(3):
-        splits = tdma._splits(s1, s2, lo, hi)
-        entry = _memo_entry(s1, s2)
-        if isinstance(entry, tdma._Splits):
-            return entry
-        if isinstance(splits, InfeasibleReason):
-            return None
-    return None
+    tdma._splits(s1, s2, lo, hi)
+    entry = _memo_entry(s1, s2)
+    return entry if isinstance(entry, tdma._Splits) else None
 
 
 def test_warm_pick_is_pick_over_full_tables():
@@ -560,28 +588,39 @@ def test_cache_clear_empties_the_memo():
     required_sinr.cache_clear()
 
 
-def test_row_growth_and_eviction_empty_the_memo():
+def test_row_growth_and_eviction_keep_the_memo():
+    # The memo owns copies of its SINRs: rows of the store that grow or go
+    # leave its entry in place, bit for bit a fresh read of the tables.
     s1, s2 = spec(200), spec(300)
+    lo, hi = tdma._window(s1, s2)
+
+    def keeps(entry):
+        assert _memo_entry(s1, s2) is entry
+        gamma1 = fbl.required_sinr_table(s1, lo, hi)
+        gamma2 = fbl.required_sinr_table(s2, s2.deadline - hi, s2.deadline - lo)[::-1]
+        m1 = np.arange(lo, hi + 1)
+        for got, want in zip(entry, (m1, s2.deadline - m1, gamma1, gamma2)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     required_sinr.cache_clear()
-    assert _warm(s1, s2) is not None
-    # The key's row grows past m = 300: the memo's tables would view a
-    # row the store replaced.
-    required_sinr(s1, 1000)
-    assert _memo_entry(s1, s2) is None
-    # A window whose own tables grow a row is not kept either.
+    entry = _warm(s1, s2)
+    assert entry is not None
+    required_sinr(s1, 1000)  # the key's row grows past m = 300
+    keeps(entry)
+    # A window whose own tables grow a row is kept too.
     far = spec(1300)
-    assert not isinstance(tdma._splits(s1, far, *tdma._window(s1, far)), InfeasibleReason)
-    assert _key(s1, far) not in tdma._memo.entries
+    assert _warm(s1, far) is not None
+    keeps(entry)
     other = spec(600, error_target=1e-5)
     fbl.required_sinr_table(other, 100, 600)
-    assert _warm(s1, s2) is not None
     with pytest.MonkeyPatch.context() as patch:
         # A store of 601 entries drops its oldest grown row, this key's,
         # without growing any.
         patch.setattr(fbl, "_ROW_BUDGET", 601)
         fbl._row((other.payload_bits, other.error_target), 1)
         assert list(fbl._SINR_ROWS) == [(other.payload_bits, other.error_target)]
-        assert _memo_entry(s1, s2) is None
+        assert _memo_entry(s1, s2) is entry
+    keeps(entry)
     required_sinr.cache_clear()
 
 
@@ -621,8 +660,8 @@ def test_a_hit_counts_both_table_slices():
 def test_warm_solves_under_threads():
     # Three threads solve warm windows while a fourth grows and drops rows
     # of other keys in a 1,500-entry store, switching every microsecond:
-    # nothing raises, every outcome is the one solved alone, and the memo
-    # stays within its budget.
+    # nothing raises, every outcome is the one solved alone, the memo keeps
+    # every warm window, and it stays within its budget.
     budgets = [PowerBudget(p) for p in (0.1, 1.0, 10.0)]
     instances = [
         (ChannelPair(g1, g2), spec(d1), spec(300), budget)
@@ -631,7 +670,17 @@ def test_warm_solves_under_threads():
         for budget in budgets
     ]
     others = [spec(700, payload_bits=bits) for bits in (40, 80, 320)]
-    errors = []
+    errors, grown, dropped = [], [], []
+
+    def row(key, size):
+        # The store's rows, grown and dropped by each call.
+        held = dict(fbl._SINR_ROWS)
+        got = real_row(key, size)
+        grown.append(got is not held.get(key))
+        dropped.append(len(held.keys() - fbl._SINR_ROWS.keys()))
+        return got
+
+    real_row = fbl._row
 
     def solve(seed):
         rng = random.Random(seed)
@@ -658,7 +707,7 @@ def test_warm_solves_under_threads():
         want = [repr(solve_tdma(*instance)) for instance in instances]
         for _, s1, s2, _ in instances:
             _warm(s1, s2)
-        generation = fbl._generation[0]
+        patch.setattr(fbl, "_row", row)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -672,7 +721,8 @@ def test_warm_solves_under_threads():
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
-        assert fbl._generation[0] > generation  # rows did grow and go
+        assert any(grown) and any(dropped)
+        assert all(isinstance(_memo_entry(s1, s2), tdma._Splits) for _, s1, s2, _ in instances)
         memo = tdma._memo  # splits and marks alike, by their windows
         assert memo.held == sum(hi - lo + 1 for *_, lo, hi in memo.entries) <= 1500
         required_sinr.cache_clear()
