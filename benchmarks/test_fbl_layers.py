@@ -25,6 +25,11 @@ windows the store does not span do.  The 3000-bit rows are the huge-SINR
 end (about 2**30 at m = 100), where float spacing rather than the
 tolerance ends the bisection and the windows are widest: solve-cold's
 slowest instances.
+
+The enclosure pass (fbl._enclosures) is timed on the arguments a key's
+first solve_tdma passes it, captured from that solve: 2 x 2, 2 x 30 and
+2 x 300 entries.  A cold first solve_tdma on a two-split window times what
+the pass's fixed cost means for the shortest windows.
 """
 
 import math
@@ -34,11 +39,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import noma_fbl
-from noma_fbl import BracketError, UserSpec, q_inv, required_sinr, sinr_for_blocklength
+from noma_fbl import (
+    BracketError,
+    ChannelPair,
+    PowerBudget,
+    UserSpec,
+    fbl,
+    q_inv,
+    required_sinr,
+    sinr_for_blocklength,
+    solve_tdma,
+)
 from noma_fbl.fbl import required_sinr_table
 
 # A solve-cold-like user: 600 bits at eps 1e-5, windows from m = 100 up.
@@ -167,3 +184,53 @@ def test_warm_required_sinr_hit(benchmark, m):
 
 def test_warm_required_sinr_table_hit(benchmark):
     assert len(_warm(benchmark, required_sinr_table, SPEC, 100, 199)) == 100
+
+
+def _pass_args(splits):
+    """The arguments a first solve_tdma passes fbl._enclosures on a window
+    of the given number of splits: user 1 is SPEC with its deadline at
+    99 + splits, user 2 160 bits at eps 1e-7 with deadline 1000."""
+    passes = []
+    real = fbl._enclosures
+
+    def enclosures(*args):
+        passes.append(args)
+        return real(*args)
+
+    s1 = UserSpec(SPEC.payload_bits, SPEC.error_target, 99 + splits)
+    required_sinr.cache_clear()
+    with mock.patch.object(fbl, "_enclosures", enclosures):
+        solve_tdma(ChannelPair(1e4, 4e4), s1, UserSpec(160, 1e-7, 1000), PowerBudget(1.0))
+    required_sinr.cache_clear()
+    (args,) = passes
+    return args
+
+
+@pytest.mark.parametrize("splits", [2, 30, 300])
+def test_enclosure_pass(benchmark, splits):
+    # One numpy pass over both users' entries, 2 x splits of them, on the
+    # columns solve_tdma builds for it.
+    args = _pass_args(splits)
+    bounds = benchmark.pedantic(fbl._enclosures, args=args, rounds=200, iterations=5)
+    assert bounds.size == 2 * 2 * splits
+    assert np.isfinite(bounds).all()  # every entry certified
+
+
+def test_cold_first_tdma_solve_two_splits(benchmark):
+    # 600 bits at eps 1e-5 for both users, D1 = 101 and D2 = 300: m1 in
+    # [100, 101].  A first solve picks from enclosures on an empty store,
+    # emptied before each round.
+    args = (
+        ChannelPair(1e4, 4e4),
+        UserSpec(600, 1e-5, 101),
+        UserSpec(600, 1e-5, 300),
+        PowerBudget(1.0),
+    )
+    assert solve_tdma(*args).feasible
+
+    def cold():
+        required_sinr.cache_clear()
+        return args, {}
+
+    benchmark.pedantic(solve_tdma, setup=cold, rounds=200)
+    required_sinr.cache_clear()

@@ -32,7 +32,9 @@ a count, empties it.
 
 One numpy pass of the estimates and their certified windows, over entries
 of any payload and error target, encloses each root in [below, above]
-(_enclosures), with no bracket and no store.
+(_enclosures), with no bracket and no store.  It takes flat float columns,
+computes one Newton start where every error target lies on one side of 0.5,
+and evaluates the closed form once on the stacked ends of all the windows.
 
 Conventions: SINRs are linear (not dB), blocklengths are in channel uses
 (symbols) and may be real-valued, rates are bits per channel use.
@@ -423,14 +425,10 @@ _NEWTON_STEPS = 4
 #: the doubling tries, with room for a window below it.
 _T_CAP = math.log(4.0 * _BRACKET_TOP)
 
-#: The functions _window and _certain take from math for one root, and
-#: from numpy for the enclosure pass.
-_MATH = SimpleNamespace(
-    sqrt=math.sqrt, expm1=math.expm1, log2=math.log2, minimum=min, maximum=max
-)
-_NUMPY = SimpleNamespace(
-    sqrt=np.sqrt, expm1=np.expm1, log2=np.log2, minimum=np.minimum, maximum=np.maximum
-)
+#: The functions _window takes from math for one root, and from numpy for
+#: the enclosure pass; _certain tells the two apart by them.
+_MATH = SimpleNamespace(sqrt=math.sqrt, expm1=math.expm1, minimum=min, maximum=max)
+_NUMPY = SimpleNamespace(sqrt=np.sqrt, expm1=np.expm1, minimum=np.minimum, maximum=np.maximum)
 
 
 def _margin(gamma):
@@ -451,13 +449,17 @@ def _window(payload_bits, q, m, xp):
     form at the estimate, over its elasticity -d ln B / d ln gamma there:
     the blocklength at either end lies about 8 margins from m, which leaves
     _certain's 4 and the estimate's own error room.  With numpy, payload_bits
-    and q may vary per entry, and each entry takes the start of its q's sign.
+    and q may vary per entry, and each entry takes the start of its q's sign:
+    only that start is computed where every q has one sign (both users' eps
+    below 0.5, the common case), and both, chosen per entry, otherwise.
     """
     r = payload_bits / m
     c = q / xp.sqrt(m)
     s = xp.sqrt(2.0 * c * c + 4.0 * r / LN2)
     if isinstance(q, float):
         t = _start(r, c, s, q >= 0.0, xp)
+    elif (lowest := q.min()) >= 0.0 or q.max() < 0.0:  # one sign: one start
+        t = _start(r, c, s, lowest >= 0.0, xp)
     else:
         t = np.where(q >= 0.0, _start(r, c, s, True, xp), _start(r, c, s, False, xp))
     for _ in range(_NEWTON_STEPS):
@@ -505,10 +507,20 @@ def _certain(payload_bits, q, m, a, b, xp):
     bracket's width of [a, b].  The doubling stops at the first power of two
     p >= b at the latest (at 1 if b < 1), so that width is _SINR_STEP or at
     most the float spacing p * 2**-53 < b * 2**-52: at most w.
+
+    With numpy, the closed form and the bound on it are evaluated once on
+    the ends stacked as (a, b), each entry with the same operations.
     """
-    at_a = _blocklength(a, payload_bits, q, xp.log2, xp.sqrt)
-    at_b = _blocklength(b, payload_bits, q, xp.log2, xp.sqrt)
-    return at_a >= m * (1.0 + 4.0 * _margin(a)), at_b < m * (1.0 - 4.0 * _margin(b))
+    if xp is _MATH:
+        at_a = _blocklength(a, payload_bits, q)
+        at_b = _blocklength(b, payload_bits, q)
+        return at_a >= m * (1.0 + 4.0 * _margin(a)), at_b < m * (1.0 - 4.0 * _margin(b))
+    ends = np.array((a, b))
+    at = _blocklength(ends, payload_bits, q, np.log2, np.sqrt)
+    slack = 4.0 * _margin(ends)
+    np.negative(slack[1], out=slack[1])  # 1 + (-x) has the bits of 1 - x
+    limit = m * (1.0 + slack)
+    return at[0] >= limit[0], at[1] < limit[1]
 
 
 def _certified(payload_bits: int, q: float, m: float) -> tuple[float, float]:
@@ -522,10 +534,18 @@ def _certified(payload_bits: int, q: float, m: float) -> tuple[float, float]:
     return a if at_a else 0.0, b if at_b else math.inf
 
 
+#: The enclosure of an entry _certain leaves open: [0, inf].
+_OPEN = np.array((0.0, math.inf))
+
+
 def _enclosures(payload_bits, q, m):
     """Bounds below <= required_sinr <= above, stacked, for broadcast arrays
-    of payload_bits, q = q_inv(eps)/ln 2 and integer m, entry by entry, from
+    of payload_bits, q = q_inv(eps)/ln 2 and integral m, entry by entry, from
     one numpy pass of _window and _certain: no bracket, no finish, no store.
+    Each entry's bits do not depend on the layout; tdma passes flat float
+    columns of one length, the cheapest form for numpy (no broadcast, no
+    int-to-float conversion inside the pass).  On those the pass makes 125
+    ufunc calls: 56 of them are the Newton steps, 19 the stacked closed form.
 
     Where _certain holds, [a - w, b + w] with w = max(_SINR_STEP, b * 2**-52)
     (see _certain); rounding is monotone, so the float ends still enclose
@@ -539,8 +559,8 @@ def _enclosures(payload_bits, q, m):
         # NaN compares false: an estimate that failed is not certain.
         sure = at_a & at_b & (b <= _BRACKET_TOP)
         w = np.maximum(_SINR_STEP, b * 2.0**-52)
-        below = np.where(sure, np.maximum(a - w, 0.0), 0.0)
-        return np.stack((below, np.where(sure, b + w, math.inf)))
+        bounds = np.array((np.maximum(a - w, 0.0), b + w))
+        return np.where(sure, bounds, _OPEN.reshape((2,) + (1,) * sure.ndim))
 
 
 def required_sinr_table(spec: UserSpec, m_lo: int, m_hi: int) -> np.ndarray:

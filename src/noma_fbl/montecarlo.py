@@ -68,6 +68,11 @@ DEFAULT_D1_GRID = tuple(range(100, 291, 10))
 #: about 23 bytes per trial cell there, and about 104 bytes per trial on a
 #: one-cell grid, where the cap took 6.6 s and 661 MB (2-vCPU Xeon VM).
 _TRIAL_CELLS_CAP = 6_000_000
+#: The most grid cells (d1 values x budgets) a run may solve, whatever its
+#: trials.  At one trial, 119,703 cells (d1 100..40000 by 1, d2 40100, 3
+#: budgets) took 10.0 s and 380 MB peak RSS, and 59,703 cells (d1
+#: 100..20000) 6.9 s and 207 MB: about 1.5 KB per cell (2-vCPU Xeon VM).
+_GRID_CELLS_CAP = 120_000
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -84,8 +89,8 @@ def dbm_to_watts(dbm: float) -> float:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs that fully determine a Monte-Carlo run: at most
-    _TRIAL_CELLS_CAP trials x grid cells, each d1's TDMA split window within
-    tdma._WINDOW_CAP."""
+    _GRID_CELLS_CAP grid cells and _TRIAL_CELLS_CAP trials x grid cells,
+    each d1's TDMA split window within tdma._WINDOW_CAP."""
 
     n_trials: int = 1000
     seed: int = 1
@@ -108,6 +113,15 @@ class ExperimentConfig:
             grid = getattr(self, name)
             if not grid or len(set(grid)) < len(grid):
                 raise ValueError(f"{name} must be non-empty and distinct, got {grid}")
+        # Every array a run allocates follows the trials and cells, or a
+        # split window: each within its cap before anything is drawn, the
+        # cells before a spec is built for every d1.
+        cells = len(self.d1_grid) * len(self.p_max_dbm_grid)
+        if cells > _GRID_CELLS_CAP:
+            raise ValueError(
+                f"{len(self.d1_grid)} values of d1 x {len(self.p_max_dbm_grid)} budgets "
+                f"is more than {_GRID_CELLS_CAP} grid cells"
+            )
         for p_max_dbm in self.p_max_dbm_grid:
             PowerBudget(dbm_to_watts(p_max_dbm))  # finite and positive
         if any(d1 > self.d2 for d1 in self.d1_grid):
@@ -118,9 +132,6 @@ class ExperimentConfig:
         object.__setattr__(self, "d1_grid", d1_grid)
         object.__setattr__(self, "d2", self.user1_spec(self.d2).deadline)
         object.__setattr__(self, "p_max_dbm_grid", tuple(map(float, self.p_max_dbm_grid)))
-        # Every array a run allocates follows the trials and cells, or a
-        # split window: each within its cap before anything is drawn.
-        cells = len(d1_grid) * len(self.p_max_dbm_grid)
         if self.n_trials * cells > _TRIAL_CELLS_CAP:
             raise ValueError(
                 f"{self.n_trials} trials x {cells} grid cells is more than "

@@ -15,25 +15,27 @@ single integer decision variable: the split of least energy
 
 among those the budget allows, the smallest m1 on a tie; an energy that
 overflows a float is over any budget too.  _energies computes these
-energies, inf for a split over budget, and _pick makes this choice
-everywhere, for one draw or for arrays of draws.
+energies, inf for a split over budget, and _pick makes this choice for one
+draw or for arrays of draws; _pick_floats makes it on Python floats, with
+the same arithmetic.
 
 solve_tdma takes its path by split window, from one lookup in the memo of
 _splits.  A window not seen picks from enclosures: one numpy pass bounds
-every SINR, and _pick weighs only the splits whose _energies at the lower
-bounds are finite and at most the least _energies at the upper bounds,
-which makes _pick's choice (_enclosed_splits).  The window is then marked
-seen (_SEEN), and its next solve fills its tables and memo entry.  Later
-solves read the memo: _pick_one takes the first least budget-free energy
-from its products where the budget keeps it, else _pick.  The memo, marks
-included, owns copies of its SINRs, is bounded by the store's budget,
-empties only when the store is cleared, and keeps no window whose tables
-the store would not keep; such a window picks from enclosures on every
-solve.  _columns, the column form for many draws under several budgets and
-deadlines of user 1, reads the widest window through _splits (the narrower
-ones view its prefixes), weighs it once, applies the same rule per budget
-(_kept), and decides alone on which windows, draws and budgets it runs.  A
-window past _WINDOW_CAP splits is refused before anything is allocated.
+every SINR, and only the splits whose _energies at the lower bounds are
+finite and at most the least _energies at the upper bounds may be _pick's
+choice (_enclosed_splits); _pick_floats weighs those few, one or two on
+most windows.  The window is then marked seen (_SEEN), and its next solve
+fills its tables and memo entry.  Later solves read the memo: _pick_one
+takes the first least budget-free energy from its products where the
+budget keeps it, else _pick.  The memo, marks included, owns copies of its
+SINRs, is bounded by the store's budget, empties only when the store is
+cleared, and keeps no window whose tables the store would not keep; such a
+window picks from enclosures on every solve.  _columns, the column form
+for many draws under several budgets and deadlines of user 1, reads the
+widest window through _splits (the narrower ones view its prefixes),
+weighs it once, applies the same rule per budget (_kept), and decides
+alone on which windows, draws and budgets it runs.  A window past
+_WINDOW_CAP splits is refused before anything is allocated.
 """
 
 import math
@@ -239,23 +241,32 @@ def _pick_one(splits: _Splits, g1: float, g2: float, p_max: float) -> int:
     return int(_pick(splits, g1, g2, p_max))
 
 
+#: The outcome when no split is within the budget.
+_OVER_BUDGET = SolveOutcome(None, InfeasibleReason.POWER_BUDGET_EXCEEDED)
+
+
 def _outcome(splits, best: int, ch: ChannelPair) -> SolveOutcome:
     """The outcome of choosing split index best (-1: none within budget) of
-    splits (m1, m2, gamma1, gamma2) or a verdict, or over budget when its
-    energy overflows: _pick compares energies rounded in another order, so
-    that can still happen within an ulp of the float range."""
+    splits (m1, m2, gamma1, gamma2) or a verdict."""
     if isinstance(splits, InfeasibleReason):
         return SolveOutcome(verdict=splits)
-    if best >= 0:
-        m1, m2, gamma1, gamma2 = splits
-        m1, m2 = float(m1[best]), float(m2[best])
-        gamma1, gamma2 = gamma1.item(best), gamma2.item(best)
-        p1 = gamma1 / ch.g1
-        p2 = gamma2 / ch.g2
-        energy = m1 * p1 + m2 * p2
-        if energy < math.inf:
-            return SolveOutcome(Allocation(m1, m2, p1, p2, gamma1, gamma2, energy, Scheme.TDMA))
-    return SolveOutcome(None, InfeasibleReason.POWER_BUDGET_EXCEEDED)
+    if best < 0:
+        return _OVER_BUDGET
+    m1, m2, gamma1, gamma2 = splits
+    return _allocation(float(m1[best]), float(m2[best]), gamma1.item(best), gamma2.item(best), ch)
+
+
+def _allocation(m1: float, m2: float, gamma1: float, gamma2: float, ch: ChannelPair):
+    """The outcome of the split m1, m2 at SINRs gamma1, gamma2, or over
+    budget when its energy overflows: _pick compares energies rounded in
+    another order, so that can still happen within an ulp of the float
+    range."""
+    p1 = gamma1 / ch.g1
+    p2 = gamma2 / ch.g2
+    energy = m1 * p1 + m2 * p2
+    if energy < math.inf:
+        return SolveOutcome(Allocation(m1, m2, p1, p2, gamma1, gamma2, energy, Scheme.TDMA))
+    return _OVER_BUDGET
 
 
 def solve_tdma(
@@ -280,57 +291,89 @@ def solve_tdma(
     if splits is None:  # a window not seen
         splits = _enclosed_splits(ch, s1, s2, m1_lo, m1_hi, p_max)
         _remember(key, _SEEN)
-    elif splits is _SEEN:
+        if isinstance(splits, InfeasibleReason):
+            return SolveOutcome(verdict=splits)
+        best = _pick_floats(splits, ch.g1, ch.g2, p_max)
+        return _allocation(*splits[best], ch) if best >= 0 else _OVER_BUDGET
+    if splits is _SEEN:
         splits = _splits(s1, s2, m1_lo, m1_hi)
     best = -1
-    if isinstance(splits, _Splits):  # the window's splits, from _splits
+    if isinstance(splits, _Splits):
         best = _pick_one(splits, ch.g1, ch.g2, p_max)
-    elif not isinstance(splits, InfeasibleReason):  # from enclosures
-        best = int(_pick(splits, ch.g1, ch.g2, p_max))
     return _outcome(splits, best, ch)
 
 
 def _enclosed_splits(
     ch: ChannelPair, s1: UserSpec, s2: UserSpec, m1_lo: int, m1_hi: int, p_max: float
-) -> tuple | InfeasibleReason:
+) -> list | InfeasibleReason:
     """The splits of the non-empty window m1_lo..m1_hi that may be _pick's
-    choice under p_max, with their exact SINRs, or the verdict.
+    choice under p_max, as rows (m1, m2, gamma1, gamma2) of floats, m1
+    ascending, with their exact SINRs; or the verdict.
 
     fbl._enclosures bounds every SINR of both windows in one numpy pass,
-    below <= gamma <= above.  An energy never falls as gamma1 or gamma2
-    grows, rounding is monotone, and a budget that allows gamma allows
-    below, so by split the _energies at below and at above bound the one
-    _pick weighs, inf included.  A split whose energy at below exceeds the
-    least energy at above, or is inf, costs more than a split _pick may
-    take, so _pick on the rest makes _pick's choice.
+    below <= gamma <= above, on flat float columns of one length: payload,
+    q and m for user 1's splits, then user 2's.  An energy never falls as
+    gamma1 or gamma2 grows, rounding is monotone, and a budget that allows
+    gamma allows below, so by split the _energies at below and at above
+    bound the one _pick weighs, inf included.  A split whose energy at
+    below exceeds the least energy at above, or is inf, costs more than a
+    split _pick may take, so _pick on the rest makes _pick's choice.
     """
-    d2 = s2.deadline
-    m1 = np.arange(m1_lo, m1_hi + 1)
-    m2 = d2 - m1
-    # below and above, by user, split by split
-    bounds = fbl._enclosures(
-        np.array([[s1.payload_bits], [s2.payload_bits]]),
-        np.array([[fbl._q_ln2(s1.error_target)], [fbl._q_ln2(s2.error_target)]]),
-        np.stack((m1, m2)),
+    d2, n = s2.deadline, m1_hi - m1_lo + 1
+    g1, g2 = ch.g1, ch.g2
+    m = np.arange(float(m1_lo), m1_hi + 1.0)
+    m = np.concatenate((m, d2 - m))
+    # By entry: the payload, q, the largest SINR the budget allows and the
+    # gain, user 1's for its n splits, then user 2's.
+    per_user = (
+        (s1.payload_bits, s2.payload_bits),
+        (fbl._q_ln2(s1.error_target), fbl._q_ln2(s2.error_target)),
+        (p_max * g1, p_max * g2),
+        (g1, g2),
     )
+    payload_bits, q, cap, gain = np.repeat(np.array(per_user), n, axis=1)
+    bounds = fbl._enclosures(payload_bits, q, m)
     # A window's tables raise BracketError exactly when its root at its
     # smallest m does (fbl._doubling); a finite above there rules that out.
     try:
-        if not bounds[1, 0, 0] < np.inf:
+        if not bounds[1, 0] < math.inf:
             required_sinr(s1, m1_lo)
-        if not bounds[1, 1, -1] < np.inf:
+        if not bounds[1, -1] < math.inf:
             required_sinr(s2, d2 - m1_hi)
     except BracketError:
         return InfeasibleReason.RATE_UNREACHABLE
-    # The energies at below and at above, by split.
-    low, high = _energies((m1, m2, bounds[:, 0], bounds[:, 1]), ch.g1, ch.g2, p_max)
-    keep = np.flatnonzero((low <= high.min()) & (low < np.inf))
-    if not len(keep):
+    # The energies at below and at above, by split, in _energies'
+    # operations: a term whose SINR the budget does not allow is inf, and
+    # so is its split's energy.
+    with np.errstate(over="ignore"):  # tiny gains overflow the energies
+        energy = m * np.where(bounds <= cap, bounds, math.inf) / gain
+        low, high = energy[:, :n] + energy[:, n:]
+    # At most the least high and finite: if that least is finite, the
+    # first implies the second.
+    keep = (low <= min(high.min(), fbl._FLOAT_MAX)).nonzero()[0].tolist()
+    if not keep:
         return InfeasibleReason.POWER_BUDGET_EXCEEDED
-    m1, m2 = m1[keep], m2[keep]
-    gamma1 = np.array([required_sinr(s1, m) for m in m1.tolist()])
-    gamma2 = np.array([required_sinr(s2, m) for m in m2.tolist()])
-    return m1, m2, gamma1, gamma2
+    m1 = [m1_lo + i for i in keep]
+    gamma1 = [required_sinr(s1, m) for m in m1]
+    gamma2 = [required_sinr(s2, d2 - m) for m in m1]
+    return [(float(m), float(d2 - m), a, b) for m, a, b in zip(m1, gamma1, gamma2)]
+
+
+def _pick_floats(splits: list, g1: float, g2: float, p_max: float) -> int:
+    """_pick for one draw's gains and a budget on splits, rows (m1, m2,
+    gamma1, gamma2) of floats: the index of the first least energy m1 *
+    gamma1 / g1 + m2 * gamma2 / g2 that does not overflow, among the splits
+    whose powers the budget allows (_allows), else -1.  IEEE arithmetic
+    gives these energies the bits of _energies', so ties go to the smallest
+    m1 alike."""
+    best, least = -1, math.inf
+    cap1, cap2 = p_max * g1, p_max * g2
+    for i, (m1, m2, gamma1, gamma2) in enumerate(splits):
+        if gamma1 <= cap1 and gamma2 <= cap2:
+            energy = m1 * gamma1 / g1 + m2 * gamma2 / g2
+            if energy < least:
+                best, least = i, energy
+    return best
 
 
 def _columns(

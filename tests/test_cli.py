@@ -357,6 +357,13 @@ class TestPastTheCaps:
                 )
                 for grid in ("100:100000000000:1", "99:10000000000000000000000:1")
             ),
+            # 40,001 values of d1 x 3 budgets: past the grid-cell cap at one trial.
+            ["montecarlo", "--trials", "1", "--d1-grid", "100:40100:1", "--d2", "40200"],
+            # 20,001 values of d1: past the sweep's cap.
+            [
+                "sweep", "--g1", "1e4", "--g2", "4e4", "--d2", "20200",
+                "--d1-grid", "100:20100:1",
+            ],
         ],
         ids=[
             "solve window",
@@ -365,6 +372,8 @@ class TestPastTheCaps:
             "sweep grid 1e22",
             "montecarlo grid 1e11",
             "montecarlo grid 1e22",
+            "montecarlo grid cells",
+            "sweep d1 values",
         ],
     )
     def test_exits_one(self, argv, tmp_path, capsys):

@@ -427,6 +427,72 @@ def test_enclosures_hold_the_roots(entries):
     _cold_memos()
 
 
+def test_flat_columns_enclose_like_broadcast_ones():
+    # The pass on flat float columns, per entry, gives the bits it gives
+    # the same entries as (2, 1) columns of payload and q against a (2, W)
+    # int array of m: user 1's m1 = m_lo.., user 2's m2 = d2 - m1; and the
+    # bits each user's entries get alone, with one sign of q and so one
+    # Newton start.
+    reached = set()
+    # Past eps = 0.5, q_inv(eps) < 0: the other Newton start.
+    any_eps = st.floats(-12.0, math.log10(0.999)).map(lambda x: 10.0**x)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        bits=st.tuples(st.integers(1, 3000), st.integers(1, 3000)),
+        eps=st.tuples(any_eps, any_eps),
+        m_lo=st.integers(1, 500),
+        size=st.integers(1, 40),
+        extra=st.integers(0, 400),
+    )
+    @example((160, 600), (1e-7, 1e-5), 100, 1, 100)  # one split, q >= 0 for both
+    @example((160, 40), (1e-7, 0.9), 100, 30, 0)  # one q < 0
+    @example((160, 40), (0.6, 0.9), 100, 30, 0)  # both q < 0
+    @example((3000, 3000), (1e-12, 0.9), 1, 40, 5)  # roots past 1e150: left open
+    def check(bits, eps, m_lo, size, extra):
+        m1 = np.arange(m_lo, m_lo + size)
+        m2 = m1[-1] + m_lo + extra - m1
+        q = [fbl._q_ln2(e) for e in eps]
+        broadcast = fbl._enclosures(
+            np.array(bits)[:, None], np.array(q)[:, None], np.stack((m1, m2))
+        )
+        payload_bits, q_flat = np.repeat(np.array((bits, q), float), size, axis=1)
+        m = np.concatenate((m1, m2)).astype(float)
+        flat = fbl._enclosures(payload_bits, q_flat, m)
+        assert flat.shape == (2, 2 * size)
+        assert flat.tobytes() == broadcast.reshape(2, -1).tobytes()
+        alone = [
+            fbl._enclosures(payload_bits[user], q_flat[user], m[user])
+            for user in (slice(None, size), slice(size, None))
+        ]
+        assert np.concatenate(alone, axis=1).tobytes() == flat.tobytes()
+        # _certain on the stacked ends decides each end as its scalar form
+        # writes the test: at the window's ends, and at its middle, where
+        # the closed form is about m and the tests are close calls.
+        with np.errstate(all="ignore"):
+            a, b = fbl._window(payload_bits, q_flat, m, fbl._NUMPY)
+            for a, b in ((a, b), (0.5 * (a + b),) * 2):
+                at_a, at_b = (
+                    fbl._blocklength(end, payload_bits, q_flat, np.log2, np.sqrt)
+                    for end in (a, b)
+                )
+                want = (
+                    at_a >= m * (1.0 + 4.0 * fbl._margin(a)),
+                    at_b < m * (1.0 - 4.0 * fbl._margin(b)),
+                )
+                got = fbl._certain(payload_bits, q_flat, m, a, b, fbl._NUMPY)
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        reached.add(f"{sum(q_k < 0.0 for q_k in q)} q < 0")
+        if size == 1:
+            reached.add("one split")
+        if (flat[1] == math.inf).any():
+            assert (flat[0][flat[1] == math.inf] == 0.0).all()
+            reached.add("open")
+
+    check()
+    assert reached == {"0 q < 0", "1 q < 0", "2 q < 0", "one split", "open"}
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(
     payload_bits=st.integers(1, 3000),

@@ -114,6 +114,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="trial cells"):
             ExperimentConfig(n_trials=cap + 1, d1_grid=(200,), p_max_dbm_grid=(30.0,))
 
+    def test_grid_cells_within_the_cap(self, monkeypatch):
+        # Whatever the trials: 2 values of d1 x 3 budgets fit a cap of 6
+        # cells, and a third value of d1 does not.
+        monkeypatch.setattr(montecarlo, "_GRID_CELLS_CAP", 6)
+        assert len(ExperimentConfig(n_trials=1, d1_grid=(100, 110)).d1_grid) == 2
+        with pytest.raises(ValueError, match="grid cells"):
+            ExperimentConfig(n_trials=1, d1_grid=(100, 110, 120))
+
+    def test_the_long_consecutive_grid_is_accepted(self):
+        # CI runs d1 = 100..20000 by 1 at d2 = 20100, 59,703 grid cells.
+        cfg = ExperimentConfig(n_trials=1, d1_grid=tuple(range(100, 20001)), d2=20100)
+        assert len(cfg.d1_grid) * len(cfg.p_max_dbm_grid) == 59_703
+
     def test_split_windows_within_the_cap(self):
         with pytest.raises(ValueError, match="splits"):
             ExperimentConfig(n_trials=2, d1_grid=(200, 2**53 - 100), d2=2**53)

@@ -574,6 +574,50 @@ def test_warm_pick_is_pick_over_full_tables():
     assert reached >= {"kept", "ruled out", "none", "overflows in _outcome"}
 
 
+def test_float_pick_is_pick():
+    # A first solve weighs its few candidates on Python floats: the index
+    # _pick takes on the same splits as arrays, ties, splits the budget rules
+    # out and overflowing energies included.
+    reached = set()
+    # Few values, so that equal energies are common.
+    gammas = st.sampled_from([0.5, 1.0, 2.0, 1e3, 1e300])
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from([100, 200]), st.sampled_from([100, 200]), gammas, gammas),
+            min_size=1,
+            max_size=4,
+        ),
+        g1=st.sampled_from([1e-307, 3e-305, 1.0, 4.0]),
+        g2=st.sampled_from([2e-307, 1.0, 4.0]),
+        p_max=st.sampled_from([0.6, 2.0, 1e3, 1e307]),
+    )
+    # The same energy twice: the first is taken.
+    @example([(100, 200, 1.0, 2.0), (200, 100, 2.0, 1.0)], 1.0, 1.0, 1e3)
+    # The budget rules out the least energy.
+    @example([(100, 200, 0.5, 2.0), (200, 100, 1.0, 1.0)], 1.0, 4.0, 0.6)
+    # Gains near 1e-307: every energy overflows, though the budget allows it.
+    @example([(100, 200, 1e3, 1e3), (200, 100, 1e3, 1e3)], 1e-307, 2e-307, 1e307)
+    def check(rows, g1, g2, p_max):
+        rows = [(float(m1), float(m2), gamma1, gamma2) for m1, m2, gamma1, gamma2 in rows]
+        columns = tuple(np.array(column) for column in zip(*rows))
+        got = tdma._pick_floats(rows, g1, g2, p_max)
+        assert got == int(tdma._pick(columns, g1, g2, p_max))
+        energy = tdma._energies(columns, g1, g2, p_max)
+        if got >= 0 and (energy == energy[got]).sum() > 1:
+            reached.add("tie")
+        allowed = tdma._allows(columns[2], columns[3], g1, g2, p_max)
+        if not allowed.all():
+            reached.add("ruled out")
+        if allowed.any() and got < 0:
+            reached.add("overflows")
+
+    with np.errstate(over="ignore"):  # the energies check() weighs overflow
+        check()
+    assert reached == {"tie", "ruled out", "overflows"}
+
+
 def test_cache_clear_empties_the_memo():
     s1, s2 = spec(200), spec(300)
     required_sinr.cache_clear()
